@@ -4,10 +4,12 @@ Modules:
 
 * rationals: canonical exact fractions with a point at infinity.
 * euclid: trace runners for the regular, least-absolute-remainders and
-  negative-remainders variants, plus subtraction/swap step accounting.
+  negative-remainders variants, a registry mapping each named variant to
+  its runner, plus subtraction/swap step accounting.
 * enumeration: brute-force enumeration of every sign-choice trace and the
   minimality certificate built from it.
-* tangles: the twist/rotate move calculus and Euclid-driven untangling plans.
+* tangles: the twist/rotate move calculus on extended-rational values and
+  Euclid-driven untangling plans, stored as one twist stage per equation.
 * cli: the `tanglegcd` command.
 """
 
@@ -53,8 +55,6 @@ from .tangles import (
     PlanMetrics,
     ReplayReport,
     Stage,
-    TangleState,
-    UNTANGLED,
     UntanglePlan,
     apply_move,
     format_moves,
@@ -86,8 +86,6 @@ __all__ = [
     "SignChooser",
     "Stage",
     "StepCount",
-    "TangleState",
-    "UNTANGLED",
     "UntanglePlan",
     "Variant",
     "WrongVariantError",

@@ -13,15 +13,13 @@ import re
 import sys
 from typing import Sequence
 
-from .enumeration import BoundExceededError, DEFAULT_BOUND, enumerate_all, minimize
+from .enumeration import BoundExceededError, DEFAULT_BOUND, enumerate_all
 from .euclid import (
     EuclidStep,
+    RUNNERS,
     Variant,
     division_count,
     gcd_of,
-    run_lar,
-    run_negative,
-    run_regular,
     step_count,
     trace_to_dict,
 )
@@ -42,17 +40,16 @@ _METHODS = {
     "negative": Variant.NEGATIVE,
 }
 
-_RUNNERS = {
-    Variant.REGULAR: run_regular,
-    Variant.LEAST_ABSOLUTE: run_lar,
-    Variant.NEGATIVE: run_negative,
-}
-
 
 def _positive_int(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
+        digits = re.fullmatch(r"\s*[+-]?(\d+)\s*", text)
+        if digits:  # well-formed but over the int/str limit: do not echo it back
+            raise argparse.ArgumentTypeError(
+                f"{len(digits[1])} digits, limit {sys.get_int_max_str_digits()}"
+            ) from None
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
@@ -74,7 +71,7 @@ def _equation(step: EuclidStep) -> str:
 
 def cmd_gcd(args: argparse.Namespace) -> tuple[dict, list[str], int]:
     a, b = _ordered_pair(args.a, args.b)
-    trace = _RUNNERS[_METHODS[args.method]](a, b)
+    trace = RUNNERS[_METHODS[args.method]](a, b)
     counts = step_count(trace)
     payload = {
         "x0": a,
@@ -103,7 +100,7 @@ def cmd_steps(args: argparse.Namespace) -> tuple[dict, list[str], int]:
     a, b = _ordered_pair(args.a, args.b)
     rows = []
     for name, variant in _METHODS.items():
-        trace = _RUNNERS[variant](a, b)
+        trace = RUNNERS[variant](a, b)
         counts = step_count(trace)
         rows.append(
             {
@@ -128,27 +125,28 @@ def cmd_steps(args: argparse.Namespace) -> tuple[dict, list[str], int]:
 def cmd_enumerate(args: argparse.Namespace) -> tuple[dict, list[str], int]:
     a, b = _ordered_pair(args.a, args.b)
     bound = args.limit if args.limit is not None else DEFAULT_BOUND
-    result = minimize(a, b, bound=bound)
-    rows = []
-    for trace in enumerate_all(a, b, bound=bound):
-        counts = step_count(trace)
-        rows.append(
-            {
-                "quotients": [s.quotient for s in trace.steps],
-                "epsilons": [s.epsilon for s in trace.steps],
-                "divisions": division_count(trace),
-                "total": counts.total,
-                "min_steps": counts.total == result.min_total_steps,
-                "min_divisions": division_count(trace) == result.min_divisions,
-            }
-        )
+    # The minima and flags come from the listed rows, so the tree is walked once.
+    rows = [
+        {
+            "quotients": [s.quotient for s in trace.steps],
+            "epsilons": [s.epsilon for s in trace.steps],
+            "divisions": division_count(trace),
+            "total": step_count(trace).total,
+        }
+        for trace in enumerate_all(a, b, bound=bound)
+    ]
+    min_total_steps = min(row["total"] for row in rows)
+    min_divisions = min(row["divisions"] for row in rows)
+    for row in rows:
+        row["min_steps"] = row["total"] == min_total_steps
+        row["min_divisions"] = row["divisions"] == min_divisions
     payload = {
         "x0": a,
         "x1": b,
         "traces": rows,
-        "traces_examined": result.traces_examined,
-        "min_total_steps": result.min_total_steps,
-        "min_divisions": result.min_divisions,
+        "traces_examined": len(rows),
+        "min_total_steps": min_total_steps,
+        "min_divisions": min_divisions,
     }
     lines = []
     for i, row in enumerate(rows, start=1):
@@ -163,8 +161,8 @@ def cmd_enumerate(args: argparse.Namespace) -> tuple[dict, list[str], int]:
             f"#{i} quotients=[{quotients}] epsilons=[{epsilons}] total={row['total']}{flags}"
         )
     lines.append(
-        f"summary: {result.traces_examined} traces, "
-        f"min total steps {result.min_total_steps}, min divisions {result.min_divisions}"
+        f"summary: {len(rows)} traces, "
+        f"min total steps {min_total_steps}, min divisions {min_divisions}"
     )
     return payload, lines, 0
 

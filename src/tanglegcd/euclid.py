@@ -142,6 +142,14 @@ def run_negative(x0: int, x1: int) -> EuclidTrace:
     return run_general(x0, x1, always_negative, variant=Variant.NEGATIVE)
 
 
+# Runner of each named variant; CUSTOM has none, since it needs a sign chooser.
+RUNNERS = {
+    Variant.REGULAR: run_regular,
+    Variant.LEAST_ABSOLUTE: run_lar,
+    Variant.NEGATIVE: run_negative,
+}
+
+
 def gcd_of(trace: EuclidTrace) -> int:
     """The divisor of the final, exact step: the gcd of the original pair."""
     return trace.steps[-1].b

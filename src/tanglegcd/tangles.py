@@ -6,6 +6,8 @@ reciprocal (zero and infinity swap).  Untangling a value means driving it to
 zero, and a Euclidean trace for the numerator/denominator pair reads off
 directly as a move sequence: each equation contributes its quotient in
 twists toward zero, followed by a rotation, except after the last equation.
+A plan stores one stage per equation, so planning and plan metrics cost
+O(divisions); its single moves are expanded from the stages on demand.
 
 Which Euclidean variant runs underneath is the planning policy.  Least
 absolute remainders gives the same total as the regular variant but with the
@@ -17,9 +19,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import reduce
+from itertools import accumulate
 from typing import Iterable, NamedTuple
 
-from .euclid import Variant, run_lar, run_negative, run_regular
+from .euclid import RUNNERS, Variant
 from .rationals import ExtendedRational, ZERO, rotate_value, twist_value
 
 
@@ -56,14 +60,6 @@ def format_moves(moves: Iterable[Move]) -> str:
     return ",".join(move.value for move in moves)
 
 
-@dataclass(frozen=True)
-class TangleState:
-    value: ExtendedRational
-
-
-UNTANGLED = TangleState(ZERO)
-
-
 class Stage(NamedTuple):
     """A run of same-direction twists tied back to one trace equation."""
 
@@ -72,12 +68,27 @@ class Stage(NamedTuple):
     trace_step_index: int
 
 
+def _opens_with_rotation(f: ExtendedRational) -> bool:
+    """Infinity and nonzero magnitudes below one rotate before the first stage."""
+    return f.is_infinite or 0 < abs(f.numerator) < f.denominator
+
+
 @dataclass(frozen=True)
 class UntanglePlan:
     start: ExtendedRational
-    moves: tuple[Move, ...]
     stages: tuple[Stage, ...]
     policy: Variant
+
+    @property
+    def moves(self) -> tuple[Move, ...]:
+        """The single moves, expanded from the stages: O(total moves) per access."""
+        moves = [Move.ROTATE] if _opens_with_rotation(self.start) else []
+        for index, stage in enumerate(self.stages):
+            if index:
+                moves.append(Move.ROTATE)
+            twist = Move.TWIST_POSITIVE if stage.twist_direction > 0 else Move.TWIST_NEGATIVE
+            moves += [twist] * stage.twist_count
+        return tuple(moves)
 
 
 @dataclass(frozen=True)
@@ -91,37 +102,36 @@ class PlanMetrics:
 class ReplayReport:
     """Replay of a move sequence: the start value, then one value per move."""
 
-    start: ExtendedRational
     values: tuple[ExtendedRational, ...]
-    final: ExtendedRational
-    passed: bool
+
+    @property
+    def start(self) -> ExtendedRational:
+        return self.values[0]
+
+    @property
+    def final(self) -> ExtendedRational:
+        return self.values[-1]
+
+    @property
+    def passed(self) -> bool:
+        return self.final.is_zero
 
 
-def apply_move(state: TangleState, move: Move) -> TangleState:
+def apply_move(value: ExtendedRational, move: Move) -> ExtendedRational:
     if move is Move.TWIST_POSITIVE:
-        return TangleState(twist_value(state.value, 1))
+        return twist_value(value, 1)
     if move is Move.TWIST_NEGATIVE:
-        return TangleState(twist_value(state.value, -1))
-    return TangleState(rotate_value(state.value))
+        return twist_value(value, -1)
+    return rotate_value(value)
 
 
 def tangle_number(moves: Iterable[Move]) -> ExtendedRational:
     """Fold a move sequence from the untangled value 0."""
-    state = UNTANGLED
-    for move in moves:
-        state = apply_move(state, move)
-    return state.value
-
-
-_RUNNERS = {
-    Variant.REGULAR: run_regular,
-    Variant.LEAST_ABSOLUTE: run_lar,
-    Variant.NEGATIVE: run_negative,
-}
+    return reduce(apply_move, moves, ZERO)
 
 
 def plan_untangle(f: ExtendedRational, policy: Variant) -> UntanglePlan:
-    """Build a move sequence that drives f to zero under the given policy.
+    """Build the stages of a plan that drives f to zero under the given policy.
 
     Zero needs no moves and infinity a single rotation.  A magnitude below
     one starts with a rotation so the value becomes an ordered pair; from
@@ -130,48 +140,30 @@ def plan_untangle(f: ExtendedRational, policy: Variant) -> UntanglePlan:
     positive construction automatically, since the twist direction is taken
     from the sign of the current value at each stage.
     """
-    runner = _RUNNERS.get(policy)
+    runner = RUNNERS.get(policy)
     if runner is None:
         raise ValueError(f"unsupported planning policy: {policy!r}")
-    moves: list[Move] = []
     stages: list[Stage] = []
-    value = f
-    if f.is_infinite:
-        moves.append(Move.ROTATE)
-        value = rotate_value(value)
-    elif not f.is_zero:
-        if abs(f.numerator) < f.denominator:
-            moves.append(Move.ROTATE)
-            value = rotate_value(value)
+    value = rotate_value(f) if _opens_with_rotation(f) else f
+    if not value.is_zero:
         trace = runner(abs(value.numerator), value.denominator)
         last = len(trace.steps) - 1
         for index, step in enumerate(trace.steps):
             direction = -value.sign()
-            twist = Move.TWIST_POSITIVE if direction > 0 else Move.TWIST_NEGATIVE
-            for _ in range(step.quotient):
-                moves.append(twist)
-                value = twist_value(value, direction)
+            # A whole stage of twists in one step: gcd(n + k*d, d) == gcd(n, d),
+            # so the result is already canonical.
+            n, d = value.numerator, value.denominator
+            value = ExtendedRational(n + direction * step.quotient * d, d)
             stages.append(Stage(step.quotient, direction, index))
             if index != last:
-                moves.append(Move.ROTATE)
                 value = rotate_value(value)
     assert value.is_zero
-    return UntanglePlan(start=f, moves=tuple(moves), stages=tuple(stages), policy=policy)
+    return UntanglePlan(start=f, stages=tuple(stages), policy=policy)
 
 
 def replay(start: ExtendedRational, moves: Iterable[Move]) -> ReplayReport:
     """Replay moves from a start value; passes iff the final value is zero."""
-    values = [start]
-    state = TangleState(start)
-    for move in moves:
-        state = apply_move(state, move)
-        values.append(state.value)
-    return ReplayReport(
-        start=start,
-        values=tuple(values),
-        final=state.value,
-        passed=state.value.is_zero,
-    )
+    return ReplayReport(tuple(accumulate(moves, apply_move, initial=start)))
 
 
 def verify_plan(f: ExtendedRational, plan: UntanglePlan) -> ReplayReport:
@@ -182,6 +174,7 @@ def verify_plan(f: ExtendedRational, plan: UntanglePlan) -> ReplayReport:
 
 
 def plan_metrics(plan: UntanglePlan) -> PlanMetrics:
-    rotations = sum(1 for move in plan.moves if move is Move.ROTATE)
-    twists = len(plan.moves) - rotations
-    return PlanMetrics(twists=twists, rotations=rotations, total=len(plan.moves))
+    """Twist, rotation and total move counts, read from the stages."""
+    twists = sum(stage.twist_count for stage in plan.stages)
+    rotations = _opens_with_rotation(plan.start) + max(len(plan.stages) - 1, 0)
+    return PlanMetrics(twists=twists, rotations=rotations, total=twists + rotations)

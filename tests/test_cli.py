@@ -1,8 +1,10 @@
 import json
+import sys
 
 import pytest
 
 from tanglegcd.cli import main
+from tanglegcd.enumeration import minimize
 from tanglegcd.euclid import run_negative, step_count, trace_to_dict
 
 
@@ -108,6 +110,21 @@ def test_enumerate_5_2(capsys):
     payload = json.loads(out)
     assert payload["traces_examined"] == 2
     assert payload["min_total_steps"] == 5
+
+
+@pytest.mark.parametrize("a,b", [(21, 13), (144, 89), (300, 187)])
+def test_enumerate_summary_matches_minimize(capsys, a, b):
+    code, out, _ = run_cli(capsys, "--json", "enumerate", str(a), str(b))
+    assert code == 0
+    payload = json.loads(out)
+    result = minimize(a, b)
+    assert payload["traces_examined"] == result.traces_examined == len(payload["traces"])
+    assert payload["min_total_steps"] == result.min_total_steps
+    assert payload["min_divisions"] == result.min_divisions
+    flagged = [row["quotients"] for row in payload["traces"] if row["min_steps"]]
+    witnesses = [[s.quotient for s in w.steps] for w in result.witnesses_min_steps]
+    assert flagged[: len(witnesses)] == witnesses
+    assert any(row["min_divisions"] for row in payload["traces"])
 
 
 def test_enumerate_bound_diagnostic(capsys):
@@ -244,3 +261,17 @@ def test_bad_fraction_diagnostic(capsys):
     code, _, err = run_cli(capsys, "verify", "one", "--moves", "R")
     assert code == 2
     assert "one" in err
+
+
+def test_overlong_integer_reports_its_size_without_echo(capsys):
+    limit = sys.get_int_max_str_digits()
+    if limit == 0:
+        pytest.skip("this interpreter has no int/str digit limit")
+    digits = "7" * (limit + 700)
+    with pytest.raises(SystemExit) as exc_info:
+        main(["gcd", digits, "5"])
+    assert exc_info.value.code == 2
+    err = capsys.readouterr().err
+    assert f"{limit + 700} digits, limit {limit}" in err
+    assert digits[:100] not in err
+    assert len(err) < 300

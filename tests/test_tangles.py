@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import groupby
 
 import pytest
 from hypothesis import given
@@ -18,9 +19,8 @@ from tanglegcd.rationals import INFINITY, ZERO, normalize
 from tanglegcd.tangles import (
     Move,
     MoveParseError,
+    PlanMetrics,
     Stage,
-    TangleState,
-    UNTANGLED,
     apply_move,
     format_moves,
     parse_moves,
@@ -61,18 +61,18 @@ def fraction_fold(moves):
 
 
 def test_apply_move_negative_twists_from_zero():
-    state = UNTANGLED
+    value = ZERO
     for _ in range(3):
-        state = apply_move(state, NT)
-    assert state.value == normalize(-3, 1)
+        value = apply_move(value, NT)
+    assert value == normalize(-3, 1)
 
 
 def test_apply_move_rotation_of_minus_three():
-    assert apply_move(TangleState(normalize(-3, 1)), R).value == normalize(1, 3)
+    assert apply_move(normalize(-3, 1), R) == normalize(1, 3)
 
 
 def test_apply_move_rotation_of_zero():
-    assert apply_move(UNTANGLED, R).value == INFINITY
+    assert apply_move(ZERO, R) == INFINITY
 
 
 def test_tangle_number_seven_halves():
@@ -126,6 +126,24 @@ def test_plan_stages_link_back_to_trace():
     assert [stage.twist_count for stage in plan.stages] == [
         s.quotient for s in trace.steps
     ]
+
+
+@given(canonical_fractions, st.sampled_from(POLICIES))
+def test_plan_metrics_and_stages_agree_with_expanded_moves(f, policy):
+    plan = plan_untangle(f, policy)
+    moves = plan.moves
+    rotations = moves.count(R)
+    assert plan_metrics(plan) == PlanMetrics(len(moves) - rotations, rotations, len(moves))
+    runs = [(len(list(run)), 1 if move is T else -1)
+            for move, run in groupby(moves) if move is not R]
+    assert runs == [(stage.twist_count, stage.twist_direction) for stage in plan.stages]
+
+
+def test_plan_metrics_never_expand_the_moves():
+    # A single stage of 10**100 twists: only a stage-unit plan can be counted.
+    plan = plan_untangle(normalize(10**100, 1), Variant.REGULAR)
+    assert plan.stages == (Stage(10**100, -1, 0),)
+    assert plan_metrics(plan).total == 10**100
 
 
 def test_plan_zero_is_empty():
