@@ -6,8 +6,8 @@ Modules:
 * euclid: trace runners for the regular, least-absolute-remainders and
   negative-remainders variants, a registry mapping each named variant to
   its runner, plus subtraction/swap step accounting.
-* enumeration: brute-force enumeration of every sign-choice trace and the
-  minimality certificate built from it.
+* enumeration: every sign-choice trace of a pair, listed one by one, and the
+  minimality certificate over all of them, solved once per distinct pair.
 * tangles: the twist/rotate move calculus on extended-rational values and
   Euclid-driven untangling plans, stored as one twist stage per equation.
 * cli: the `tanglegcd` command.

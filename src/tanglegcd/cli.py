@@ -31,7 +31,6 @@ from .tangles import (
     plan_untangle,
     replay,
     tangle_number,
-    verify_plan,
 )
 
 _METHODS = {
@@ -41,15 +40,19 @@ _METHODS = {
 }
 
 
+def _digits_within_limit(text: str) -> str:
+    """Refuse a digit run over the int/str limit by its length, without echoing it."""
+    limit = sys.get_int_max_str_digits()
+    longest = max(map(len, re.findall(r"\d+", text)), default=0)
+    if 0 < limit < longest:
+        raise argparse.ArgumentTypeError(f"{longest} digits, limit {limit}")
+    return text
+
+
 def _positive_int(text: str) -> int:
     try:
-        value = int(text)
+        value = int(_digits_within_limit(text))
     except ValueError:
-        digits = re.fullmatch(r"\s*[+-]?(\d+)\s*", text)
-        if digits:  # well-formed but over the int/str limit: do not echo it back
-            raise argparse.ArgumentTypeError(
-                f"{len(digits[1])} digits, limit {sys.get_int_max_str_digits()}"
-            ) from None
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
@@ -170,14 +173,15 @@ def cmd_enumerate(args: argparse.Namespace) -> tuple[dict, list[str], int]:
 def cmd_untangle(args: argparse.Namespace) -> tuple[dict, list[str], int]:
     f = parse_fraction(args.fraction)
     plan = plan_untangle(f, _METHODS[args.method])
-    report = verify_plan(f, plan)
+    moves = plan.moves
+    report = replay(f, moves)
     if not report.passed:
         raise RuntimeError(f"internal error: plan for {f} replayed to {report.final}")
     metrics = plan_metrics(plan)
     payload = {
         "fraction": str(f),
         "method": args.method,
-        "moves": format_moves(plan.moves),
+        "moves": format_moves(moves),
         "twists": metrics.twists,
         "rotations": metrics.rotations,
         "total": metrics.total,
@@ -260,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("untangle", parents=[common], help="plan moves driving a tangle number to 0")
     p._negative_number_matcher = fraction_matcher
-    p.add_argument("fraction", help="p/q, p, or inf; may be negative")
+    p.add_argument("fraction", type=_digits_within_limit, help="p/q, p, or inf; may be negative")
     p.add_argument("--method", choices=sorted(_METHODS), default="lar")
     p.set_defaults(handler=cmd_untangle)
 
@@ -270,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", parents=[common], help="replay moves from a value, expect 0")
     p._negative_number_matcher = fraction_matcher
-    p.add_argument("fraction", help="p/q, p, or inf; may be negative")
+    p.add_argument("fraction", type=_digits_within_limit, help="p/q, p, or inf; may be negative")
     p.add_argument("--moves", required=True, help="comma-separated tokens from T, -T, R")
     p.set_defaults(handler=cmd_verify)
 
@@ -299,6 +303,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     args = parser.parse_args(_fold_moves_flag(argv))
+    # The parser capped every input digit run at the int/str limit; values
+    # computed from the inputs can be far longer and always print in full.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         payload, lines, code = args.handler(args)
     except BoundExceededError as exc:
@@ -310,12 +318,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if getattr(args, "json", False):
-        print(json.dumps(payload))
     else:
-        for line in lines:
-            print(line)
-    return code
+        print(json.dumps(payload) if getattr(args, "json", False) else "\n".join(lines))
+        return code
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def run() -> None:

@@ -1,20 +1,19 @@
-"""Exhaustive enumeration of every general Euclidean trace for a pair.
+"""Every general Euclidean trace for a pair, and the minimality certificate.
 
-This is the brute-force side of the minimality story: it walks the full
-binary tree of remainder-sign choices (forced divisions have no branch) and
-certifies, by inspection of every trace, which step total and division count
-are actually minimal.  Nothing here consults the named variants, so the
-result is an independent oracle for them.
-
-Traces are generated lazily in depth-first order with the +1 branch first;
-:func:`minimize` aggregates that same walk without materializing whole
-traces, keeping memory constant apart from the retained witnesses.
+A pair's traces form a binary tree of remainder-sign choices (forced
+divisions have no branch).  :func:`enumerate_all` walks that whole tree and
+lists every trace.  :func:`minimize` certifies which step total and division
+count are actually minimal without walking every trace: the rest of a trace
+depends only on its current pair, so the minima and the trace count follow a
+recurrence over the distinct pairs of the tree.  Nothing here consults the
+named variants, so both are independent oracles for them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from itertools import islice
+from typing import Callable, Iterator
 
 from .euclid import EuclidStep, EuclidTrace, InvalidInputError, Variant
 
@@ -51,13 +50,14 @@ def enumerate_all(x0: int, x1: int, *, bound: int = DEFAULT_BOUND) -> Iterator[E
     the order is reproducible.
     """
     _check_pair(x0, x1, bound)
-    return _generate(x0, x1)
+    return _generate(x0, x1, lambda step: True)
 
 
-def _generate(x0: int, x1: int) -> Iterator[EuclidTrace]:
+def _generate(x0: int, x1: int, enters: Callable[[EuclidStep], bool]) -> Iterator[EuclidTrace]:
     # Explicit stack: entries are (a, b, entering_step) and a None sentinel
     # that pops the shared path when a subtree is done.  Recursion would
-    # overflow on staircase pairs near the bound.
+    # overflow on staircase pairs near the bound.  Only steps that `enters`
+    # accepts are taken.
     path: list[EuclidStep] = []
     stack: list[tuple[int, int, EuclidStep | None] | None] = [(x0, x1, None)]
     while stack:
@@ -72,63 +72,64 @@ def _generate(x0: int, x1: int) -> Iterator[EuclidTrace]:
         if r == 0:
             yield EuclidTrace(tuple(path) + (EuclidStep(a, b, q, 1, 0),), Variant.CUSTOM)
             continue
-        stack.append(None)
-        stack.append((b, b - r, EuclidStep(a, b, q + 1, -1, b - r)))
-        stack.append(None)
-        stack.append((b, r, EuclidStep(a, b, q, 1, r)))
+        for step in (EuclidStep(a, b, q + 1, -1, b - r), EuclidStep(a, b, q, 1, r)):
+            if enters(step):
+                stack.append(None)
+                stack.append((b, step.remainder, step))
 
 
 def minimize(x0: int, x1: int, *, bound: int = DEFAULT_BOUND) -> EnumerationResult:
-    """Aggregate the full enumeration into minima plus witnesses.
+    """Certify the minimal step total and division count over every trace.
+
+    With q, r = divmod(a, b), the traces from (a, b) end there when r == 0,
+    at q steps in 1 division.  Otherwise they go on from (b, r) after a +1
+    remainder or from (b, b - r) after a -1 one, so per pair
+
+        min total     = q + 1 + min(total(b, r), total(b, b - r) + 1)
+        min divisions = 1 + min(divisions(b, r), divisions(b, b - r))
+        trace count   = count(b, r) + count(b, b - r)
+
+    and each distinct pair is solved once, however many traces pass it.  The
+    bound still applies: the number of distinct pairs grows with the partial
+    quotients, to about 10,000 inner pairs for (10000, 9999).
 
     Witness policy: the first MAX_WITNESSES traces attaining the minimal
-    step total, in the same depth-first order enumerate_all uses.
+    step total, in the depth-first order enumerate_all uses, rebuilt by
+    taking only the steps from which the minimum stays reachable.
     """
     _check_pair(x0, x1, bound)
-    best_total = -1
-    best_divisions = -1
-    examined = 0
-    witnesses: list[list[tuple[int, int, int, int, int]]] = []
-    # Hot loop over up to millions of tree nodes: steps stay plain tuples
-    # here and become EuclidStep objects only for the retained witnesses.
-    path: list[tuple[int, int, int, int, int]] = []
-    subtractions = 0
-    stack: list[tuple[int, int, tuple[int, int, int, int, int] | None] | None] = [
-        (x0, x1, None)
-    ]
-    while stack:
-        entry = stack.pop()
-        if entry is None:
-            subtractions -= path.pop()[2]
-            continue
-        a, b, enter = entry
-        if enter is not None:
-            path.append(enter)
-            subtractions += enter[2]
+    # (min total, min divisions, trace count) of each inner pair; leaves
+    # cost O(1) to recompute and are not stored.
+    memo: dict[tuple[int, int], tuple[int, int, int]] = {}
+
+    def solved(a: int, b: int) -> tuple[int, int, int] | None:
         q, r = divmod(a, b)
-        if r == 0:
-            examined += 1
-            divisions = len(path) + 1
-            total = subtractions + q + divisions - 1
-            if best_total < 0 or total < best_total:
-                best_total = total
-                witnesses = [path + [(a, b, q, 1, 0)]]
-            elif total == best_total and len(witnesses) < MAX_WITNESSES:
-                witnesses.append(path + [(a, b, q, 1, 0)])
-            if best_divisions < 0 or divisions < best_divisions:
-                best_divisions = divisions
-            continue
-        stack.append(None)
-        stack.append((b, b - r, (a, b, q + 1, -1, b - r)))
-        stack.append(None)
-        stack.append((b, r, (a, b, q, 1, r)))
+        return (q, 1, 1) if r == 0 else memo.get((a, b))
+
+    # Post-order over an explicit stack of unsolved inner pairs; recursion
+    # would overflow on staircase pairs such as (10000, 9999).
+    stack = [(x0, x1)] if x0 % x1 else []
+    while stack:
+        a, b = stack[-1]
+        q, r = divmod(a, b)
+        plus, minus = solved(b, r), solved(b, b - r)
+        if plus is None:
+            stack.append((b, r))
+        if minus is None:
+            stack.append((b, b - r))
+        if plus is not None and minus is not None:
+            stack.pop()
+            memo[a, b] = (q + 1 + min(plus[0], minus[0] + 1),
+                          1 + min(plus[1], minus[1]), plus[2] + minus[2])
+    total, divisions, count = solved(x0, x1)
+
+    def optimal(step: EuclidStep) -> bool:
+        return solved(step.a, step.b)[0] == step.quotient + 1 + solved(step.b, step.remainder)[0]
+
     return EnumerationResult(
         pair=(x0, x1),
-        traces_examined=examined,
-        min_total_steps=best_total,
-        min_divisions=best_divisions,
-        witnesses_min_steps=tuple(
-            EuclidTrace(tuple(EuclidStep(*s) for s in steps), Variant.CUSTOM)
-            for steps in witnesses
-        ),
+        traces_examined=count,
+        min_total_steps=total,
+        min_divisions=divisions,
+        witnesses_min_steps=tuple(islice(_generate(x0, x1, optimal), MAX_WITNESSES)),
     )

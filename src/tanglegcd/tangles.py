@@ -61,11 +61,10 @@ def format_moves(moves: Iterable[Move]) -> str:
 
 
 class Stage(NamedTuple):
-    """A run of same-direction twists tied back to one trace equation."""
+    """A run of same-direction twists: stage i comes from trace equation i."""
 
     twist_count: int
     twist_direction: int
-    trace_step_index: int
 
 
 def _opens_with_rotation(f: ExtendedRational) -> bool:
@@ -154,7 +153,7 @@ def plan_untangle(f: ExtendedRational, policy: Variant) -> UntanglePlan:
             # so the result is already canonical.
             n, d = value.numerator, value.denominator
             value = ExtendedRational(n + direction * step.quotient * d, d)
-            stages.append(Stage(step.quotient, direction, index))
+            stages.append(Stage(step.quotient, direction))
             if index != last:
                 value = rotate_value(value)
     assert value.is_zero

@@ -1,5 +1,6 @@
 import json
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -275,3 +276,36 @@ def test_overlong_integer_reports_its_size_without_echo(capsys):
     assert f"{limit + 700} digits, limit {limit}" in err
     assert digits[:100] not in err
     assert len(err) < 300
+
+
+@pytest.mark.parametrize("command", [["untangle"], ["verify", "--moves", "R"]])
+def test_overlong_fraction_reports_its_size_without_echo(capsys, command):
+    limit = sys.get_int_max_str_digits()
+    if limit == 0:
+        pytest.skip("this interpreter has no int/str digit limit")
+    digits = "7" * (limit + 700)
+    with pytest.raises(SystemExit) as exc_info:
+        main([command[0], f"-{digits}/3", *command[1:]])
+    assert exc_info.value.code == 2
+    err = capsys.readouterr().err
+    assert f"{limit + 700} digits, limit {limit}" in err
+    assert digits[:100] not in err
+    assert len(err) < 300
+
+
+def test_construct_prints_a_value_past_the_int_str_limit(capsys):
+    # About 4,600 digits, over the default limit of 4,300.
+    moves = ",".join(["T,R,-T,R"] * 11_000)
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run_cli(capsys, "construct", "--moves", moves)
+    assert (code, err) == (0, "")
+    assert sys.get_int_max_str_digits() == limit
+    value = Fraction(0)
+    for token in moves.split(","):
+        value = -1 / value if token == "R" else value + (1 if token == "T" else -1)
+    assert value.denominator > 10**4_300
+    sys.set_int_max_str_digits(0)
+    try:
+        assert out == f"{value}\n"
+    finally:
+        sys.set_int_max_str_digits(limit)

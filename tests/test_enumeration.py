@@ -199,3 +199,45 @@ def test_lar_attains_both_minima(pair):
     assert result.min_total_steps == step_count(lar).total
     assert result.min_divisions == division_count(lar)
     assert result.min_total_steps == step_count(run_regular(*pair)).total
+
+
+def test_minimize_matches_a_fold_over_the_listing_for_every_pair_to_60():
+    for x0 in range(1, 61):
+        for x1 in range(1, x0 + 1):
+            traces = list(enumerate_all(x0, x1))
+            totals = [step_count(t).total for t in traces]
+            best = min(totals)
+            minimal = [signature(t) for t, total in zip(traces, totals) if total == best]
+            result = minimize(x0, x1)
+            assert (
+                result.traces_examined,
+                result.min_total_steps,
+                result.min_divisions,
+                [signature(w) for w in result.witnesses_min_steps],
+            ) == (
+                len(traces),
+                best,
+                min(division_count(t) for t in traces),
+                minimal[:MAX_WITNESSES],
+            ), (x0, x1)
+
+
+@given(st.tuples(st.integers(1, 10_000), st.integers(1, 10_000)).map(lambda t: (max(t), min(t))))
+def test_trace_count_is_x1_over_the_gcd(pair):
+    x0, x1 = pair
+    assert minimize(x0, x1).traces_examined == x1 // math.gcd(x0, x1)
+
+
+def test_minimize_certifies_a_pair_beyond_brute_force():
+    # F(401)/F(400) has 84 digits and F(400) traces, about 10**83: only the
+    # recurrence over distinct pairs can finish it.
+    fib = [0, 1]
+    while len(fib) <= 401:
+        fib.append(fib[-1] + fib[-2])
+    x0, x1 = fib[401], fib[400]
+    result = minimize(x0, x1, bound=x0)
+    regular, lar = run_regular(x0, x1), run_lar(x0, x1)
+    assert result.traces_examined == x1
+    assert result.min_total_steps == step_count(regular).total == step_count(lar).total
+    assert result.min_divisions == division_count(lar)
+    assert result.witnesses_min_steps[0].steps == regular.steps
