@@ -6,20 +6,15 @@ Modules:
 * euclid: trace runners for the regular, least-absolute-remainders and
   negative-remainders variants, a registry mapping each named variant to
   its runner, plus subtraction/swap step accounting.
-* enumeration: every sign-choice trace of a pair, listed one by one, and the
-  minimality certificate over all of them, solved once per distinct pair.
+* enumeration: every sign-choice trace of any ordered pair, listed one by
+  one, and the minimality certificate over all of them, solved once per
+  distinct pair.
 * tangles: the twist/rotate move calculus on extended-rational values and
   Euclid-driven untangling plans, stored as one twist stage per equation.
 * cli: the `tanglegcd` command.
 """
 
-from .enumeration import (
-    BoundExceededError,
-    DEFAULT_BOUND,
-    EnumerationResult,
-    enumerate_all,
-    minimize,
-)
+from .enumeration import EnumerationResult, enumerate_all, minimize
 from .euclid import (
     EuclidStep,
     EuclidTrace,
@@ -69,8 +64,6 @@ from .tangles import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundExceededError",
-    "DEFAULT_BOUND",
     "EnumerationResult",
     "EuclidStep",
     "EuclidTrace",

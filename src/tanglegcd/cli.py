@@ -13,7 +13,7 @@ import re
 import sys
 from typing import Sequence
 
-from .enumeration import BoundExceededError, DEFAULT_BOUND, enumerate_all
+from .enumeration import enumerate_all
 from .euclid import (
     EuclidStep,
     RUNNERS,
@@ -31,6 +31,7 @@ from .tangles import (
     plan_untangle,
     replay,
     tangle_number,
+    verify_plan,
 )
 
 _METHODS = {
@@ -127,7 +128,11 @@ def cmd_steps(args: argparse.Namespace) -> tuple[dict, list[str], int]:
 
 def cmd_enumerate(args: argparse.Namespace) -> tuple[dict, list[str], int]:
     a, b = _ordered_pair(args.a, args.b)
-    bound = args.limit if args.limit is not None else DEFAULT_BOUND
+    if a > args.limit:
+        raise ValueError(
+            f"x0 = {a} exceeds the enumeration bound {args.limit}; "
+            "raise the bound to proceed (see --limit)"
+        )
     # The minima and flags come from the listed rows, so the tree is walked once.
     rows = [
         {
@@ -136,7 +141,7 @@ def cmd_enumerate(args: argparse.Namespace) -> tuple[dict, list[str], int]:
             "divisions": division_count(trace),
             "total": step_count(trace).total,
         }
-        for trace in enumerate_all(a, b, bound=bound)
+        for trace in enumerate_all(a, b)
     ]
     min_total_steps = min(row["total"] for row in rows)
     min_divisions = min(row["divisions"] for row in rows)
@@ -173,15 +178,14 @@ def cmd_enumerate(args: argparse.Namespace) -> tuple[dict, list[str], int]:
 def cmd_untangle(args: argparse.Namespace) -> tuple[dict, list[str], int]:
     f = parse_fraction(args.fraction)
     plan = plan_untangle(f, _METHODS[args.method])
-    moves = plan.moves
-    report = replay(f, moves)
+    report = verify_plan(f, plan)
     if not report.passed:
         raise RuntimeError(f"internal error: plan for {f} replayed to {report.final}")
     metrics = plan_metrics(plan)
     payload = {
         "fraction": str(f),
         "method": args.method,
-        "moves": format_moves(moves),
+        "moves": format_moves(plan.moves),
         "twists": metrics.twists,
         "rotations": metrics.rotations,
         "total": metrics.total,
@@ -255,8 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", parents=[common], help="list every possible algorithm")
     p.add_argument("a", type=_positive_int)
     p.add_argument("b", type=_positive_int)
-    p.add_argument("--limit", type=_positive_int, default=None,
-                   help=f"enumeration input ceiling (default {DEFAULT_BOUND})")
+    p.add_argument("--limit", type=_positive_int, default=10_000,
+                   help="enumeration input ceiling (default %(default)s)")
     p.set_defaults(handler=cmd_enumerate)
 
     # Lets argparse accept bare negative fractions like -8/5 as positionals.
@@ -309,9 +313,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     sys.set_int_max_str_digits(0)
     try:
         payload, lines, code = args.handler(args)
-    except BoundExceededError as exc:
-        print(f"error: {exc} (see --limit)", file=sys.stderr)
-        return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

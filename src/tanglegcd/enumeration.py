@@ -5,8 +5,9 @@ divisions have no branch).  :func:`enumerate_all` walks that whole tree and
 lists every trace.  :func:`minimize` certifies which step total and division
 count are actually minimal without walking every trace: the rest of a trace
 depends only on its current pair, so the minima and the trace count follow a
-recurrence over the distinct pairs of the tree.  Nothing here consults the
-named variants, so both are independent oracles for them.
+recurrence over the distinct pairs of the tree, and its cost grows with the
+partial quotients, not with x0.  Nothing here consults the named variants, so
+both are independent oracles for them.
 """
 
 from __future__ import annotations
@@ -17,12 +18,7 @@ from typing import Callable, Iterator
 
 from .euclid import EuclidStep, EuclidTrace, InvalidInputError, Variant
 
-DEFAULT_BOUND = 10_000
 MAX_WITNESSES = 16
-
-
-class BoundExceededError(ValueError):
-    """Raised when a pair exceeds the configured enumeration ceiling."""
 
 
 @dataclass(frozen=True)
@@ -34,30 +30,26 @@ class EnumerationResult:
     witnesses_min_steps: tuple[EuclidTrace, ...]
 
 
-def _check_pair(x0: int, x1: int, bound: int) -> None:
+def _check_pair(x0: int, x1: int) -> None:
     if x1 < 1 or x0 < x1:
         raise InvalidInputError(f"need x0 >= x1 >= 1, got ({x0}, {x1})")
-    if x0 > bound:
-        raise BoundExceededError(
-            f"x0 = {x0} exceeds the enumeration bound {bound}; raise the bound to proceed"
-        )
 
 
-def enumerate_all(x0: int, x1: int, *, bound: int = DEFAULT_BOUND) -> Iterator[EuclidTrace]:
+def enumerate_all(x0: int, x1: int) -> Iterator[EuclidTrace]:
     """Yield every distinct valid trace for (x0, x1) exactly once.
 
     Depth-first, +1 branch before -1, so the regular trace comes first and
     the order is reproducible.
     """
-    _check_pair(x0, x1, bound)
+    _check_pair(x0, x1)
     return _generate(x0, x1, lambda step: True)
 
 
 def _generate(x0: int, x1: int, enters: Callable[[EuclidStep], bool]) -> Iterator[EuclidTrace]:
     # Explicit stack: entries are (a, b, entering_step) and a None sentinel
     # that pops the shared path when a subtree is done.  Recursion would
-    # overflow on staircase pairs near the bound.  Only steps that `enters`
-    # accepts are taken.
+    # overflow on staircase pairs such as (10000, 9999).  Only steps that
+    # `enters` accepts are taken.
     path: list[EuclidStep] = []
     stack: list[tuple[int, int, EuclidStep | None] | None] = [(x0, x1, None)]
     while stack:
@@ -78,7 +70,7 @@ def _generate(x0: int, x1: int, enters: Callable[[EuclidStep], bool]) -> Iterato
                 stack.append((b, step.remainder, step))
 
 
-def minimize(x0: int, x1: int, *, bound: int = DEFAULT_BOUND) -> EnumerationResult:
+def minimize(x0: int, x1: int) -> EnumerationResult:
     """Certify the minimal step total and division count over every trace.
 
     With q, r = divmod(a, b), the traces from (a, b) end there when r == 0,
@@ -89,15 +81,16 @@ def minimize(x0: int, x1: int, *, bound: int = DEFAULT_BOUND) -> EnumerationResu
         min divisions = 1 + min(divisions(b, r), divisions(b, b - r))
         trace count   = count(b, r) + count(b, b - r)
 
-    and each distinct pair is solved once, however many traces pass it.  The
-    bound still applies: the number of distinct pairs grows with the partial
-    quotients, to about 10,000 inner pairs for (10000, 9999).
+    and each distinct pair is solved once, however many traces pass it.  Any
+    ordered pair is accepted: the number of distinct pairs grows with the
+    partial quotients, not with x0, so (10000, 9999) walks 9,998 inner pairs
+    while the 84-digit pair (F(401), F(400)) walks 794.
 
     Witness policy: the first MAX_WITNESSES traces attaining the minimal
     step total, in the depth-first order enumerate_all uses, rebuilt by
     taking only the steps from which the minimum stays reachable.
     """
-    _check_pair(x0, x1, bound)
+    _check_pair(x0, x1)
     # (min total, min divisions, trace count) of each inner pair; leaves
     # cost O(1) to recompute and are not stored.
     memo: dict[tuple[int, int], tuple[int, int, int]] = {}

@@ -7,7 +7,7 @@ zero, and a Euclidean trace for the numerator/denominator pair reads off
 directly as a move sequence: each equation contributes its quotient in
 twists toward zero, followed by a rotation, except after the last equation.
 A plan stores one stage per equation, so planning and plan metrics cost
-O(divisions); its single moves are expanded from the stages on demand.
+O(divisions); its single moves are expanded from the stages once per plan.
 
 Which Euclidean variant runs underneath is the planning policy.  Least
 absolute remainders gives the same total as the regular variant but with the
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import accumulate
 from typing import Iterable, NamedTuple
 
@@ -27,7 +27,7 @@ from .euclid import RUNNERS, Variant
 from .rationals import ExtendedRational, ZERO, rotate_value, twist_value
 
 
-class Move(Enum):
+class Move(str, Enum):
     TWIST_POSITIVE = "T"
     TWIST_NEGATIVE = "-T"
     ROTATE = "R"
@@ -57,7 +57,7 @@ def parse_moves(text: str) -> tuple[Move, ...]:
 
 
 def format_moves(moves: Iterable[Move]) -> str:
-    return ",".join(move.value for move in moves)
+    return ",".join(moves)
 
 
 class Stage(NamedTuple):
@@ -78,9 +78,9 @@ class UntanglePlan:
     stages: tuple[Stage, ...]
     policy: Variant
 
-    @property
+    @cached_property
     def moves(self) -> tuple[Move, ...]:
-        """The single moves, expanded from the stages: O(total moves) per access."""
+        """The single moves, expanded from the stages once per plan."""
         moves = [Move.ROTATE] if _opens_with_rotation(self.start) else []
         for index, stage in enumerate(self.stages):
             if index:
@@ -102,10 +102,6 @@ class ReplayReport:
     """Replay of a move sequence: the start value, then one value per move."""
 
     values: tuple[ExtendedRational, ...]
-
-    @property
-    def start(self) -> ExtendedRational:
-        return self.values[0]
 
     @property
     def final(self) -> ExtendedRational:
@@ -135,9 +131,10 @@ def plan_untangle(f: ExtendedRational, policy: Variant) -> UntanglePlan:
     Zero needs no moves and infinity a single rotation.  A magnitude below
     one starts with a rotation so the value becomes an ordered pair; from
     there the policy's Euclidean trace on (|numerator|, denominator) is read
-    off stage by stage, twisting toward zero.  Negative starts mirror the
-    positive construction automatically, since the twist direction is taken
-    from the sign of the current value at each stage.
+    off stage by stage, twisting toward zero.  The first stage twists against
+    the sign s of the value, so negative starts mirror positive ones.  Twisting
+    s*a/b by q toward zero leaves s*eps*r/b, and rotating that gives sign
+    -s*eps, so each later direction is the previous one times -eps.
     """
     runner = RUNNERS.get(policy)
     if runner is None:
@@ -145,18 +142,10 @@ def plan_untangle(f: ExtendedRational, policy: Variant) -> UntanglePlan:
     stages: list[Stage] = []
     value = rotate_value(f) if _opens_with_rotation(f) else f
     if not value.is_zero:
-        trace = runner(abs(value.numerator), value.denominator)
-        last = len(trace.steps) - 1
-        for index, step in enumerate(trace.steps):
-            direction = -value.sign()
-            # A whole stage of twists in one step: gcd(n + k*d, d) == gcd(n, d),
-            # so the result is already canonical.
-            n, d = value.numerator, value.denominator
-            value = ExtendedRational(n + direction * step.quotient * d, d)
+        direction = -value.sign()
+        for step in runner(abs(value.numerator), value.denominator).steps:
             stages.append(Stage(step.quotient, direction))
-            if index != last:
-                value = rotate_value(value)
-    assert value.is_zero
+            direction *= -step.epsilon
     return UntanglePlan(start=f, stages=tuple(stages), policy=policy)
 
 

@@ -6,7 +6,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tanglegcd.enumeration import (
-    BoundExceededError,
     EnumerationResult,
     MAX_WITNESSES,
     enumerate_all,
@@ -143,15 +142,10 @@ def test_witness_cap_keeps_first_sixteen_in_order():
     assert [signature(w) for w in result.witnesses_min_steps] == minimal_in_order[:MAX_WITNESSES]
 
 
-def test_bound_is_enforced():
-    with pytest.raises(BoundExceededError):
-        minimize(10_001, 3)
-    with pytest.raises(BoundExceededError):
-        next(iter(enumerate_all(10_001, 3)))
-
-
-def test_bound_is_overridable():
-    assert minimize(10_001, 3, bound=10_001).traces_examined == 3
+def test_any_ordered_pair_is_accepted():
+    assert minimize(10_001, 3).traces_examined == 3
+    x0 = 10**30 + 1
+    assert next(enumerate_all(x0, 3)).steps == run_regular(x0, 3).steps
 
 
 def test_invalid_pairs_rejected():
@@ -235,7 +229,7 @@ def test_minimize_certifies_a_pair_beyond_brute_force():
     while len(fib) <= 401:
         fib.append(fib[-1] + fib[-2])
     x0, x1 = fib[401], fib[400]
-    result = minimize(x0, x1, bound=x0)
+    result = minimize(x0, x1)
     regular, lar = run_regular(x0, x1), run_lar(x0, x1)
     assert result.traces_examined == x1
     assert result.min_total_steps == step_count(regular).total == step_count(lar).total

@@ -1,0 +1,92 @@
+"""CLI output pinned byte for byte: exit code, then length and sha256 of each stream.
+
+Each case runs `main(argv)` in-process.  The digests were recorded from the
+implementation these cases guard; a change that alters any byte of stdout or
+stderr, or an exit code, fails here.  argparse usage errors are pinned by
+their exit code and last stderr line only, since the usage text it prints
+varies across Python versions.
+"""
+
+import hashlib
+
+import pytest
+
+from tanglegcd.cli import main
+
+EMPTY = (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855")
+
+# command line -> (exit code, (stdout bytes, sha256), (stderr bytes, sha256))
+GOLDEN = {
+    # README's six examples
+    "gcd 807 673 --method lar": (
+        0, (120, "75ba6d731c7b90f5fc8c9e63158536b9be002eb31290da500f20609d6031ab2a"), EMPTY),
+    "steps 807 673": (
+        0, (196, "b7e597d2c9f9133adcbe6d95284e293b32c930297c76e37cd751becc3f3b49fb"), EMPTY),
+    "enumerate 4 3": (
+        0, (214, "4f98a44039dd2446dd14b20cb30275cf3f6d8dfe9df591af47886b904d2a6581"), EMPTY),
+    "untangle 8/5 --method lar": (
+        0, (139, "699afeeb1ca8e5fa7e69cf6464c8209bcc22912a2c244be7715ddff4135d1183"), EMPTY),
+    "construct --moves -T,-T,-T,R,-T,R,T,T": (
+        0, (4, "c81a4cae90bb0ee73c120b0f74c292afe1fa5d48a8a4988802451662e0d943ae"), EMPTY),
+    "verify 8/5 --moves -T,R,T,R,-T,R,T,T": (
+        0, (105, "7ad0229fad482626439fdd38541a80680aef152fe7d4e76908a424aafb556c81"), EMPTY),
+    # enumeration near and past the --limit ceiling
+    "--json enumerate 9999 7001": (
+        0, (2647038, "9d8d5c94118d89fed3b9d32dcb51476c41dab48754b2cac14e0c6b0d97e818c9"), EMPTY),
+    "enumerate 10001 3": (
+        2, EMPTY, (96, "0945187351bddcbc84e88415e80442150705167ddd15327a1edc8b2a10ab3fb3")),
+    "enumerate 3 10001": (
+        2, EMPTY, (133, "daf0129235c5dd5b43b83d949836e952965cf93ab2f11a9099f45b13c88814be")),
+    "enumerate 20 7 --limit 19": (
+        2, EMPTY, (90, "158ef5f0667d67bdd5aa3a896d4b6400dea5ab202b0d95cc68714ceaf8486d28")),
+    "--json enumerate 10001 3 --limit 10001": (
+        0, (476, "82497a9c47feacca47570e6c6fa821d401a8d3f3246d1f86cbbf2399840ffc1a"), EMPTY),
+    # untangle plans and their replay
+    "--json untangle 1013/1 --method negative": (
+        0, (10173, "309cf8f8f57497a2e3b1f6fea200fe91446771d4fc224cc6f96a6d217ad017ae"), EMPTY),
+    "untangle -7/9 --method regular": (
+        0, (149, "dbfba914ad15d2f00ac720b04d11de266e92e7d23c4a6ede2a95df2b6a393ce1"), EMPTY),
+    "untangle inf": (
+        0, (73, "0fff68b66e6e20cf577b9b50a9c1cdf70acb3095ddf3efc9a7178050e33bd838"), EMPTY),
+    "untangle 0": (
+        0, (65, "cd0ce5ef0c071d7a232f80d5b3ac996a4ff5398cae1040d2a3b8a86660890d21"), EMPTY),
+    # verify: failing replays and a bad token
+    "--json verify 1 --moves R": (
+        1, (85, "8de83afa1b501c8b7b0306e43da097fcca0b1662140ac41828d057dd79cd212a"), EMPTY),
+    "verify 8/5 --moves R": (
+        1, (46, "bcbaf47a422cecf8f477d33096c6d0eb4a0224dd12d6580a11b018915b724c70"), EMPTY),
+    "verify 8/5 --moves -T,X,R": (
+        2, EMPTY, (40, "5da19555e12238f551c3aee7fca91e1480ce8745994d9f430d935bad87f9cba0")),
+}
+
+# command line -> (exit code, last stderr line)
+USAGE_ERRORS = {
+    "enumerate 4 3 --limit 0": (
+        2, "tanglegcd enumerate: error: argument --limit: must be a positive integer, got 0"),
+}
+
+
+def run(capsys, command):
+    try:
+        code = main(command.split())
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out.encode(), captured.err.encode()
+
+
+def digest(data):
+    return len(data), hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("command", GOLDEN)
+def test_output_is_byte_identical(capsys, command):
+    code, out, err = run(capsys, command)
+    assert (code, digest(out), digest(err)) == GOLDEN[command]
+
+
+@pytest.mark.parametrize("command", USAGE_ERRORS)
+def test_usage_error_is_unchanged(capsys, command):
+    code, out, err = run(capsys, command)
+    assert out == b""
+    assert (code, err.decode().splitlines()[-1]) == USAGE_ERRORS[command]
