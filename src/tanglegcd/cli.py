@@ -1,8 +1,10 @@
 """Command-line front-end: traces, step accounting, enumeration, tangle plans.
 
 Each subcommand renders plain text by default or a single JSON object with
-`--json` (accepted before or after the subcommand).  Exit status is 0 only
-when the command completed and any verification passed.
+`--json` (accepted before or after the subcommand).  A handler computes the
+JSON payload and defers its text lines, so text is formatted only in text
+mode.  Exit status is 0 only when the command completed and any verification
+passed.
 """
 
 from __future__ import annotations
@@ -11,9 +13,9 @@ import argparse
 import json
 import re
 import sys
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
-from .enumeration import enumerate_all
+from .enumeration import enumerate_all, minimize
 from .euclid import (
     EuclidStep,
     RUNNERS,
@@ -39,6 +41,11 @@ _METHODS = {
     "lar": Variant.LEAST_ABSOLUTE,
     "negative": Variant.NEGATIVE,
 }
+
+
+# A handler returns its JSON payload, a zero-argument function producing the
+# text-mode lines (called only without --json) and the exit code.
+Result = tuple[dict, Callable[[], Iterable[str]], int]
 
 
 def _digits_within_limit(text: str) -> str:
@@ -73,7 +80,7 @@ def _equation(step: EuclidStep) -> str:
     return f"{step.a} = {step.b}({step.quotient}){sign}{step.remainder}"
 
 
-def cmd_gcd(args: argparse.Namespace) -> tuple[dict, list[str], int]:
+def cmd_gcd(args: argparse.Namespace) -> Result:
     a, b = _ordered_pair(args.a, args.b)
     trace = RUNNERS[_METHODS[args.method]](a, b)
     counts = step_count(trace)
@@ -88,19 +95,20 @@ def cmd_gcd(args: argparse.Namespace) -> tuple[dict, list[str], int]:
         "swaps": counts.swaps,
         "total_steps": counts.total,
     }
-    lines = [_equation(step) for step in trace.steps]
-    lines += [
-        "",
-        f"gcd: {payload['gcd']}",
-        f"divisions: {payload['divisions']}",
-        f"subtractions: {counts.subtractions}",
-        f"swaps: {counts.swaps}",
-        f"total steps: {counts.total}",
-    ]
-    return payload, lines, 0
+
+    def text() -> Iterable[str]:
+        yield from map(_equation, trace.steps)
+        yield ""
+        yield f"gcd: {payload['gcd']}"
+        yield f"divisions: {payload['divisions']}"
+        yield f"subtractions: {counts.subtractions}"
+        yield f"swaps: {counts.swaps}"
+        yield f"total steps: {counts.total}"
+
+    return payload, text, 0
 
 
-def cmd_steps(args: argparse.Namespace) -> tuple[dict, list[str], int]:
+def cmd_steps(args: argparse.Namespace) -> Result:
     a, b = _ordered_pair(args.a, args.b)
     rows = []
     for name, variant in _METHODS.items():
@@ -116,66 +124,62 @@ def cmd_steps(args: argparse.Namespace) -> tuple[dict, list[str], int]:
             }
         )
     payload = {"x0": a, "x1": b, "rows": rows}
-    header = f"{'method':<10}{'divisions':>10}{'subtractions':>14}{'swaps':>7}{'total':>7}"
-    lines = [header]
-    for row in rows:
-        lines.append(
-            f"{row['method']:<10}{row['divisions']:>10}{row['subtractions']:>14}"
-            f"{row['swaps']:>7}{row['total']:>7}"
-        )
-    return payload, lines, 0
+
+    def text() -> Iterable[str]:
+        columns = "{:<10}{:>10}{:>14}{:>7}{:>7}".format
+        yield columns(*rows[0])  # the header is the row keys
+        for row in rows:
+            yield columns(*row.values())
+
+    return payload, text, 0
 
 
-def cmd_enumerate(args: argparse.Namespace) -> tuple[dict, list[str], int]:
+def cmd_enumerate(args: argparse.Namespace) -> Result:
     a, b = _ordered_pair(args.a, args.b)
     if a > args.limit:
         raise ValueError(
             f"x0 = {a} exceeds the enumeration bound {args.limit}; "
             "raise the bound to proceed (see --limit)"
         )
-    # The minima and flags come from the listed rows, so the tree is walked once.
-    rows = [
-        {
-            "quotients": [s.quotient for s in trace.steps],
-            "epsilons": [s.epsilon for s in trace.steps],
-            "divisions": division_count(trace),
-            "total": step_count(trace).total,
-        }
-        for trace in enumerate_all(a, b)
-    ]
-    min_total_steps = min(row["total"] for row in rows)
-    min_divisions = min(row["divisions"] for row in rows)
-    for row in rows:
-        row["min_steps"] = row["total"] == min_total_steps
-        row["min_divisions"] = row["divisions"] == min_divisions
+    certificate = minimize(a, b)
+    rows = []
+    for trace in enumerate_all(a, b):
+        divisions, total = division_count(trace), step_count(trace).total
+        rows.append(
+            {
+                "quotients": [s.quotient for s in trace.steps],
+                "epsilons": [s.epsilon for s in trace.steps],
+                "divisions": divisions,
+                "total": total,
+                "min_steps": total == certificate.min_total_steps,
+                "min_divisions": divisions == certificate.min_divisions,
+            }
+        )
     payload = {
         "x0": a,
         "x1": b,
         "traces": rows,
-        "traces_examined": len(rows),
-        "min_total_steps": min_total_steps,
-        "min_divisions": min_divisions,
+        "traces_examined": certificate.traces_examined,
+        "min_total_steps": certificate.min_total_steps,
+        "min_divisions": certificate.min_divisions,
     }
-    lines = []
-    for i, row in enumerate(rows, start=1):
-        quotients = ",".join(str(q) for q in row["quotients"])
-        epsilons = ",".join("+" if e > 0 else "-" for e in row["epsilons"])
-        flags = ""
-        if row["min_steps"]:
-            flags += " *min-steps"
-        if row["min_divisions"]:
-            flags += " *min-divisions"
-        lines.append(
-            f"#{i} quotients=[{quotients}] epsilons=[{epsilons}] total={row['total']}{flags}"
+
+    def text() -> Iterable[str]:
+        for i, row in enumerate(rows, start=1):
+            quotients = ",".join(str(q) for q in row["quotients"])
+            epsilons = ",".join("+" if e > 0 else "-" for e in row["epsilons"])
+            flags = " *min-steps" if row["min_steps"] else ""
+            flags += " *min-divisions" if row["min_divisions"] else ""
+            yield f"#{i} quotients=[{quotients}] epsilons=[{epsilons}] total={row['total']}{flags}"
+        yield (
+            f"summary: {certificate.traces_examined} traces, min total steps "
+            f"{certificate.min_total_steps}, min divisions {certificate.min_divisions}"
         )
-    lines.append(
-        f"summary: {len(rows)} traces, "
-        f"min total steps {min_total_steps}, min divisions {min_divisions}"
-    )
-    return payload, lines, 0
+
+    return payload, text, 0
 
 
-def cmd_untangle(args: argparse.Namespace) -> tuple[dict, list[str], int]:
+def cmd_untangle(args: argparse.Namespace) -> Result:
     f = parse_fraction(args.fraction)
     plan = plan_untangle(f, _METHODS[args.method])
     report = verify_plan(f, plan)
@@ -192,41 +196,49 @@ def cmd_untangle(args: argparse.Namespace) -> tuple[dict, list[str], int]:
         "values": [str(v) for v in report.values],
         "verified": True,
     }
-    lines = [
-        f"moves: {payload['moves']}",
-        f"twists: {metrics.twists}",
-        f"rotations: {metrics.rotations}",
-        f"total: {metrics.total}",
-        "values: " + " -> ".join(payload["values"]),
-        "verified: pass",
-    ]
-    return payload, lines, 0
+
+    def text() -> Iterable[str]:
+        yield f"moves: {payload['moves']}"
+        yield f"twists: {metrics.twists}"
+        yield f"rotations: {metrics.rotations}"
+        yield f"total: {metrics.total}"
+        yield "values: " + " -> ".join(payload["values"])
+        yield "verified: pass"
+
+    return payload, text, 0
 
 
-def cmd_construct(args: argparse.Namespace) -> tuple[dict, list[str], int]:
+def cmd_construct(args: argparse.Namespace) -> Result:
     moves = parse_moves(args.moves)
-    value = tangle_number(moves)
-    payload = {"moves": format_moves(moves), "tangle_number": str(value)}
-    return payload, [str(value)], 0
+    payload = {"moves": format_moves(moves), "tangle_number": str(tangle_number(moves))}
+
+    def text() -> Iterable[str]:
+        yield payload["tangle_number"]
+
+    return payload, text, 0
 
 
-def cmd_verify(args: argparse.Namespace) -> tuple[dict, list[str], int]:
+def cmd_verify(args: argparse.Namespace) -> Result:
     f = parse_fraction(args.fraction)
     moves = parse_moves(args.moves)
     report = replay(f, moves)
+    values = [str(v) for v in report.values]
     payload = {
-        "fraction": str(f),
+        "fraction": values[0],
         "moves": format_moves(moves),
-        "values": [str(v) for v in report.values],
-        "final": str(report.final),
+        "values": values,
+        "final": values[-1],
         "pass": report.passed,
     }
-    lines = [f"start: {f}"]
-    for move, value in zip(moves, report.values[1:]):
-        lines.append(f"{move.value} -> {value}")
-    lines.append(f"final: {report.final}")
-    lines.append(f"result: {'pass' if report.passed else 'fail'}")
-    return payload, lines, 0 if report.passed else 1
+
+    def text() -> Iterable[str]:
+        yield f"start: {values[0]}"
+        for move, value in zip(moves, values[1:]):
+            yield f"{move.value} -> {value}"
+        yield f"final: {values[-1]}"
+        yield f"result: {'pass' if report.passed else 'fail'}"
+
+    return payload, text, 0 if report.passed else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -263,8 +275,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="enumeration input ceiling (default %(default)s)")
     p.set_defaults(handler=cmd_enumerate)
 
-    # Lets argparse accept bare negative fractions like -8/5 as positionals.
+    # argparse reads a token that matches a parser's (private) negative-number
+    # matcher as a value, not an option: untangle takes -8/5 as its fraction,
+    # and construct and verify take any token that starts with a single "-",
+    # such as the fraction -8/5 or the move string in `--moves -T,R`.
     fraction_matcher = re.compile(r"^-\d+(/\d+)?$")
+    value_matcher = re.compile(r"^-[^-]")
 
     p = sub.add_parser("untangle", parents=[common], help="plan moves driving a tangle number to 0")
     p._negative_number_matcher = fraction_matcher
@@ -273,11 +289,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_untangle)
 
     p = sub.add_parser("construct", parents=[common], help="fold a move sequence from 0")
+    p._negative_number_matcher = value_matcher
     p.add_argument("--moves", required=True, help="comma-separated tokens from T, -T, R")
     p.set_defaults(handler=cmd_construct)
 
     p = sub.add_parser("verify", parents=[common], help="replay moves from a value, expect 0")
-    p._negative_number_matcher = fraction_matcher
+    p._negative_number_matcher = value_matcher
     p.add_argument("fraction", type=_digits_within_limit, help="p/q, p, or inf; may be negative")
     p.add_argument("--moves", required=True, help="comma-separated tokens from T, -T, R")
     p.set_defaults(handler=cmd_verify)
@@ -285,34 +302,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _fold_moves_flag(argv: Sequence[str]) -> list[str]:
-    # Move strings routinely start with "-T", which argparse would otherwise
-    # read as an option; fold the value into --moves=... form.
-    out: list[str] = []
-    it = iter(argv)
-    for token in it:
-        if token == "--moves":
-            value = next(it, None)
-            if value is None:
-                out.append(token)
-            else:
-                out.append(f"--moves={value}")
-        else:
-            out.append(token)
-    return out
-
-
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    if argv is None:
-        argv = sys.argv[1:]
-    args = parser.parse_args(_fold_moves_flag(argv))
+    args = build_parser().parse_args(argv)
     # The parser capped every input digit run at the int/str limit; values
     # computed from the inputs can be far longer and always print in full.
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        payload, lines, code = args.handler(args)
+        payload, text, code = args.handler(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -320,7 +317,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     else:
-        print(json.dumps(payload) if getattr(args, "json", False) else "\n".join(lines))
+        print(json.dumps(payload) if getattr(args, "json", False) else "\n".join(text()))
         return code
     finally:
         sys.set_int_max_str_digits(limit)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Callable, Iterator
 
-from .euclid import EuclidStep, EuclidTrace, InvalidInputError, Variant
+from .euclid import EuclidStep, EuclidTrace, Variant, check_pair
 
 MAX_WITNESSES = 16
 
@@ -30,26 +30,23 @@ class EnumerationResult:
     witnesses_min_steps: tuple[EuclidTrace, ...]
 
 
-def _check_pair(x0: int, x1: int) -> None:
-    if x1 < 1 or x0 < x1:
-        raise InvalidInputError(f"need x0 >= x1 >= 1, got ({x0}, {x1})")
-
-
 def enumerate_all(x0: int, x1: int) -> Iterator[EuclidTrace]:
     """Yield every distinct valid trace for (x0, x1) exactly once.
 
     Depth-first, +1 branch before -1, so the regular trace comes first and
     the order is reproducible.
     """
-    _check_pair(x0, x1)
-    return _generate(x0, x1, lambda step: True)
+    check_pair(x0, x1)
+    return _generate(x0, x1, lambda a, b, quotient, remainder: True)
 
 
-def _generate(x0: int, x1: int, enters: Callable[[EuclidStep], bool]) -> Iterator[EuclidTrace]:
+def _generate(
+    x0: int, x1: int, enters: Callable[[int, int, int, int], bool]
+) -> Iterator[EuclidTrace]:
     # Explicit stack: entries are (a, b, entering_step) and a None sentinel
     # that pops the shared path when a subtree is done.  Recursion would
-    # overflow on staircase pairs such as (10000, 9999).  Only steps that
-    # `enters` accepts are taken.
+    # overflow on staircase pairs such as (10000, 9999).  A step is built
+    # only when `enters` accepts its (a, b, quotient, remainder).
     path: list[EuclidStep] = []
     stack: list[tuple[int, int, EuclidStep | None] | None] = [(x0, x1, None)]
     while stack:
@@ -64,10 +61,10 @@ def _generate(x0: int, x1: int, enters: Callable[[EuclidStep], bool]) -> Iterato
         if r == 0:
             yield EuclidTrace(tuple(path) + (EuclidStep(a, b, q, 1, 0),), Variant.CUSTOM)
             continue
-        for step in (EuclidStep(a, b, q + 1, -1, b - r), EuclidStep(a, b, q, 1, r)):
-            if enters(step):
+        for quotient, epsilon, remainder in ((q + 1, -1, b - r), (q, 1, r)):
+            if enters(a, b, quotient, remainder):
                 stack.append(None)
-                stack.append((b, step.remainder, step))
+                stack.append((b, remainder, EuclidStep(a, b, quotient, epsilon, remainder)))
 
 
 def minimize(x0: int, x1: int) -> EnumerationResult:
@@ -90,7 +87,7 @@ def minimize(x0: int, x1: int) -> EnumerationResult:
     step total, in the depth-first order enumerate_all uses, rebuilt by
     taking only the steps from which the minimum stays reachable.
     """
-    _check_pair(x0, x1)
+    check_pair(x0, x1)
     # (min total, min divisions, trace count) of each inner pair; leaves
     # cost O(1) to recompute and are not stored.
     memo: dict[tuple[int, int], tuple[int, int, int]] = {}
@@ -116,8 +113,8 @@ def minimize(x0: int, x1: int) -> EnumerationResult:
                           1 + min(plus[1], minus[1]), plus[2] + minus[2])
     total, divisions, count = solved(x0, x1)
 
-    def optimal(step: EuclidStep) -> bool:
-        return solved(step.a, step.b)[0] == step.quotient + 1 + solved(step.b, step.remainder)[0]
+    def optimal(a: int, b: int, quotient: int, remainder: int) -> bool:
+        return solved(a, b)[0] == quotient + 1 + solved(b, remainder)[0]
 
     return EnumerationResult(
         pair=(x0, x1),

@@ -99,6 +99,12 @@ def least_absolute(a: int, b: int) -> int:
     return 1 if 2 * (a % b) <= b else -1
 
 
+def check_pair(x0: int, x1: int) -> None:
+    """Refuse a pair outside x0 >= x1 >= 1 with InvalidInputError."""
+    if x1 < 1 or x0 < x1:
+        raise InvalidInputError(f"need x0 >= x1 >= 1, got ({x0}, {x1})")
+
+
 def run_general(
     x0: int, x1: int, chooser: SignChooser, *, variant: Variant = Variant.CUSTOM
 ) -> EuclidTrace:
@@ -107,8 +113,7 @@ def run_general(
     Requires x0 >= x1 >= 1.  Forced divisions (b divides a) bypass the
     chooser and always close the trace with epsilon +1 and remainder 0.
     """
-    if x1 < 1 or x0 < x1:
-        raise InvalidInputError(f"need x0 >= x1 >= 1, got ({x0}, {x1})")
+    check_pair(x0, x1)
     steps: list[EuclidStep] = []
     a, b = x0, x1
     while True:

@@ -1,9 +1,11 @@
 import json
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from tanglegcd import cli
 from tanglegcd.cli import main
 from tanglegcd.enumeration import minimize
 from tanglegcd.euclid import run_negative, step_count, trace_to_dict
@@ -309,3 +311,86 @@ def test_construct_prints_a_value_past_the_int_str_limit(capsys):
         assert out == f"{value}\n"
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+def test_json_mode_formats_no_trace_equation(capsys, monkeypatch):
+    def refuse(step):
+        raise AssertionError("a text line was formatted in JSON mode")
+
+    monkeypatch.setattr(cli, "_equation", refuse)
+    code, out, _ = run_cli(capsys, "--json", "gcd", "807", "673")
+    assert code == 0
+    assert json.loads(out)["total_steps"] == 57
+
+
+@pytest.mark.parametrize(
+    "command",
+    ["gcd 807 673", "steps 807 673", "enumerate 4 3", "untangle 8/5",
+     "construct --moves -T,R", "verify 1 --moves R"],
+)
+def test_json_mode_never_asks_a_handler_for_text(capsys, monkeypatch, command):
+    argv = command.split()
+    handler = getattr(cli, f"cmd_{argv[0]}")
+
+    def no_text():
+        raise AssertionError("text requested in JSON mode")
+
+    def without_text(args):
+        payload, _, code = handler(args)
+        return payload, no_text, code
+
+    monkeypatch.setattr(cli, f"cmd_{argv[0]}", without_text)
+    code, out, _ = run_cli(capsys, "--json", *argv)
+    assert code in (0, 1)
+    assert isinstance(json.loads(out), dict)
+
+
+def test_enumerate_summary_and_flags_come_from_the_certificate(capsys, monkeypatch):
+    # A certificate whose minima no listed trace reaches flags no row.
+    def shifted(a, b):
+        result = minimize(a, b)
+        return replace(result, min_total_steps=result.min_total_steps - 1,
+                       min_divisions=result.min_divisions - 1)
+
+    monkeypatch.setattr(cli, "minimize", shifted)
+    code, out, _ = run_cli(capsys, "enumerate", "4", "3")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[-1] == "summary: 3 traces, min total steps 4, min divisions 1"
+    assert not any("*min" in line for line in lines)
+
+
+def test_move_string_starting_with_a_dash_is_a_value(capsys):
+    code, out, err = run_cli(capsys, "construct", "--moves", "-X")
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1] == "error: bad move token '-X' at position 1"
+
+
+def test_negative_fraction_replays_its_own_plan(capsys):
+    _, out, _ = run_cli(capsys, "--json", "untangle", "-8/5", "--method", "lar")
+    moves = json.loads(out)["moves"]
+    code, out, _ = run_cli(capsys, "verify", "-8/5", "--moves", moves)
+    assert code == 0
+    assert out.splitlines()[0] == "start: -8/5"
+    assert out.splitlines()[-1] == "result: pass"
+
+
+NO_MOVES_VALUE = "tanglegcd construct: error: argument --moves: expected one argument"
+MALFORMED_DASH_ARGUMENTS = {
+    # a fraction argument starting with "-" reaches the fraction parser
+    "verify -x --moves R": "error: not a valid fraction: '-x'",
+    # a token starting with "--" after --moves is read as an option
+    "construct --moves --json": NO_MOVES_VALUE,
+    "construct --moves --T": NO_MOVES_VALUE,
+}
+
+
+@pytest.mark.parametrize("command", MALFORMED_DASH_ARGUMENTS)
+def test_malformed_dash_arguments_exit_2(capsys, command):
+    try:
+        code = main(command.split())
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.splitlines()[-1] == MALFORMED_DASH_ARGUMENTS[command]

@@ -1,16 +1,24 @@
 """CLI output pinned byte for byte: exit code, then length and sha256 of each stream.
 
-Each case runs `main(argv)` in-process.  The digests were recorded from the
-implementation these cases guard; a change that alters any byte of stdout or
-stderr, or an exit code, fails here.  argparse usage errors are pinned by
-their exit code and last stderr line only, since the usage text it prints
-varies across Python versions.
+Each case runs `main(argv)` in-process, and all of them run once more in one
+`python -O` subprocess, where every assert is stripped, so no output may
+depend on an assert.  The digests were recorded from the implementation
+these cases guard; a change that alters any byte of stdout or stderr, or an
+exit code, fails here.  argparse usage errors are pinned by their exit code
+and last stderr line only, since the usage text it prints varies across
+Python versions.
 """
 
 import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import tanglegcd
 from tanglegcd.cli import main
 
 EMPTY = (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855")
@@ -57,6 +65,15 @@ GOLDEN = {
         1, (46, "bcbaf47a422cecf8f477d33096c6d0eb4a0224dd12d6580a11b018915b724c70"), EMPTY),
     "verify 8/5 --moves -T,X,R": (
         2, EMPTY, (40, "5da19555e12238f551c3aee7fca91e1480ce8745994d9f430d935bad87f9cba0")),
+    # fractions and move strings that start with "-"
+    "construct --moves -X": (
+        2, EMPTY, (41, "2d6f1f847e2c53f7cdfbf223c6722f576a482a73599294431a34f14035b95a44")),
+    "--json construct --moves -T,R": (
+        0, (40, "0ac117f2aee612684934b263aeca707b6689a48cfa27ae04e9a33c67e7809692"), EMPTY),
+    "verify -8/5 --moves T,T,R,T,T,R,-T,-T": (
+        0, (106, "7173986ed64a50cf9c38d93bf918e89c4eecf0a28bb848d3007bdf78f1a40a34"), EMPTY),
+    "verify -8/5 --moves -T,R": (
+        1, (59, "0a6a8feb91836150a7d87e0c60e2b45bfb23f1650eea8741d0f4ed22d4863886"), EMPTY),
 }
 
 # command line -> (exit code, last stderr line)
@@ -64,6 +81,30 @@ USAGE_ERRORS = {
     "enumerate 4 3 --limit 0": (
         2, "tanglegcd enumerate: error: argument --limit: must be a positive integer, got 0"),
 }
+
+
+# Runs every GOLDEN command (read as JSON from stdin) through main and prints
+# the interpreter's optimize level and, per command,
+# [exit code, [stdout bytes, sha256], [stderr bytes, sha256]].
+OUTCOMES_SCRIPT = """
+import contextlib, hashlib, io, json, sys
+from tanglegcd.cli import main
+
+def digest(stream):
+    data = stream.getvalue().encode()
+    return [len(data), hashlib.sha256(data).hexdigest()]
+
+outcomes = {}
+for command in json.load(sys.stdin):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(command.split())
+        except SystemExit as exc:
+            code = exc.code
+    outcomes[command] = [code, digest(out), digest(err)]
+print(json.dumps([sys.flags.optimize, outcomes]))
+"""
 
 
 def run(capsys, command):
@@ -90,3 +131,18 @@ def test_usage_error_is_unchanged(capsys, command):
     code, out, err = run(capsys, command)
     assert out == b""
     assert (code, err.decode().splitlines()[-1]) == USAGE_ERRORS[command]
+
+
+def test_output_is_byte_identical_without_asserts():
+    env = dict(os.environ)
+    src = str(Path(tanglegcd.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", OUTCOMES_SCRIPT], input=json.dumps(list(GOLDEN)),
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    optimize, outcomes = json.loads(proc.stdout)
+    assert optimize == 1
+    assert {command: (code, tuple(out), tuple(err))
+            for command, (code, out, err) in outcomes.items()} == GOLDEN
