@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from typing import Callable, Iterable, Sequence
@@ -276,14 +277,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_enumerate)
 
     # argparse reads a token that matches a parser's (private) negative-number
-    # matcher as a value, not an option: untangle takes -8/5 as its fraction,
-    # and construct and verify take any token that starts with a single "-",
-    # such as the fraction -8/5 or the move string in `--moves -T,R`.
-    fraction_matcher = re.compile(r"^-\d+(/\d+)?$")
+    # matcher as a value, not an option: untangle, construct and verify take
+    # any token that starts with a single "-", such as the fraction -8/5 or
+    # the move string in `--moves -T,R`.
     value_matcher = re.compile(r"^-[^-]")
 
     p = sub.add_parser("untangle", parents=[common], help="plan moves driving a tangle number to 0")
-    p._negative_number_matcher = fraction_matcher
+    p._negative_number_matcher = value_matcher
     p.add_argument("fraction", type=_digits_within_limit, help="p/q, p, or inf; may be negative")
     p.add_argument("--method", choices=sorted(_METHODS), default="lar")
     p.set_defaults(handler=cmd_untangle)
@@ -324,7 +324,16 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def run() -> None:
-    raise SystemExit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe early (as `| head` does).  Point stdout
+        # at devnull so the interpreter's exit-time flush stays quiet too; see
+        # "Note on SIGPIPE" in the documentation of the `signal` module.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

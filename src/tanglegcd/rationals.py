@@ -24,14 +24,15 @@ class FractionParseError(ValueError):
     """Raised when a fraction string does not match the accepted grammar."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExtendedRational:
     """A fraction in lowest terms with a non-negative denominator.
 
     Canonical form: gcd(|numerator|, denominator) == 1, the sign lives in the
     numerator, zero is (0, 1), and the single point at infinity is (1, 0).
     Construct values through :func:`normalize`; the raw constructor asserts
-    canonical form but does not repair it.
+    canonical form but does not repair it.  Values are slotted and carry no
+    per-instance ``__dict__``.
     """
 
     numerator: int

@@ -9,18 +9,26 @@ twists toward zero, followed by a rotation, except after the last equation.
 A plan stores one stage per equation, so planning and plan metrics cost
 O(divisions); its single moves are expanded from the stages once per plan.
 
+Replay walks a move sequence as maximal runs of one repeated move.  A run of
+k twists in direction s from n/d lists its k values (n + i*s*d)/d in one
+step, with no per-move dispatch, and `tangle_number` advances over the run
+with one addition, n + k*s*d, so it holds one value at a time.  Every such
+value is canonical by construction, since gcd(n + i*s*d, d) = gcd(n, d).
+
 Which Euclidean variant runs underneath is the planning policy.  Least
-absolute remainders gives the same total as the regular variant but with the
-fewest rotations; negative remainders keeps every twist in one direction for
-start values of magnitude at least one.
+absolute remainders gives the same total as the regular variant and the
+fewest rotations among the Euclid-derived plans; it is not rotation-minimal
+over every move sequence (for 2/3 it plans R,T,R,-T,-T, while -T,R,-T,-T,-T
+is as short with one rotation).  Negative remainders keeps every twist in
+one direction for start values of magnitude at least one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, reduce
-from itertools import accumulate
+from functools import cached_property
+from itertools import groupby
 from typing import Iterable, NamedTuple
 
 from .euclid import RUNNERS, Variant
@@ -121,8 +129,21 @@ def apply_move(value: ExtendedRational, move: Move) -> ExtendedRational:
 
 
 def tangle_number(moves: Iterable[Move]) -> ExtendedRational:
-    """Fold a move sequence from the untangled value 0."""
-    return reduce(apply_move, moves, ZERO)
+    """Fold a move sequence from the untangled value 0, one run at a time.
+
+    A run of k twists costs one addition (infinity, 1/0, stays fixed); a run
+    of rotations reduces to its parity, since a rotation is an involution.
+    """
+    value = ZERO
+    for move, run in groupby(moves):
+        count = sum(1 for _ in run)
+        if move is Move.ROTATE:
+            if count % 2:
+                value = rotate_value(value)
+        else:
+            shift = count if move is Move.TWIST_POSITIVE else -count
+            value = ExtendedRational(value.numerator + shift * value.denominator, value.denominator)
+    return value
 
 
 def plan_untangle(f: ExtendedRational, policy: Variant) -> UntanglePlan:
@@ -150,8 +171,23 @@ def plan_untangle(f: ExtendedRational, policy: Variant) -> UntanglePlan:
 
 
 def replay(start: ExtendedRational, moves: Iterable[Move]) -> ReplayReport:
-    """Replay moves from a start value; passes iff the final value is zero."""
-    return ReplayReport(tuple(accumulate(moves, apply_move, initial=start)))
+    """Replay moves from a start value; passes iff the final value is zero.
+
+    Each run of twists appends all of its values in one step.  Infinity is
+    1/0, so the twist formula leaves it fixed.
+    """
+    values = [start]
+    for move, run in groupby(moves):
+        value = values[-1]
+        if move is Move.ROTATE:
+            for _ in run:
+                value = rotate_value(value)
+                values.append(value)
+        else:
+            n, d = value.numerator, value.denominator
+            step = d if move is Move.TWIST_POSITIVE else -d
+            values += [ExtendedRational(n + i * step, d) for i, _ in enumerate(run, 1)]
+    return ReplayReport(tuple(values))
 
 
 def verify_plan(f: ExtendedRational, plan: UntanglePlan) -> ReplayReport:

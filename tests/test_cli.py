@@ -1,7 +1,10 @@
 import json
+import os
+import subprocess
 import sys
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -379,6 +382,8 @@ NO_MOVES_VALUE = "tanglegcd construct: error: argument --moves: expected one arg
 MALFORMED_DASH_ARGUMENTS = {
     # a fraction argument starting with "-" reaches the fraction parser
     "verify -x --moves R": "error: not a valid fraction: '-x'",
+    "untangle -T": "error: not a valid fraction: '-T'",
+    "untangle -x": "error: not a valid fraction: '-x'",
     # a token starting with "--" after --moves is read as an option
     "construct --moves --json": NO_MOVES_VALUE,
     "construct --moves --T": NO_MOVES_VALUE,
@@ -394,3 +399,29 @@ def test_malformed_dash_arguments_exit_2(capsys, command):
     captured = capsys.readouterr()
     assert (code, captured.out) == (2, "")
     assert captured.err.splitlines()[-1] == MALFORMED_DASH_ARGUMENTS[command]
+
+
+@pytest.mark.parametrize(
+    "argv", [["untangle", "100000"], ["--json", "enumerate", "2000", "1999"]]
+)
+def test_closed_pipe_exits_1_without_traceback(argv):
+    # Both commands write far more than a pipe buffer holds, so the write
+    # that follows the reader's close fails.
+    env = dict(os.environ)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "tanglegcd.cli", *argv], env=env,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    head = proc.stdout.read(10)
+    proc.stdout.close()
+    try:
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert head
+    assert b"Traceback" not in err
+    assert code == 1

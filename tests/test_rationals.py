@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -152,3 +155,18 @@ def test_str_forms():
     assert str(normalize(7, 1)) == "7"
     assert str(ZERO) == "0"
     assert str(INFINITY) == "inf"
+
+
+@pytest.mark.parametrize(
+    "value", [ZERO, INFINITY, normalize(-8, 5), normalize(10**50 + 1, 3)],
+    ids=["zero", "inf", "-8/5", "51 digits"],
+)
+def test_value_round_trips_through_pickle_and_deepcopy(value):
+    copies = [pickle.loads(pickle.dumps(value, protocol))
+              for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for other in [*copies, copy.deepcopy(value)]:
+        assert other == value
+        assert hash(other) == hash(value)
+        assert repr(other) == repr(value)
+    # Values are slotted: no per-instance dict.
+    assert not hasattr(value, "__dict__")

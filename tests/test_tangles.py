@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import groupby
+from itertools import accumulate, groupby
 
 import pytest
 from hypothesis import given
@@ -44,10 +44,19 @@ canonical_fractions = st.tuples(st.integers(-200, 200), st.integers(1, 200)).map
 )
 
 
-def fraction_fold(moves):
-    """Independent oracle: fold moves with stdlib Fraction, None meaning infinity."""
-    value = Fraction(0)
+# Move lists made of runs of 1-300 repeats of one move, as plans are.
+move_runs = st.lists(
+    st.tuples(st.sampled_from([T, NT, R]), st.integers(1, 300)), max_size=12
+).map(lambda runs: tuple(move for move, count in runs for _ in range(count)))
+
+starts = st.one_of(st.just(ZERO), st.just(INFINITY), canonical_fractions)
+
+
+def fraction_values(start, moves):
+    """Independent oracle: every value of a stdlib Fraction fold, None meaning infinity."""
+    values = [start]
     for move in moves:
+        value = values[-1]
         if move is R:
             if value is None:
                 value = Fraction(0)
@@ -57,7 +66,17 @@ def fraction_fold(moves):
                 value = Fraction(-1) / value
         elif value is not None:
             value += 1 if move is T else -1
-    return value
+        values.append(value)
+    return values
+
+
+def fraction_fold(moves):
+    return fraction_values(Fraction(0), moves)[-1]
+
+
+def as_pair(value):
+    """(numerator, denominator) of an oracle value, infinity as (1, 0)."""
+    return (1, 0) if value is None else (value.numerator, value.denominator)
 
 
 def test_apply_move_negative_twists_from_zero():
@@ -97,6 +116,22 @@ def test_tangle_number_matches_fraction_oracle(moves):
         assert got.is_infinite
     else:
         assert Fraction(got.numerator, got.denominator) == expected
+
+
+@given(starts, move_runs)
+def test_replay_matches_the_per_move_and_fraction_folds(start, moves):
+    values = replay(start, iter(moves)).values
+    assert values == tuple(accumulate(moves, apply_move, initial=start))
+    oracle_start = None if start.is_infinite else Fraction(start.numerator, start.denominator)
+    # Pairs, not values, so a non-canonical value fails even under python -O.
+    assert [(v.numerator, v.denominator) for v in values] == [
+        as_pair(v) for v in fraction_values(oracle_start, moves)
+    ]
+
+
+@given(move_runs)
+def test_tangle_number_is_the_last_replayed_value(moves):
+    assert tangle_number(iter(moves)) == replay(ZERO, moves).final
 
 
 def test_plan_8_5_regular():
@@ -182,6 +217,18 @@ def test_plan_mirror_of_8_5():
     plan = plan_untangle(normalize(-8, 5), Variant.LEAST_ABSOLUTE)
     assert format_moves(plan.moves) == "T,T,R,T,T,R,-T,-T"
     assert verify_plan(normalize(-8, 5), plan).passed
+
+
+def test_lar_is_not_rotation_minimal_over_every_move_sequence():
+    # LAR has the fewest rotations among Euclid-derived plans only: for 2/3 a
+    # sequence outside that family is as short with one rotation fewer.
+    f = normalize(2, 3)
+    plan = plan_untangle(f, Variant.LEAST_ABSOLUTE)
+    assert format_moves(plan.moves) == "R,T,R,-T,-T"
+    assert plan_metrics(plan) == PlanMetrics(twists=3, rotations=2, total=5)
+    shorter = parse_moves("-T,R,-T,-T,-T")
+    assert replay(f, shorter).passed
+    assert (len(shorter), shorter.count(R)) == (5, 1)
 
 
 def test_plan_rejects_custom_policy():
