@@ -7,13 +7,22 @@ equality checks trivial and values safe to share across threads.
 
 Python integers are arbitrary precision, so no overflow handling is needed
 anywhere in this module; arithmetic is exact by construction.
+
+The raw constructor is a checked door: a non-canonical pair raises ValueError
+under any interpreter flags, `-O` included.  The builders here produce
+canonical pairs by construction (a twist, a run of twists or a shift keeps
+gcd, since gcd(n + k*d, d) = gcd(n, d); a rotation or negation only swaps or
+negates the pair), so they take the unchecked `_canonical` path and pay no gcd
+per value.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import count, repeat
 from math import gcd
+from typing import Iterator
 
 
 class IndeterminateFormError(ValueError):
@@ -30,21 +39,20 @@ class ExtendedRational:
 
     Canonical form: gcd(|numerator|, denominator) == 1, the sign lives in the
     numerator, zero is (0, 1), and the single point at infinity is (1, 0).
-    Construct values through :func:`normalize`; the raw constructor asserts
-    canonical form but does not repair it.  Values are slotted and carry no
-    per-instance ``__dict__``.
+    Construct values through :func:`normalize`; the raw constructor checks
+    canonical form but does not repair it, and raises ValueError on any other
+    pair, also under `python -O`.  Unpickling goes through the same check.
+    Values are slotted and carry no per-instance ``__dict__``.
     """
 
     numerator: int
     denominator: int
 
     def __post_init__(self) -> None:
-        # Debug-build canonical-form checks; normalize() is the public door.
-        assert self.denominator >= 0
-        if self.denominator == 0:
-            assert self.numerator == 1
-        else:
-            assert gcd(abs(self.numerator), self.denominator) == 1
+        n, d = self.numerator, self.denominator
+        if d < 0 or (n != 1 if d == 0 else gcd(n, d) != 1):
+            # No digits in the message: str() of a huge int can itself raise.
+            raise ValueError("pair is not in canonical form; build values with normalize()")
 
     @property
     def is_infinite(self) -> bool:
@@ -63,7 +71,7 @@ class ExtendedRational:
     def __neg__(self) -> ExtendedRational:
         if self.is_infinite:
             return self
-        return ExtendedRational(-self.numerator, self.denominator)
+        return _canonical(-self.numerator, self.denominator)
 
     def __str__(self) -> str:
         if self.denominator == 0:
@@ -71,6 +79,30 @@ class ExtendedRational:
         if self.denominator == 1:
             return str(self.numerator)
         return f"{self.numerator}/{self.denominator}"
+
+
+def _setstate(self: ExtendedRational, state) -> None:
+    # Pickles written before values were slotted carry a dict.
+    if isinstance(state, dict):
+        state = state["numerator"], state["denominator"]
+    self.__init__(*state)
+
+
+# Assigned after the decorator: on Python 3.10, dataclass(slots=True) replaces
+# a __setstate__ defined in the class body with its own unchecked one.
+ExtendedRational.__setstate__ = _setstate
+
+_new = object.__new__
+_set_numerator = ExtendedRational.numerator.__set__
+_set_denominator = ExtendedRational.denominator.__set__
+
+
+def _canonical(numerator: int, denominator: int) -> ExtendedRational:
+    """Build a value from a pair the caller knows is canonical, unchecked."""
+    value = _new(ExtendedRational)
+    _set_numerator(value, numerator)
+    _set_denominator(value, denominator)
+    return value
 
 
 ZERO = ExtendedRational(0, 1)
@@ -90,17 +122,33 @@ def normalize(numerator: int, denominator: int) -> ExtendedRational:
     if denominator < 0:
         numerator, denominator = -numerator, -denominator
     g = gcd(abs(numerator), denominator)
-    return ExtendedRational(numerator // g, denominator // g)
+    return _canonical(numerator // g, denominator // g)
+
+
+def shift_value(f: ExtendedRational, shift: int) -> ExtendedRational:
+    """Return f + shift for any integer shift, in one addition; infinity is fixed."""
+    # gcd(n + k*d, d) == gcd(n, d) == 1, so the result is already canonical.
+    return _canonical(f.numerator + shift * f.denominator, f.denominator)
 
 
 def twist_value(f: ExtendedRational, direction: int) -> ExtendedRational:
     """Return f + direction, where direction is +1 or -1; infinity is fixed."""
     if direction not in (1, -1):
         raise ValueError(f"twist direction must be +1 or -1, got {direction!r}")
-    if f.is_infinite:
-        return f
-    # gcd(n + e*d, d) == gcd(n, d) == 1, so the result is already canonical.
-    return ExtendedRational(f.numerator + direction * f.denominator, f.denominator)
+    return shift_value(f, direction)
+
+
+def twist_run(f: ExtendedRational, direction: int, times: int) -> Iterator[ExtendedRational]:
+    """Yield f + i*direction for i = 1..times, the values of a run of twists.
+
+    The step is direction*d, which is 0 at infinity, 1/0, so there the run
+    repeats the fixed value.
+    """
+    if direction not in (1, -1):
+        raise ValueError(f"twist direction must be +1 or -1, got {direction!r}")
+    n, d = f.numerator, f.denominator
+    step = direction * d
+    return map(_canonical, count(n + step, step), repeat(d, times))
 
 
 def rotate_value(f: ExtendedRational) -> ExtendedRational:
@@ -110,8 +158,8 @@ def rotate_value(f: ExtendedRational) -> ExtendedRational:
     if f.is_zero:
         return INFINITY
     if f.numerator > 0:
-        return ExtendedRational(-f.denominator, f.numerator)
-    return ExtendedRational(f.denominator, -f.numerator)
+        return _canonical(-f.denominator, f.numerator)
+    return _canonical(f.denominator, -f.numerator)
 
 
 _FRACTION_RE = re.compile(r"-?\d+(?:/\d+)?")

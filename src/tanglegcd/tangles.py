@@ -13,7 +13,9 @@ Replay walks a move sequence as maximal runs of one repeated move.  A run of
 k twists in direction s from n/d lists its k values (n + i*s*d)/d in one
 step, with no per-move dispatch, and `tangle_number` advances over the run
 with one addition, n + k*s*d, so it holds one value at a time.  Every such
-value is canonical by construction, since gcd(n + i*s*d, d) = gcd(n, d).
+value is canonical by construction, since gcd(n + i*s*d, d) = gcd(n, d), so
+`rationals.twist_run` and `shift_value` build it without the raw
+constructor's gcd check.
 
 Which Euclidean variant runs underneath is the planning policy.  Least
 absolute remainders gives the same total as the regular variant and the
@@ -32,7 +34,7 @@ from itertools import groupby
 from typing import Iterable, NamedTuple
 
 from .euclid import RUNNERS, Variant
-from .rationals import ExtendedRational, ZERO, rotate_value, twist_value
+from .rationals import ExtendedRational, ZERO, rotate_value, shift_value, twist_run, twist_value
 
 
 class Move(str, Enum):
@@ -50,6 +52,9 @@ class MoveParseError(ValueError):
         super().__init__(f"bad move token {token!r} at position {position}")
 
 
+_MOVES_BY_TOKEN = {move.value: move for move in Move}
+
+
 def parse_moves(text: str) -> tuple[Move, ...]:
     """Parse comma-separated move tokens T, -T, R; whitespace is ignored."""
     if not text.strip():
@@ -57,10 +62,10 @@ def parse_moves(text: str) -> tuple[Move, ...]:
     moves = []
     for position, raw in enumerate(text.split(","), start=1):
         token = raw.strip()
-        try:
-            moves.append(Move(token))
-        except ValueError:
-            raise MoveParseError(token, position) from None
+        move = _MOVES_BY_TOKEN.get(token)
+        if move is None:
+            raise MoveParseError(token, position)
+        moves.append(move)
     return tuple(moves)
 
 
@@ -136,13 +141,12 @@ def tangle_number(moves: Iterable[Move]) -> ExtendedRational:
     """
     value = ZERO
     for move, run in groupby(moves):
-        count = sum(1 for _ in run)
+        length = len(list(run))
         if move is Move.ROTATE:
-            if count % 2:
+            if length % 2:
                 value = rotate_value(value)
         else:
-            shift = count if move is Move.TWIST_POSITIVE else -count
-            value = ExtendedRational(value.numerator + shift * value.denominator, value.denominator)
+            value = shift_value(value, length if move is Move.TWIST_POSITIVE else -length)
     return value
 
 
@@ -174,7 +178,7 @@ def replay(start: ExtendedRational, moves: Iterable[Move]) -> ReplayReport:
     """Replay moves from a start value; passes iff the final value is zero.
 
     Each run of twists appends all of its values in one step.  Infinity is
-    1/0, so the twist formula leaves it fixed.
+    1/0, so its step d is 0 and the run repeats the fixed value.
     """
     values = [start]
     for move, run in groupby(moves):
@@ -184,9 +188,8 @@ def replay(start: ExtendedRational, moves: Iterable[Move]) -> ReplayReport:
                 value = rotate_value(value)
                 values.append(value)
         else:
-            n, d = value.numerator, value.denominator
-            step = d if move is Move.TWIST_POSITIVE else -d
-            values += [ExtendedRational(n + i * step, d) for i, _ in enumerate(run, 1)]
+            direction = 1 if move is Move.TWIST_POSITIVE else -1
+            values += twist_run(value, direction, len(list(run)))
     return ReplayReport(tuple(values))
 
 

@@ -1,10 +1,17 @@
 import copy
+import json
+import os
 import pickle
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import tanglegcd
 from tanglegcd.rationals import (
     ExtendedRational,
     FractionParseError,
@@ -14,6 +21,8 @@ from tanglegcd.rationals import (
     normalize,
     parse_fraction,
     rotate_value,
+    shift_value,
+    twist_run,
     twist_value,
 )
 from math import gcd
@@ -170,3 +179,122 @@ def test_value_round_trips_through_pickle_and_deepcopy(value):
         assert repr(other) == repr(value)
     # Values are slotted: no per-instance dict.
     assert not hasattr(value, "__dict__")
+
+
+# -8/5 pickled with protocol 2 at a9f359c, before values were slotted: the state is a dict.
+DICT_STATE_PICKLE = (
+    b"\x80\x02ctanglegcd.rationals\nExtendedRational\nq\x00)\x81q\x01}q\x02"
+    b"(X\t\x00\x00\x00numeratorq\x03J\xf8\xff\xff\xffX\x0b\x00\x00\x00denominatorq\x04K\x05ub."
+)
+# -8/5 pickled with protocol 2 at f3f9ade, by the slotted type: the state is [-8, 5].
+LIST_STATE_PICKLE = (
+    b"\x80\x02ctanglegcd.rationals\nExtendedRational\nq\x00)\x81q\x01]q\x02"
+    b"(J\xf8\xff\xff\xffK\x05eb."
+)
+
+
+@pytest.mark.parametrize("data", [DICT_STATE_PICKLE, LIST_STATE_PICKLE], ids=["dict", "list"])
+def test_older_pickles_load_as_the_value_they_hold(data):
+    value = pickle.loads(data)
+    assert (value.numerator, value.denominator) == (-8, 5)
+    assert value == normalize(-8, 5)
+    assert hash(value) == hash(normalize(-8, 5))
+    assert not hasattr(value, "__dict__")
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        DICT_STATE_PICKLE.replace(b"J\xf8\xff\xff\xff", b"K\x02").replace(b"K\x05", b"K\x04"),
+        LIST_STATE_PICKLE.replace(b"J\xf8\xff\xff\xff", b"K\x02").replace(b"K\x05", b"K\x04"),
+    ],
+    ids=["dict 2/4", "list 2/4"],
+)
+def test_a_non_canonical_pickle_state_is_refused(data):
+    with pytest.raises(ValueError, match="not in canonical form"):
+        pickle.loads(data)
+
+
+NON_CANONICAL_PAIRS = [(2, 4), (1, -2), (5, 0), (0, 0)]
+
+
+@pytest.mark.parametrize(
+    "pair", [*NON_CANONICAL_PAIRS, (2 * 10**5000, 4)],
+    ids=["2/4", "1/-2", "5/0", "0/0", "5001 digits over 4"],
+)
+def test_raw_constructor_refuses_a_non_canonical_pair(pair):
+    with pytest.raises(ValueError, match="not in canonical form"):
+        ExtendedRational(*pair)
+
+
+# Prints the optimize level and, per pair read from stdin, the exception type
+# the raw constructor raised, or None.
+REFUSALS_SCRIPT = """
+import json, sys
+from tanglegcd.rationals import ExtendedRational
+
+def refusal(pair):
+    try:
+        ExtendedRational(*pair)
+    except Exception as exc:
+        return type(exc).__name__
+    return None
+
+print(json.dumps([sys.flags.optimize, [refusal(pair) for pair in json.load(sys.stdin)]]))
+"""
+
+
+def test_raw_constructor_refuses_non_canonical_pairs_without_asserts():
+    env = dict(os.environ)
+    src = str(Path(tanglegcd.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", REFUSALS_SCRIPT], input=json.dumps(NON_CANONICAL_PAIRS),
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [1, ["ValueError"] * len(NON_CANONICAL_PAIRS)]
+
+
+def reduced(numerator, denominator):
+    """Independent oracle: the canonical pair of n/d, infinity as (1, 0)."""
+    if denominator == 0:
+        return (1, 0)
+    value = Fraction(numerator, denominator)
+    return (value.numerator, value.denominator)
+
+
+def pair(value):
+    return (value.numerator, value.denominator)
+
+
+big_pairs = st.tuples(st.integers(-10**30, 10**30), st.integers(-10**30, 10**30)).filter(
+    lambda t: t != (0, 0)
+)
+
+
+@given(big_pairs, st.sampled_from([1, -1]))
+def test_trusted_builders_give_the_pairs_normalize_gives(integers, direction):
+    f = normalize(*integers)
+    assert pair(f) == reduced(*integers)
+    n, d = pair(f)
+    built = {
+        "twist": (twist_value(f, direction), normalize(n + direction * d, d)),
+        "rotate": (rotate_value(f), normalize(-d, n)),
+        "negate": (-f, normalize(-n, d)),
+        "shift": (shift_value(f, 7 * direction), normalize(n + 7 * direction * d, d)),
+    }
+    for name, (got, expected) in built.items():
+        assert pair(got) == pair(expected), name
+        # The checked door accepts every pair a trusted builder made.
+        assert ExtendedRational(*pair(got)) == got, name
+    run = [pair(value) for value in twist_run(f, direction, 3)]
+    assert run == [pair(normalize(n + i * direction * d, d)) for i in (1, 2, 3)]
+
+
+def test_twist_run_lists_each_twist_and_fixes_infinity():
+    assert list(twist_run(normalize(8, 5), -1, 2)) == [normalize(3, 5), normalize(-2, 5)]
+    assert list(twist_run(INFINITY, 1, 3)) == [INFINITY] * 3
+    assert list(twist_run(ZERO, 1, 0)) == []
+    with pytest.raises(ValueError):
+        twist_run(ZERO, 2, 1)
