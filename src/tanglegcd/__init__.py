@@ -7,8 +7,7 @@ Modules:
   negative-remainders variants, a registry mapping each named variant to
   its runner, plus subtraction/swap step accounting.
 * enumeration: every sign-choice trace of any ordered pair, listed one by
-  one, and the minimality certificate over all of them, solved once per
-  distinct pair.
+  one, and the minimality certificate over all of them, in O(divisions).
 * tangles: the twist/rotate move calculus on extended-rational values and
   Euclid-driven untangling plans, stored as one twist stage per equation.
 * cli: the `tanglegcd` command.

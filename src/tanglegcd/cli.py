@@ -50,9 +50,14 @@ Result = tuple[dict, Callable[[], Iterable[str]], int]
 
 
 def _digits_within_limit(text: str) -> str:
-    """Refuse a digit run over the int/str limit by its length, without echoing it."""
+    """Refuse a number over the int/str limit by its digit count, without echoing it.
+
+    int() reads single underscores between digits, so a number is a digit run
+    with such underscores, and only its digits count.
+    """
     limit = sys.get_int_max_str_digits()
-    longest = max(map(len, re.findall(r"\d+", text)), default=0)
+    longest = max((len(run) - run.count("_") for run in re.findall(r"\d+(?:_\d+)*", text)),
+                  default=0)
     if 0 < limit < longest:
         raise argparse.ArgumentTypeError(f"{longest} digits, limit {limit}")
     return text

@@ -5,18 +5,19 @@ divisions have no branch).  :func:`enumerate_all` walks that whole tree and
 lists every trace.  :func:`minimize` certifies which step total and division
 count are actually minimal without walking every trace: the rest of a trace
 depends only on its current pair, so the minima and the trace count follow a
-recurrence over the distinct pairs of the tree, and its cost grows with the
-partial quotients, not with x0.  Nothing here consults the named variants, so
-both are independent oracles for them.
+recurrence, and the recurrence collapses each chain of quotient-1 steps
+taken with a -1 remainder into a closed form, so its cost grows with the
+number of divisions, not with the partial quotients or with x0.  Nothing
+here consults the named variants, so both are independent oracles for them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
-from .euclid import EuclidStep, EuclidTrace, Variant, check_pair
+from .euclid import EuclidStep, EuclidTrace, Variant, _step, _trace, check_pair
 
 MAX_WITNESSES = 16
 
@@ -37,16 +38,18 @@ def enumerate_all(x0: int, x1: int) -> Iterator[EuclidTrace]:
     the order is reproducible.
     """
     check_pair(x0, x1)
-    return _generate(x0, x1, lambda a, b, quotient, remainder: True)
+    return _generate(x0, x1, lambda a, b, q, r: ((q + 1, -1, b - r), (q, 1, r)))
 
 
 def _generate(
-    x0: int, x1: int, enters: Callable[[int, int, int, int], bool]
+    x0: int, x1: int, branches: Callable[[int, int, int, int], Iterable[tuple[int, int, int]]]
 ) -> Iterator[EuclidTrace]:
     # Explicit stack: entries are (a, b, entering_step) and a None sentinel
     # that pops the shared path when a subtree is done.  Recursion would
-    # overflow on staircase pairs such as (10000, 9999).  A step is built
-    # only when `enters` accepts its (a, b, quotient, remainder).
+    # overflow on staircase pairs such as (10000, 9999).  At a pair (a, b)
+    # with q, r = divmod(a, b) and r > 0, `branches(a, b, q, r)` gives the
+    # steps to enter as (quotient, epsilon, remainder), the -1 branch first,
+    # so that the +1 branch is walked first.
     path: list[EuclidStep] = []
     stack: list[tuple[int, int, EuclidStep | None] | None] = [(x0, x1, None)]
     while stack:
@@ -59,62 +62,112 @@ def _generate(
             path.append(enter)
         q, r = divmod(a, b)
         if r == 0:
-            yield EuclidTrace(tuple(path) + (EuclidStep(a, b, q, 1, 0),), Variant.CUSTOM)
+            yield _trace((*path, _step(a, b, q, 1, 0)), Variant.CUSTOM)
             continue
-        for quotient, epsilon, remainder in ((q + 1, -1, b - r), (q, 1, r)):
-            if enters(a, b, quotient, remainder):
-                stack.append(None)
-                stack.append((b, remainder, EuclidStep(a, b, quotient, epsilon, remainder)))
+        for quotient, epsilon, remainder in branches(a, b, q, r):
+            stack.append(None)
+            stack.append((b, remainder, _step(a, b, quotient, epsilon, remainder)))
+
+
+# Values of a state: (min total, min divisions, trace count).
+Values = tuple[int, int, int]
+
+# State (r, 0): the trace has ended.
+_END: Values = (0, 1, 1)
+# Base state (2r, r): either sign leaves remainder r, and (2r, r) ends at once.
+_EXACT_BASE: Values = (3, 2, 2)
+
+
+def _closed(k: int, s: int, x: Values, w: Values) -> Values:
+    # State (k*r + s, r), from the values x of (r, s) and w of the chain's
+    # base state; n is the number of quotient-1 divisions down to the base.
+    # The chain's total never beats 1 + k + x[0]: that is the theorem this
+    # certifies (the regular run's total is minimal), so it is computed
+    # here, not assumed.
+    n = k - (1 if s else 2)
+    return (min(1 + k + x[0], 3 * n + w[0]), min(1 + x[1], n + w[1]), n * x[2] + w[2])
 
 
 def minimize(x0: int, x1: int) -> EnumerationResult:
     """Certify the minimal step total and division count over every trace.
 
-    With q, r = divmod(a, b), the traces from (a, b) end there when r == 0,
-    at q steps in 1 division.  Otherwise they go on from (b, r) after a +1
-    remainder or from (b, b - r) after a -1 one, so per pair
+    With q, r = divmod(a, b), pair (a, b) has the values (q + T, D, C),
+    where T, D and C, the min total, min divisions and trace count of what
+    follows the first division's q subtractions, are the values of the
+    state (b, r).  State (b, 0) is (0, 1, 1): the trace ends.  Otherwise a
+    +1 remainder goes on to pair (b, r) and a -1 remainder, at one more
+    subtraction, to pair (b, b - r), so
 
-        min total     = q + 1 + min(total(b, r), total(b, b - r) + 1)
-        min divisions = 1 + min(divisions(b, r), divisions(b, b - r))
-        trace count   = count(b, r) + count(b, b - r)
+        state(b, r) = (1 + min(total(b, r), total(b, b - r) + 1),
+                       1 + min(divisions(b, r), divisions(b, b - r)),
+                       count(b, r) + count(b, b - r)).
 
-    and each distinct pair is solved once, however many traces pass it.  Any
-    ordered pair is accepted: the number of distinct pairs grows with the
-    partial quotients, not with x0, so (10000, 9999) walks 9,998 inner pairs
-    while the 84-digit pair (F(401), F(400)) walks 794.
+    Write b = k*r + s with 0 <= s < r.  Above its chain's base state, which
+    is (r + s, r) when s > 0 and (2r, r) when s = 0, pair (b, b - r) divides
+    with quotient 1 and remainder r into the state ((k - 1)*r + s, r).  So
+    the states (k*r + s, r) for every k form one chain of quotient-1, -1
+    steps: the singularization that turns a regular partial quotient into a
+    nearest-integer one.  With n = k - m0 links above the base (m0 = 1 if
+    s > 0, else 2), X the values of state (r, s) and W those of the base,
+    the chain unrolls in closed form:
+
+        total = min(1 + k + X.total, 3n + W.total)
+        divisions = min(1 + X.divisions, n + W.divisions)
+        count = n * X.count + W.count.
+
+    Every state of a chain is read from the chain's (X, W), and each chain
+    is solved once, from the chain below it in the regular remainder
+    sequence, so the certificate costs O(divisions) big-integer operations
+    and holds O(divisions) entries: (10**5, 10**5 - 1) and
+    (10**100, 10**100 - 1) are a single chain each.
 
     Witness policy: the first MAX_WITNESSES traces attaining the minimal
     step total, in the depth-first order enumerate_all uses, rebuilt by
     taking only the steps from which the minimum stays reachable.
     """
     check_pair(x0, x1)
-    # (min total, min divisions, trace count) of each inner pair; leaves
-    # cost O(1) to recompute and are not stored.
-    memo: dict[tuple[int, int], tuple[int, int, int]] = {}
+    # (X, W) of the chain of states (k*r + s, r), keyed by (r, s) with s > 0.
+    chains: dict[tuple[int, int], tuple[Values, Values]] = {}
 
-    def solved(a: int, b: int) -> tuple[int, int, int] | None:
-        q, r = divmod(a, b)
-        return (q, 1, 1) if r == 0 else memo.get((a, b))
+    def chain(r: int, s: int) -> tuple[Values, Values]:
+        # Walk the regular remainder sequence down to a solved chain or to
+        # remainder 0, then solve the chains on the way back up.
+        path = []
+        while s and (r, s) not in chains:
+            path.append((r, s))
+            r, s = s, r % s
+        below = chains[r, s] if s else (_END, _EXACT_BASE)
+        for r, s in reversed(path):
+            k, t = divmod(r, s)
+            x = _closed(k, t, *below)
+            # Base state (r + s, r): +1 gives pair (r + s, r), quotient 1 into
+            # state (r, s); -1 gives pair (r + s, s), quotient k + 1 into
+            # state (s, t), the X of the chain below.
+            y = below[0]
+            w = (2 + min(x[0], k + 1 + y[0]), 1 + min(x[1], y[1]), x[2] + y[2])
+            below = chains[r, s] = (x, w)
+        return below
 
-    # Post-order over an explicit stack of unsolved inner pairs; recursion
-    # would overflow on staircase pairs such as (10000, 9999).
-    stack = [(x0, x1)] if x0 % x1 else []
-    while stack:
-        a, b = stack[-1]
+    def solved(a: int, b: int) -> Values:
+        # The values of pair (a, b).
         q, r = divmod(a, b)
-        plus, minus = solved(b, r), solved(b, b - r)
-        if plus is None:
-            stack.append((b, r))
-        if minus is None:
-            stack.append((b, b - r))
-        if plus is not None and minus is not None:
-            stack.pop()
-            memo[a, b] = (q + 1 + min(plus[0], minus[0] + 1),
-                          1 + min(plus[1], minus[1]), plus[2] + minus[2])
+        if r == 0:
+            return (q, 1, 1)
+        k, s = divmod(b, r)
+        total, divisions, count = _closed(k, s, *chain(r, s))
+        return (q + total, divisions, count)
+
     total, divisions, count = solved(x0, x1)
 
-    def optimal(a: int, b: int, quotient: int, remainder: int) -> bool:
-        return solved(a, b)[0] == quotient + 1 + solved(b, remainder)[0]
+    def optimal(a: int, b: int, q: int, r: int) -> list[tuple[int, int, int]]:
+        # The branches from which the minimum of pair (a, b) stays reachable.
+        plus, minus = solved(b, r)[0], solved(b, b - r)[0] + 1
+        branches = []
+        if minus <= plus:
+            branches.append((q + 1, -1, b - r))
+        if plus <= minus:
+            branches.append((q, 1, r))
+        return branches
 
     return EnumerationResult(
         pair=(x0, x1),

@@ -12,6 +12,14 @@ which yields the classic variants as fixed policies:
 
 Step accounting counts every subtraction (the quotients summed) plus every
 switch to the next working pair (equations minus one).
+
+The raw constructors of EuclidStep and EuclidTrace are checked doors: an
+inconsistent step, or steps that do not chain into one trace ending in
+remainder 0, raise ValueError under any interpreter flags, `-O` included, and
+unpickling goes through the same checks.  The runners here and the
+enumeration walk take each step straight from divmod, so every step is
+consistent and chained by construction; they build through the unchecked
+`_step` and `_trace` and pay for no check.
 """
 
 from __future__ import annotations
@@ -41,7 +49,7 @@ class WrongVariantError(ValueError):
     """Raised when an operation requires a trace of a different variant."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EuclidStep:
     """One division equation a = b*quotient + epsilon*remainder."""
 
@@ -52,14 +60,22 @@ class EuclidStep:
     remainder: int
 
     def __post_init__(self) -> None:
-        assert self.epsilon in (1, -1)
-        assert self.quotient >= 1
-        assert 0 <= self.remainder < self.b
-        assert self.remainder != 0 or self.epsilon == 1
-        assert self.a == self.b * self.quotient + self.epsilon * self.remainder
+        r = self.remainder
+        if not (
+            self.epsilon in (1, -1)
+            and self.quotient >= 1
+            and 0 <= r < self.b
+            and (r != 0 or self.epsilon == 1)
+            and self.a == self.b * self.quotient + self.epsilon * r
+        ):
+            # No digits in the message: str() of a huge int can itself raise.
+            raise ValueError(
+                "not a division step a = b*quotient + epsilon*remainder "
+                "with 0 <= remainder < b and epsilon +1 or -1 (+1 at remainder 0)"
+            )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EuclidTrace:
     """An ordered, chained list of steps ending in the zero remainder."""
 
@@ -67,11 +83,51 @@ class EuclidTrace:
     variant: Variant
 
     def __post_init__(self) -> None:
-        assert self.steps
-        assert self.steps[-1].remainder == 0
-        for prev, cur in zip(self.steps, self.steps[1:]):
-            assert prev.remainder != 0
-            assert cur.a == prev.b and cur.b == prev.remainder
+        steps = self.steps
+        if not steps or steps[-1].remainder != 0 or any(
+            (cur.a, cur.b) != (prev.b, prev.remainder) for prev, cur in zip(steps, steps[1:])
+        ):
+            raise ValueError("steps do not chain into one trace ending in remainder 0")
+
+
+def _setstate(self, state) -> None:
+    # Pickles written before steps and traces were slotted carry a dict.
+    if isinstance(state, dict):
+        self.__init__(**state)
+    else:
+        self.__init__(*state)
+
+
+# Assigned after the decorator: on Python 3.10, dataclass(slots=True) replaces
+# a __setstate__ defined in the class body with its own unchecked one.
+EuclidStep.__setstate__ = _setstate
+EuclidTrace.__setstate__ = _setstate
+
+_new = object.__new__
+_set_a, _set_b, _set_quotient, _set_epsilon, _set_remainder = (
+    EuclidStep.a.__set__, EuclidStep.b.__set__, EuclidStep.quotient.__set__,
+    EuclidStep.epsilon.__set__, EuclidStep.remainder.__set__,
+)
+_set_steps, _set_variant = EuclidTrace.steps.__set__, EuclidTrace.variant.__set__
+
+
+def _step(a: int, b: int, quotient: int, epsilon: int, remainder: int) -> EuclidStep:
+    """Build a step the caller took from divmod, unchecked."""
+    step = _new(EuclidStep)
+    _set_a(step, a)
+    _set_b(step, b)
+    _set_quotient(step, quotient)
+    _set_epsilon(step, epsilon)
+    _set_remainder(step, remainder)
+    return step
+
+
+def _trace(steps: tuple[EuclidStep, ...], variant: Variant) -> EuclidTrace:
+    """Build a trace from steps the caller chained to remainder 0, unchecked."""
+    trace = _new(EuclidTrace)
+    _set_steps(trace, steps)
+    _set_variant(trace, variant)
+    return trace
 
 
 @dataclass(frozen=True)
@@ -119,14 +175,14 @@ def run_general(
     while True:
         q, r = divmod(a, b)
         if r == 0:
-            steps.append(EuclidStep(a, b, q, 1, 0))
-            return EuclidTrace(tuple(steps), variant)
+            steps.append(_step(a, b, q, 1, 0))
+            return _trace(tuple(steps), variant)
         eps = chooser(a, b)
         if eps == 1:
-            steps.append(EuclidStep(a, b, q, 1, r))
+            steps.append(_step(a, b, q, 1, r))
             a, b = b, r
         elif eps == -1:
-            steps.append(EuclidStep(a, b, q + 1, -1, b - r))
+            steps.append(_step(a, b, q + 1, -1, b - r))
             a, b = b, b - r
         else:
             raise ValueError(f"sign chooser must return +1 or -1, got {eps!r}")

@@ -1,12 +1,16 @@
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tanglegcd import cli
 from tanglegcd.cli import main
@@ -283,6 +287,33 @@ def test_overlong_integer_reports_its_size_without_echo(capsys):
     assert len(err) < 300
 
 
+@pytest.mark.parametrize(
+    "command", [["gcd", "{}", "7"], ["untangle", "{}/3"], ["verify", "-{}", "--moves", "R"]],
+    ids=["gcd", "untangle", "verify"],
+)
+def test_an_overlong_number_with_underscores_reports_its_size_without_echo(capsys, command):
+    # int() reads "1_1" as 11, so each half stays under the limit but the
+    # number does not.
+    limit = sys.get_int_max_str_digits()
+    if limit == 0:
+        pytest.skip("this interpreter has no int/str digit limit")
+    half = "1" * (limit - 300)
+    number = f"{half}_{half}"
+    with pytest.raises(SystemExit) as exc_info:
+        main([arg.format(number) for arg in command])
+    assert exc_info.value.code == 2
+    err = capsys.readouterr().err
+    assert f"{2 * len(half)} digits, limit {limit}" in err
+    assert half[:100] not in err
+    assert len(err) < 300
+
+
+def test_a_number_with_underscores_under_the_limit_is_read(capsys):
+    code, out, _ = run_cli(capsys, "gcd", "1_000", "7")
+    assert code == 0
+    assert out.splitlines()[0] == "1000 = 7(142)+6"
+
+
 @pytest.mark.parametrize("command", [["untangle"], ["verify", "--moves", "R"]])
 def test_overlong_fraction_reports_its_size_without_echo(capsys, command):
     limit = sys.get_int_max_str_digits()
@@ -425,3 +456,51 @@ def test_closed_pipe_exits_1_without_traceback(argv):
     assert head
     assert b"Traceback" not in err
     assert code == 1
+
+
+fuzz_fractions = st.one_of(
+    st.integers(-1000, 1000).map(str),
+    st.tuples(st.integers(-200, 200), st.integers(0, 200)).map(lambda t: f"{t[0]}/{t[1]}"),
+    st.just("inf"),
+    st.text("0123456789-/_ inf", max_size=8),
+)
+fuzz_moves = st.one_of(
+    st.lists(st.sampled_from(["T", "-T", "R", " T", "R "]), max_size=12).map(",".join),
+    st.text("TR-, x", max_size=10),
+)
+
+
+@st.composite
+def fuzz_argv(draw):
+    command = draw(st.sampled_from(["gcd", "steps", "enumerate", "untangle", "construct", "verify"]))
+    if command == "enumerate":
+        argv = [command, *draw(st.lists(st.integers(-1, 40).map(str), min_size=2, max_size=2))]
+    elif command in ("gcd", "steps"):
+        argv = [command, *draw(st.lists(st.integers(-1, 10**6).map(str), min_size=2, max_size=2))]
+    elif command == "untangle":
+        argv = [command, draw(fuzz_fractions)]
+    elif command == "construct":
+        argv = [command, "--moves", draw(fuzz_moves)]
+    else:
+        argv = [command, draw(fuzz_fractions), "--moves", draw(fuzz_moves)]
+    if command in ("gcd", "untangle") and draw(st.booleans()):
+        argv += ["--method", draw(st.sampled_from(["regular", "lar", "negative"]))]
+    json_at = draw(st.sampled_from([None, 0, len(argv)]))
+    if json_at is not None:
+        argv.insert(json_at, "--json")
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(fuzz_argv())
+def test_main_exits_0_1_or_2_without_traceback_and_prints_one_json_object(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if "--json" in argv and code in (0, 1):
+        assert isinstance(json.loads(out.getvalue()), dict)

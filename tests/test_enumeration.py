@@ -1,4 +1,5 @@
 import math
+import random
 from itertools import islice
 
 import pytest
@@ -12,6 +13,8 @@ from tanglegcd.enumeration import (
     minimize,
 )
 from tanglegcd.euclid import (
+    EuclidStep,
+    EuclidTrace,
     InvalidInputError,
     Variant,
     division_count,
@@ -235,3 +238,74 @@ def test_minimize_certifies_a_pair_beyond_brute_force():
     assert result.min_total_steps == step_count(regular).total == step_count(lar).total
     assert result.min_divisions == division_count(lar)
     assert result.witnesses_min_steps[0].steps == regular.steps
+
+
+@pytest.mark.parametrize("x0", [10**5, 10**100], ids=["10**5", "10**100"])
+def test_minimize_certifies_a_staircase_pair_in_one_chain(x0):
+    # (x0, x0 - 1) has x0 - 1 traces through about x0 distinct pairs, out of
+    # reach of any recurrence over pairs at 10**100.
+    x1 = x0 - 1
+    result = minimize(x0, x1)
+    regular, lar = run_regular(x0, x1), run_lar(x0, x1)
+    assert result.traces_examined == x1
+    assert result.min_total_steps == step_count(regular).total == step_count(lar).total == x0 + 1
+    assert result.min_divisions == division_count(lar) == 2
+    assert [w.steps for w in result.witnesses_min_steps] == [regular.steps]
+
+
+def per_pair_minimize(x0, x1):
+    """Independent oracle: minimize as a memoized recurrence over every pair.
+
+    With q, r = divmod(a, b), a pair ends at (q, 1, 1) when r == 0 and
+    otherwise is (q + 1 + min(T+, T- + 1), 1 + min(D+, D-), C+ + C-) from
+    (b, r) and (b, b - r).  Witnesses are rebuilt depth-first, +1 first,
+    through the checked step and trace constructors.
+    """
+    memo = {}
+
+    def solved(a, b):
+        q, r = divmod(a, b)
+        return (q, 1, 1) if r == 0 else memo.get((a, b))
+
+    stack = [(x0, x1)] if x0 % x1 else []
+    while stack:
+        a, b = stack[-1]
+        q, r = divmod(a, b)
+        plus, minus = solved(b, r), solved(b, b - r)
+        if plus is None:
+            stack.append((b, r))
+        if minus is None:
+            stack.append((b, b - r))
+        if plus is not None and minus is not None:
+            stack.pop()
+            memo[a, b] = (q + 1 + min(plus[0], minus[0] + 1),
+                          1 + min(plus[1], minus[1]), plus[2] + minus[2])
+    total, divisions, count = solved(x0, x1)
+
+    witnesses = []
+    walk = [(x0, x1, ())]
+    while walk and len(witnesses) < MAX_WITNESSES:
+        a, b, path = walk.pop()
+        q, r = divmod(a, b)
+        if r == 0:
+            witnesses.append(EuclidTrace((*path, EuclidStep(a, b, q, 1, 0)), Variant.CUSTOM))
+            continue
+        for quotient, epsilon, remainder in ((q + 1, -1, b - r), (q, 1, r)):
+            if solved(a, b)[0] == quotient + 1 + solved(b, remainder)[0]:
+                step = EuclidStep(a, b, quotient, epsilon, remainder)
+                walk.append((b, remainder, (*path, step)))
+    return EnumerationResult((x0, x1), count, total, divisions, tuple(witnesses))
+
+
+def test_minimize_matches_the_per_pair_recurrence_for_every_pair_to_150():
+    for x0 in range(1, 151):
+        for x1 in range(1, x0 + 1):
+            assert minimize(x0, x1) == per_pair_minimize(x0, x1), (x0, x1)
+
+
+def test_minimize_matches_the_per_pair_recurrence_on_random_pairs_to_a_million():
+    rng = random.Random(8)
+    for _ in range(400):
+        x0 = rng.randint(1, 10**6)
+        x1 = rng.randint(1, x0)
+        assert minimize(x0, x1) == per_pair_minimize(x0, x1), (x0, x1)

@@ -1,10 +1,20 @@
+import copy
+import json
 import math
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import tanglegcd
 from tanglegcd.euclid import (
+    EuclidStep,
+    EuclidTrace,
     InvalidInputError,
     Variant,
     WrongVariantError,
@@ -190,7 +200,10 @@ def test_trace_to_dict_schema():
 @given(pairs)
 def test_traces_satisfy_invariants(pair):
     for runner in (run_regular, run_lar, run_negative):
-        check_trace_invariants(runner(*pair))
+        trace = runner(*pair)
+        check_trace_invariants(trace)
+        # The checked doors accept what the runners build unchecked.
+        assert EuclidTrace(tuple(EuclidStep(*s) for s in as_tuples(trace)), trace.variant) == trace
 
 
 @given(pairs)
@@ -261,3 +274,108 @@ def test_exhaustive_small_sweep():
                 assert gcd_of(trace) == math.gcd(x0, x1)
             assert step_count(reg).total == step_count(lar).total
             assert division_count(reg) - division_count(lar) == goodman_zaring_defect(lar)
+
+
+# Each builds a step or trace the checked constructors must refuse.
+BAD_BUILDS = {
+    "inconsistent step": "EuclidStep(10, 3, 2, 1, 1)",
+    "empty trace": "EuclidTrace((), Variant.CUSTOM)",
+    "last remainder not 0": "EuclidTrace((EuclidStep(8, 5, 1, 1, 3),), Variant.CUSTOM)",
+    "unchained": (
+        "EuclidTrace((EuclidStep(8, 5, 1, 1, 3), EuclidStep(4, 2, 2, 1, 0)), Variant.CUSTOM)"
+    ),
+}
+
+
+@pytest.mark.parametrize("source", BAD_BUILDS.values(), ids=BAD_BUILDS)
+def test_checked_constructors_refuse_what_is_not_a_trace(source):
+    with pytest.raises(ValueError):
+        eval(source, {"EuclidStep": EuclidStep, "EuclidTrace": EuclidTrace, "Variant": Variant})
+
+
+@pytest.mark.parametrize(
+    "step",
+    [(10, 3, 3, 1, 0), (10, 3, 3, -1, 0), (10, 3, 0, 1, 10), (10, 3, 4, -1, 3), (2, 3, 1, 1, -1)],
+    ids=["10 != 3*3 + 0", "-1 at remainder 0", "quotient 0",
+         "remainder not below b", "negative remainder"],
+)
+def test_step_door_checks_each_condition(step):
+    with pytest.raises(ValueError):
+        EuclidStep(*step)
+
+
+# Prints the optimize level and, per build read from stdin, the exception type
+# it raised, or None.
+REFUSALS_SCRIPT = """
+import json, sys
+from tanglegcd.euclid import EuclidStep, EuclidTrace, Variant
+
+def refusal(source):
+    try:
+        eval(source)
+    except Exception as exc:
+        return type(exc).__name__
+    return None
+
+print(json.dumps([sys.flags.optimize, [refusal(source) for source in json.load(sys.stdin)]]))
+"""
+
+
+def test_checked_constructors_refuse_without_asserts():
+    env = dict(os.environ)
+    src = str(Path(tanglegcd.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", REFUSALS_SCRIPT], input=json.dumps(list(BAD_BUILDS.values())),
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [1, ["ValueError"] * len(BAD_BUILDS)]
+
+
+@pytest.mark.parametrize("value", [run_lar(8, 5), run_lar(8, 5).steps[0]], ids=["trace", "step"])
+def test_traces_round_trip_through_pickle_and_deepcopy(value):
+    copies = [pickle.loads(pickle.dumps(value, protocol))
+              for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for other in [*copies, copy.deepcopy(value)]:
+        assert other == value
+        assert hash(other) == hash(value)
+        assert repr(other) == repr(value)
+    # Steps and traces are slotted: no per-instance dict.
+    assert not hasattr(value, "__dict__")
+
+
+# run_lar(8, 5) pickled with protocol 2 at 3418dee, before steps and traces
+# were slotted: each state is a dict.
+DICT_STATE_PICKLE = (
+    b"\x80\x02ctanglegcd.euclid\nEuclidTrace\nq\x00)\x81q\x01}q\x02(X\x05\x00\x00\x00steps"
+    b"q\x03ctanglegcd.euclid\nEuclidStep\nq\x04)\x81q\x05}q\x06(X\x01\x00\x00\x00aq\x07K\x08"
+    b"X\x01\x00\x00\x00bq\x08K\x05X\x08\x00\x00\x00quotientq\tK\x02X\x07\x00\x00\x00epsilon"
+    b"q\nJ\xff\xff\xff\xffX\t\x00\x00\x00remainderq\x0bK\x02ubh\x04)\x81q\x0c}q\r(h\x07K\x05"
+    b"h\x08K\x02h\tK\x02h\nK\x01h\x0bK\x01ubh\x04)\x81q\x0e}q\x0f(h\x07K\x02h\x08K\x01h\tK\x02"
+    b"h\nK\x01h\x0bK\x00ub\x87q\x10X\x07\x00\x00\x00variantq\x11ctanglegcd.euclid\nVariant\n"
+    b"q\x12X\r\x00\x00\x00LeastAbsoluteq\x13\x85q\x14Rq\x15ub."
+)
+
+
+def test_an_older_trace_pickle_loads_as_the_trace_it_holds():
+    trace = pickle.loads(DICT_STATE_PICKLE)
+    assert trace == run_lar(8, 5)
+    assert hash(trace) == hash(run_lar(8, 5))
+    assert not hasattr(trace, "__dict__")
+    assert not hasattr(trace.steps[0], "__dict__")
+
+
+@pytest.mark.parametrize(
+    "data, first_remainder",
+    [
+        (DICT_STATE_PICKLE, b"remainderq\x0bK\x02"),
+        (pickle.dumps(run_lar(8, 5), 2), b"K\x08K\x05K\x02J\xff\xff\xff\xffK\x02"),
+    ],
+    ids=["dict state", "list state"],
+)
+def test_an_inconsistent_pickled_step_is_refused(data, first_remainder):
+    # The first step's remainder edited from 2 to 3: 8 != 5*2 - 3.
+    assert data.count(first_remainder) == 1
+    with pytest.raises(ValueError):
+        pickle.loads(data.replace(first_remainder, first_remainder[:-1] + b"\x03"))
