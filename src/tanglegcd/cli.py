@@ -26,7 +26,7 @@ from .euclid import (
     step_count,
     trace_to_dict,
 )
-from .rationals import parse_fraction
+from .rationals import EXCERPT_CHARS, excerpt, parse_fraction
 from .tangles import (
     format_moves,
     parse_moves,
@@ -67,9 +67,10 @@ def _positive_int(text: str) -> int:
     try:
         value = int(_digits_within_limit(text))
     except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        raise argparse.ArgumentTypeError(f"not an integer: {excerpt(text)}") from None
     if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+        shown = value if len(text) <= EXCERPT_CHARS else excerpt(text)
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {shown}")
     return value
 
 

@@ -9,20 +9,22 @@ Python integers are arbitrary precision, so no overflow handling is needed
 anywhere in this module; arithmetic is exact by construction.
 
 The raw constructor is a checked door: a non-canonical pair raises ValueError
-under any interpreter flags, `-O` included.  The builders here produce
-canonical pairs by construction (a twist, a run of twists or a shift keeps
-gcd, since gcd(n + k*d, d) = gcd(n, d); a rotation or negation only swaps or
-negates the pair), so they take the unchecked `_canonical` path and pay no gcd
-per value.
+under any interpreter flags, `-O` included.  Twists, rotations and negation
+produce canonical pairs by construction (a twist keeps gcd, since
+gcd(n + k*d, d) = gcd(n, d); a rotation or negation only swaps or negates the
+pair), so they take the unchecked `_canonical` path and pay no gcd per value.
+`_canonical_values` is the same path in bulk, for the move kernel in
+`tangles`.
 """
 
 from __future__ import annotations
 
 import re
+from collections import deque
 from dataclasses import dataclass
-from itertools import count, repeat
+from itertools import repeat
 from math import gcd
-from typing import Iterator
+from typing import Iterable, Sequence
 
 
 class IndeterminateFormError(ValueError):
@@ -105,6 +107,16 @@ def _canonical(numerator: int, denominator: int) -> ExtendedRational:
     return value
 
 
+def _canonical_values(
+    numerators: Sequence[int], denominators: Iterable[int]
+) -> tuple[ExtendedRational, ...]:
+    """Build one value per canonical pair, unchecked, with no Python-level loop."""
+    values = tuple(map(_new, repeat(ExtendedRational, len(numerators))))
+    deque(map(_set_numerator, values, numerators), maxlen=0)
+    deque(map(_set_denominator, values, denominators), maxlen=0)
+    return values
+
+
 ZERO = ExtendedRational(0, 1)
 INFINITY = ExtendedRational(1, 0)
 
@@ -125,30 +137,12 @@ def normalize(numerator: int, denominator: int) -> ExtendedRational:
     return _canonical(numerator // g, denominator // g)
 
 
-def shift_value(f: ExtendedRational, shift: int) -> ExtendedRational:
-    """Return f + shift for any integer shift, in one addition; infinity is fixed."""
-    # gcd(n + k*d, d) == gcd(n, d) == 1, so the result is already canonical.
-    return _canonical(f.numerator + shift * f.denominator, f.denominator)
-
-
 def twist_value(f: ExtendedRational, direction: int) -> ExtendedRational:
     """Return f + direction, where direction is +1 or -1; infinity is fixed."""
     if direction not in (1, -1):
         raise ValueError(f"twist direction must be +1 or -1, got {direction!r}")
-    return shift_value(f, direction)
-
-
-def twist_run(f: ExtendedRational, direction: int, times: int) -> Iterator[ExtendedRational]:
-    """Yield f + i*direction for i = 1..times, the values of a run of twists.
-
-    The step is direction*d, which is 0 at infinity, 1/0, so there the run
-    repeats the fixed value.
-    """
-    if direction not in (1, -1):
-        raise ValueError(f"twist direction must be +1 or -1, got {direction!r}")
-    n, d = f.numerator, f.denominator
-    step = direction * d
-    return map(_canonical, count(n + step, step), repeat(d, times))
+    # gcd(n + k*d, d) == gcd(n, d) == 1, so the result is already canonical.
+    return _canonical(f.numerator + direction * f.denominator, f.denominator)
 
 
 def rotate_value(f: ExtendedRational) -> ExtendedRational:
@@ -163,6 +157,14 @@ def rotate_value(f: ExtendedRational) -> ExtendedRational:
 
 
 _FRACTION_RE = re.compile(r"-?\d+(?:/\d+)?")
+EXCERPT_CHARS = 40
+
+
+def excerpt(text: str) -> str:
+    """Quote text for an error message: whole up to 40 characters, else its start and length."""
+    if len(text) <= EXCERPT_CHARS:
+        return repr(text)
+    return f"{text[:EXCERPT_CHARS]!r}... ({len(text)} characters)"
 
 
 def parse_fraction(text: str) -> ExtendedRational:
@@ -174,7 +176,7 @@ def parse_fraction(text: str) -> ExtendedRational:
     if s == "inf":
         return INFINITY
     if not _FRACTION_RE.fullmatch(s):
-        raise FractionParseError(f"not a valid fraction: {text!r}")
+        raise FractionParseError(f"not a valid fraction: {excerpt(text)}")
     num, slash, den = s.partition("/")
     if not slash:
         return normalize(int(num), 1)

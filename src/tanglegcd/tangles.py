@@ -9,13 +9,12 @@ twists toward zero, followed by a rotation, except after the last equation.
 A plan stores one stage per equation, so planning and plan metrics cost
 O(divisions); its single moves are expanded from the stages once per plan.
 
-Replay walks a move sequence as maximal runs of one repeated move.  A run of
-k twists in direction s from n/d lists its k values (n + i*s*d)/d in one
-step, with no per-move dispatch, and `tangle_number` advances over the run
-with one addition, n + k*s*d, so it holds one value at a time.  Every such
-value is canonical by construction, since gcd(n + i*s*d, d) = gcd(n, d), so
-`rationals.twist_run` and `shift_value` build it without the raw
-constructor's gcd check.
+Replay is one loop over the moves on the integer pair (n, d) of the current
+value, with no call per move (`_fold`); `replay` then builds all of its
+values at once and `tangle_number` only the last; `verify_plan` replays the
+plan's moves.  Every pair is canonical by construction, since
+gcd(n + k*d, d) = gcd(n, d) and a rotation only swaps and negates, so no
+value pays the raw constructor's gcd check.
 
 Which Euclidean variant runs underneath is the planning policy.  Least
 absolute remainders gives the same total as the regular variant and the
@@ -27,14 +26,21 @@ one direction for start values of magnitude at least one.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import groupby
 from typing import Iterable, NamedTuple
 
 from .euclid import RUNNERS, Variant
-from .rationals import ExtendedRational, ZERO, rotate_value, shift_value, twist_run, twist_value
+from .rationals import (
+    ExtendedRational,
+    _canonical,
+    _canonical_values,
+    excerpt,
+    rotate_value,
+    twist_value,
+)
 
 
 class Move(str, Enum):
@@ -49,7 +55,7 @@ class MoveParseError(ValueError):
     def __init__(self, token: str, position: int):
         self.token = token
         self.position = position
-        super().__init__(f"bad move token {token!r} at position {position}")
+        super().__init__(f"bad move token {excerpt(token)} at position {position}")
 
 
 _MOVES_BY_TOKEN = {move.value: move for move in Move}
@@ -59,14 +65,14 @@ def parse_moves(text: str) -> tuple[Move, ...]:
     """Parse comma-separated move tokens T, -T, R; whitespace is ignored."""
     if not text.strip():
         return ()
-    moves = []
-    for position, raw in enumerate(text.split(","), start=1):
-        token = raw.strip()
-        move = _MOVES_BY_TOKEN.get(token)
-        if move is None:
-            raise MoveParseError(token, position)
-        moves.append(move)
-    return tuple(moves)
+    tokens = list(map(str.strip, text.split(",")))
+    try:
+        return tuple(map(_MOVES_BY_TOKEN.__getitem__, tokens))
+    except KeyError as exc:
+        # The lookup stops at the first bad token, so that is the first
+        # occurrence of the token it names.
+        token = exc.args[0]
+        raise MoveParseError(token, tokens.index(token) + 1) from None
 
 
 def format_moves(moves: Iterable[Move]) -> str:
@@ -133,21 +139,36 @@ def apply_move(value: ExtendedRational, move: Move) -> ExtendedRational:
     return rotate_value(value)
 
 
-def tangle_number(moves: Iterable[Move]) -> ExtendedRational:
-    """Fold a move sequence from the untangled value 0, one run at a time.
+def _fold(n: int, d: int, moves: Iterable[Move], numerators, denominators) -> tuple[int, int]:
+    """Apply moves to the pair (n, d), appending each new pair; return the last.
 
-    A run of k twists costs one addition (infinity, 1/0, stays fixed); a run
-    of rotations reduces to its parity, since a rotation is an involution.
+    A twist adds +d or -d to n (infinity, d = 0, stays fixed).  A rotation is
+    the negative reciprocal with the sign kept in the numerator; it sends
+    zero to infinity, (1, 0), and infinity to (0, 1).
     """
-    value = ZERO
-    for move, run in groupby(moves):
-        length = len(list(run))
-        if move is Move.ROTATE:
-            if length % 2:
-                value = rotate_value(value)
+    rotate, twist = Move.ROTATE, Move.TWIST_POSITIVE
+    append_numerator, append_denominator = numerators.append, denominators.append
+    for move in moves:
+        if move is rotate:
+            if n > 0:
+                n, d = -d, n
+            elif n < 0:
+                n, d = d, -n
+            else:
+                n, d = 1, 0
+        elif move is twist:
+            n += d
         else:
-            value = shift_value(value, length if move is Move.TWIST_POSITIVE else -length)
-    return value
+            n -= d
+        append_numerator(n)
+        append_denominator(d)
+    return n, d
+
+
+def tangle_number(moves: Iterable[Move]) -> ExtendedRational:
+    """Fold a move sequence from the untangled value 0; only the last value is built."""
+    discard = deque(maxlen=0)
+    return _canonical(*_fold(0, 1, moves, discard, discard))
 
 
 def plan_untangle(f: ExtendedRational, policy: Variant) -> UntanglePlan:
@@ -175,26 +196,14 @@ def plan_untangle(f: ExtendedRational, policy: Variant) -> UntanglePlan:
 
 
 def replay(start: ExtendedRational, moves: Iterable[Move]) -> ReplayReport:
-    """Replay moves from a start value; passes iff the final value is zero.
-
-    Each run of twists appends all of its values in one step.  Infinity is
-    1/0, so its step d is 0 and the run repeats the fixed value.
-    """
-    values = [start]
-    for move, run in groupby(moves):
-        value = values[-1]
-        if move is Move.ROTATE:
-            for _ in run:
-                value = rotate_value(value)
-                values.append(value)
-        else:
-            direction = 1 if move is Move.TWIST_POSITIVE else -1
-            values += twist_run(value, direction, len(list(run)))
-    return ReplayReport(tuple(values))
+    """Replay moves from a start value; passes iff the final value is zero."""
+    numerators, denominators = [start.numerator], [start.denominator]
+    _fold(start.numerator, start.denominator, moves, numerators, denominators)
+    return ReplayReport(_canonical_values(numerators, denominators))
 
 
 def verify_plan(f: ExtendedRational, plan: UntanglePlan) -> ReplayReport:
-    """Replay a plan from f.  The plan must have been built for f."""
+    """Replay a plan's moves from f; the plan must have been built for f."""
     if plan.start != f:
         raise ValueError(f"plan starts at {plan.start}, not {f}")
     return replay(f, plan.moves)

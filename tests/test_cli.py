@@ -432,6 +432,32 @@ def test_malformed_dash_arguments_exit_2(capsys, command):
     assert captured.err.splitlines()[-1] == MALFORMED_DASH_ARGUMENTS[command]
 
 
+LONG_MALFORMED = "1" * 4000 + "x" + "1" * 4000
+LONG_MALFORMED_ARGUMENTS = {
+    "gcd": (["gcd", LONG_MALFORMED, "7"], "not an integer: '1111111111"),
+    "gcd-negative": (["gcd", "-" + "1" * 4000, "7"],
+                     "must be a positive integer, got '-111111111"),
+    "verify": (["verify", LONG_MALFORMED, "--moves", "R"], "not a valid fraction: '1111111111"),
+    "construct": (["construct", "--moves", "T," + "X" * 5000], "bad move token 'XXXXXXXXXX"),
+}
+
+
+@pytest.mark.parametrize("name", LONG_MALFORMED_ARGUMENTS)
+def test_a_long_malformed_argument_is_quoted_in_part(capsys, name):
+    # Every digit run is under the int/str limit, so the length check passes
+    # and the parser that rejects the text names it: in part, with its length.
+    argv, message = LONG_MALFORMED_ARGUMENTS[name]
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == 2
+    assert message in err
+    assert "characters)" in err
+    assert len(err.encode()) < 300
+
+
 @pytest.mark.parametrize(
     "argv", [["untangle", "100000"], ["--json", "enumerate", "2000", "1999"]]
 )

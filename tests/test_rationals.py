@@ -20,11 +20,11 @@ from tanglegcd.rationals import (
     ZERO,
     normalize,
     parse_fraction,
+    excerpt,
     rotate_value,
-    shift_value,
-    twist_run,
     twist_value,
 )
+from tanglegcd.tangles import Move, replay, tangle_number
 from math import gcd
 
 
@@ -278,23 +278,27 @@ def test_trusted_builders_give_the_pairs_normalize_gives(integers, direction):
     f = normalize(*integers)
     assert pair(f) == reduced(*integers)
     n, d = pair(f)
+    twist = Move.TWIST_POSITIVE if direction > 0 else Move.TWIST_NEGATIVE
+    # A run of twists replayed from f lists f + i*direction, built in bulk.
+    run = replay(f, (twist,) * 7).values
     built = {
         "twist": (twist_value(f, direction), normalize(n + direction * d, d)),
         "rotate": (rotate_value(f), normalize(-d, n)),
         "negate": (-f, normalize(-n, d)),
-        "shift": (shift_value(f, 7 * direction), normalize(n + 7 * direction * d, d)),
+        "replayed start": (run[0], f),
+        "replayed run": (run[-1], normalize(n + 7 * direction * d, d)),
+        "folded": (tangle_number((twist,) * 3 + (Move.ROTATE,)), normalize(-direction, 3)),
     }
     for name, (got, expected) in built.items():
         assert pair(got) == pair(expected), name
         # The checked door accepts every pair a trusted builder made.
         assert ExtendedRational(*pair(got)) == got, name
-    run = [pair(value) for value in twist_run(f, direction, 3)]
-    assert run == [pair(normalize(n + i * direction * d, d)) for i in (1, 2, 3)]
+    assert [pair(value) for value in run] == [
+        pair(normalize(n + i * direction * d, d)) for i in range(8)
+    ]
 
 
-def test_twist_run_lists_each_twist_and_fixes_infinity():
-    assert list(twist_run(normalize(8, 5), -1, 2)) == [normalize(3, 5), normalize(-2, 5)]
-    assert list(twist_run(INFINITY, 1, 3)) == [INFINITY] * 3
-    assert list(twist_run(ZERO, 1, 0)) == []
-    with pytest.raises(ValueError):
-        twist_run(ZERO, 2, 1)
+def test_excerpt_quotes_text_whole_up_to_40_characters():
+    assert excerpt("-x") == "'-x'"
+    assert excerpt("7" * 40) == repr("7" * 40)
+    assert excerpt("7" * 41) == f"{'7' * 40!r}... (41 characters)"

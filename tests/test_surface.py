@@ -31,14 +31,21 @@ def test_every_exported_name_imports():
     assert [name for name in tanglegcd.__all__ if not hasattr(tanglegcd, name)] == []
 
 
-@pytest.mark.parametrize("script", ["step_survey.py", "rotation_economy.py"])
+SCRIPT_ARGUMENTS = {
+    "step_survey.py": ["--max", "6"],
+    "rotation_economy.py": ["--max", "6"],
+    "move_distance.py": ["--radius", "8"],
+}
+
+
+@pytest.mark.parametrize("script", SCRIPT_ARGUMENTS)
 def test_experiment_script_runs(script):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
     )
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / script), "--max", "6"],
+        [sys.executable, str(ROOT / "scripts" / script), *SCRIPT_ARGUMENTS[script]],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr

@@ -1,3 +1,4 @@
+import pickle
 from fractions import Fraction
 from itertools import accumulate, groupby
 
@@ -15,12 +16,13 @@ from tanglegcd.euclid import (
     step_count,
 )
 from tanglegcd.enumeration import minimize
-from tanglegcd.rationals import INFINITY, ZERO, normalize
+from tanglegcd.rationals import INFINITY, ZERO, ExtendedRational, normalize
 from tanglegcd.tangles import (
     Move,
     MoveParseError,
     PlanMetrics,
     Stage,
+    UntanglePlan,
     apply_move,
     format_moves,
     parse_moves,
@@ -49,7 +51,17 @@ move_runs = st.lists(
     st.tuples(st.sampled_from([T, NT, R]), st.integers(1, 300)), max_size=12
 ).map(lambda runs: tuple(move for move, count in runs for _ in range(count)))
 
-starts = st.one_of(st.just(ZERO), st.just(INFINITY), canonical_fractions)
+# Starts from every branch of the rotation rule: zero, infinity, negative
+# values, magnitudes below one and 20-digit values.
+starts = st.one_of(
+    st.just(ZERO),
+    st.just(INFINITY),
+    canonical_fractions,
+    st.tuples(st.integers(-10**20, -1), st.integers(1, 10**20)).map(lambda t: normalize(*t)),
+    st.tuples(st.integers(1, 10**6), st.integers(0, 10**6), st.sampled_from([1, -1])).map(
+        lambda t: normalize(t[2] * t[0], t[0] + 1 + t[1])
+    ),
+)
 
 
 def fraction_values(start, moves):
@@ -118,6 +130,18 @@ def test_tangle_number_matches_fraction_oracle(moves):
         assert Fraction(got.numerator, got.denominator) == expected
 
 
+def pair_of(value):
+    return (value.numerator, value.denominator)
+
+
+def assert_built_in_bulk(values):
+    """Every value has the exact type, is canonical and survives pickling."""
+    for value in values:
+        assert type(value) is ExtendedRational
+        assert pair_of(value) == pair_of(normalize(*pair_of(value)))
+    assert pickle.loads(pickle.dumps(values)) == values
+
+
 @given(starts, move_runs)
 def test_replay_matches_the_per_move_and_fraction_folds(start, moves):
     values = replay(start, iter(moves)).values
@@ -127,11 +151,81 @@ def test_replay_matches_the_per_move_and_fraction_folds(start, moves):
     assert [(v.numerator, v.denominator) for v in values] == [
         as_pair(v) for v in fraction_values(oracle_start, moves)
     ]
+    assert_built_in_bulk(values)
 
 
 @given(move_runs)
 def test_tangle_number_is_the_last_replayed_value(moves):
     assert tangle_number(iter(moves)) == replay(ZERO, moves).final
+
+
+def continued_fraction(quotients):
+    value = Fraction(quotients[-1])
+    for q in reversed(quotients[:-1]):
+        value = q + 1 / value
+    return value
+
+
+# Zero, infinity and values of up to ~20 digits, either sign, either side of
+# one, whose plans have short stages (quotients up to 300) and up to 8 of them.
+plan_starts = st.one_of(
+    st.just(ZERO),
+    st.just(INFINITY),
+    st.tuples(
+        st.lists(st.integers(1, 300), min_size=1, max_size=8),
+        st.sampled_from([1, -1]),
+        st.sampled_from([1, -1]),
+    ).map(lambda t: t[1] * continued_fraction(t[0]) ** t[2]).map(
+        lambda v: normalize(v.numerator, v.denominator)
+    ),
+)
+
+
+@given(st.one_of(plan_starts, canonical_fractions), st.sampled_from(POLICIES))
+def test_verify_plan_equals_the_per_move_fold(f, policy):
+    plan = plan_untangle(f, policy)
+    values = verify_plan(f, plan).values
+    assert values == tuple(accumulate(plan.moves, apply_move, initial=f))
+    assert_built_in_bulk(values)
+
+
+def test_replay_lists_each_twist_and_fixes_infinity():
+    assert replay(normalize(8, 5), (NT, NT)).values[1:] == (normalize(3, 5), normalize(-2, 5))
+    assert replay(INFINITY, (T, T, T)).values == (INFINITY,) * 4
+    assert tangle_number((R, T, T, T)) == INFINITY
+    assert replay(ZERO, ()).values == (ZERO,)
+    # A hand-built plan can twist at infinity: 1 -> 0 -> inf -> inf -> inf.
+    one = normalize(1, 1)
+    plan = UntanglePlan(one, (Stage(1, -1), Stage(2, 1)), Variant.REGULAR)
+    assert verify_plan(one, plan).values == (one, ZERO, INFINITY, INFINITY, INFINITY)
+    # A negative twist count expands to no moves, and verify_plan checks the moves.
+    plan = UntanglePlan(one, (Stage(-1, 1), Stage(1, 1)), Variant.REGULAR)
+    assert plan.moves == (R, T)
+    assert verify_plan(one, plan).values == (one, normalize(-1, 1), ZERO)
+
+
+def reference_parse(text):
+    """Independent oracle: the per-token loop; the first bad token and its position, or None."""
+    for position, raw in enumerate(text.split(","), start=1):
+        if raw.strip() not in ("T", "-T", "R"):
+            return raw.strip(), position
+    return None
+
+
+@given(st.lists(st.sampled_from(["T", "-T", "R", " R ", "X", "", " ", "t", "T R", "--T"]),
+                max_size=12))
+def test_parse_moves_fails_where_the_per_token_loop_fails(tokens):
+    text = ",".join(tokens)
+    if not text.strip():
+        assert parse_moves(text) == ()
+        return
+    bad = reference_parse(text)
+    if bad is None:
+        assert [move.value for move in parse_moves(text)] == [token.strip() for token in tokens]
+        return
+    with pytest.raises(MoveParseError) as exc_info:
+        parse_moves(text)
+    assert (exc_info.value.token, exc_info.value.position) == bad
 
 
 def test_plan_8_5_regular():
