@@ -1,0 +1,63 @@
+"""Frozen records: the base of the package's value and result types.
+
+A record class names its fields in `_fields`, holds them in `__slots__` and
+writes its own `__init__`, which sets each field through the slot and ends in
+the class's checks, if it has any.  The base adds what the class would
+otherwise get from a frozen dataclass, without importing `dataclasses`:
+
+* equality between records of the same class, field by field, and a hash
+  over the fields (a class compared often may override both with code that
+  reads its fields directly, which is faster than `attrgetter`);
+* a `Name(field=value, ...)` repr;
+* no assignment or deletion of attributes (AttributeError);
+* pickling and copying as the list of field values, read back through the
+  class's own checked `__init__`, which also reads the dict state of pickles
+  written before the records were slotted.
+"""
+
+from __future__ import annotations
+
+from operator import attrgetter
+
+# Writes one field past Record.__setattr__; for a class's own __init__.
+set_field = object.__setattr__
+
+
+class Record:
+    __slots__ = ()
+    _fields: tuple[str, ...]
+
+    def __init_subclass__(cls) -> None:
+        cls.__match_args__ = cls._fields
+        values = attrgetter(*cls._fields)
+        # attrgetter of a single name returns the value, not a 1-tuple.
+        cls._values = (
+            values if len(cls._fields) > 1 else staticmethod(lambda record: (values(record),))
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            values = self._values
+            return values(self) == values(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __getstate__(self) -> list:
+        return list(self._values(self))
+
+    def __setstate__(self, state) -> None:
+        if isinstance(state, dict):
+            state = map(state.__getitem__, self._fields)
+        self.__init__(*state)

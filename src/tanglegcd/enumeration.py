@@ -13,22 +13,27 @@ here consults the named variants, so both are independent oracles for them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice
 from typing import Callable, Iterable, Iterator
 
+from ._record import Record, set_field
 from .euclid import EuclidStep, EuclidTrace, Variant, _step, _trace, check_pair
 
 MAX_WITNESSES = 16
 
 
-@dataclass(frozen=True)
-class EnumerationResult:
-    pair: tuple[int, int]
-    traces_examined: int
-    min_total_steps: int
-    min_divisions: int
-    witnesses_min_steps: tuple[EuclidTrace, ...]
+class EnumerationResult(Record):
+    __slots__ = _fields = (
+        "pair", "traces_examined", "min_total_steps", "min_divisions", "witnesses_min_steps"
+    )
+
+    def __init__(self, pair: tuple[int, int], traces_examined: int, min_total_steps: int,
+                 min_divisions: int, witnesses_min_steps: tuple[EuclidTrace, ...]) -> None:
+        set_field(self, "pair", pair)
+        set_field(self, "traces_examined", traces_examined)
+        set_field(self, "min_total_steps", min_total_steps)
+        set_field(self, "min_divisions", min_divisions)
+        set_field(self, "witnesses_min_steps", witnesses_min_steps)
 
 
 def enumerate_all(x0: int, x1: int) -> Iterator[EuclidTrace]:

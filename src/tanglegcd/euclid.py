@@ -24,9 +24,10 @@ consistent and chained by construction; they build through the unchecked
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
+
+from ._record import Record, set_field
 
 
 class Variant(str, Enum):
@@ -49,24 +50,23 @@ class WrongVariantError(ValueError):
     """Raised when an operation requires a trace of a different variant."""
 
 
-@dataclass(frozen=True, slots=True)
-class EuclidStep:
+class EuclidStep(Record):
     """One division equation a = b*quotient + epsilon*remainder."""
 
-    a: int
-    b: int
-    quotient: int
-    epsilon: int
-    remainder: int
+    __slots__ = _fields = ("a", "b", "quotient", "epsilon", "remainder")
 
-    def __post_init__(self) -> None:
-        r = self.remainder
+    def __init__(self, a: int, b: int, quotient: int, epsilon: int, remainder: int) -> None:
+        _set_a(self, a)
+        _set_b(self, b)
+        _set_quotient(self, quotient)
+        _set_epsilon(self, epsilon)
+        _set_remainder(self, remainder)
         if not (
-            self.epsilon in (1, -1)
-            and self.quotient >= 1
-            and 0 <= r < self.b
-            and (r != 0 or self.epsilon == 1)
-            and self.a == self.b * self.quotient + self.epsilon * r
+            epsilon in (1, -1)
+            and quotient >= 1
+            and 0 <= remainder < b
+            and (remainder != 0 or epsilon == 1)
+            and a == b * quotient + epsilon * remainder
         ):
             # No digits in the message: str() of a huge int can itself raise.
             raise ValueError(
@@ -74,34 +74,32 @@ class EuclidStep:
                 "with 0 <= remainder < b and epsilon +1 or -1 (+1 at remainder 0)"
             )
 
+    # Field by field: faster than Record's attrgetter for a type compared per step.
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (
+                self.a == other.a and self.b == other.b and self.quotient == other.quotient
+                and self.epsilon == other.epsilon and self.remainder == other.remainder
+            )
+        return NotImplemented
 
-@dataclass(frozen=True, slots=True)
-class EuclidTrace:
+    def __hash__(self) -> int:
+        return hash((self.a, self.b, self.quotient, self.epsilon, self.remainder))
+
+
+class EuclidTrace(Record):
     """An ordered, chained list of steps ending in the zero remainder."""
 
-    steps: tuple[EuclidStep, ...]
-    variant: Variant
+    __slots__ = _fields = ("steps", "variant")
 
-    def __post_init__(self) -> None:
-        steps = self.steps
+    def __init__(self, steps: tuple[EuclidStep, ...], variant: Variant) -> None:
+        _set_steps(self, steps)
+        _set_variant(self, variant)
         if not steps or steps[-1].remainder != 0 or any(
             (cur.a, cur.b) != (prev.b, prev.remainder) for prev, cur in zip(steps, steps[1:])
         ):
             raise ValueError("steps do not chain into one trace ending in remainder 0")
 
-
-def _setstate(self, state) -> None:
-    # Pickles written before steps and traces were slotted carry a dict.
-    if isinstance(state, dict):
-        self.__init__(**state)
-    else:
-        self.__init__(*state)
-
-
-# Assigned after the decorator: on Python 3.10, dataclass(slots=True) replaces
-# a __setstate__ defined in the class body with its own unchecked one.
-EuclidStep.__setstate__ = _setstate
-EuclidTrace.__setstate__ = _setstate
 
 _new = object.__new__
 _set_a, _set_b, _set_quotient, _set_epsilon, _set_remainder = (
@@ -130,11 +128,13 @@ def _trace(steps: tuple[EuclidStep, ...], variant: Variant) -> EuclidTrace:
     return trace
 
 
-@dataclass(frozen=True)
-class StepCount:
-    subtractions: int
-    swaps: int
-    total: int
+class StepCount(Record):
+    __slots__ = _fields = ("subtractions", "swaps", "total")
+
+    def __init__(self, subtractions: int, swaps: int, total: int) -> None:
+        set_field(self, "subtractions", subtractions)
+        set_field(self, "swaps", swaps)
+        set_field(self, "total", total)
 
 
 def always_positive(a: int, b: int) -> int:

@@ -27,11 +27,11 @@ one direction for start values of magnitude at least one.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from typing import Iterable, NamedTuple
 
+from ._record import Record, set_field
 from .euclid import RUNNERS, Variant
 from .rationals import (
     ExtendedRational,
@@ -91,11 +91,14 @@ def _opens_with_rotation(f: ExtendedRational) -> bool:
     return f.is_infinite or 0 < abs(f.numerator) < f.denominator
 
 
-@dataclass(frozen=True)
-class UntanglePlan:
-    start: ExtendedRational
-    stages: tuple[Stage, ...]
-    policy: Variant
+class UntanglePlan(Record):
+    _fields = ("start", "stages", "policy")
+    __slots__ = (*_fields, "__dict__")  # the dict holds the cached moves
+
+    def __init__(self, start: ExtendedRational, stages: tuple[Stage, ...], policy: Variant) -> None:
+        set_field(self, "start", start)
+        set_field(self, "stages", stages)
+        set_field(self, "policy", policy)
 
     @cached_property
     def moves(self) -> tuple[Move, ...]:
@@ -109,18 +112,22 @@ class UntanglePlan:
         return tuple(moves)
 
 
-@dataclass(frozen=True)
-class PlanMetrics:
-    twists: int
-    rotations: int
-    total: int
+class PlanMetrics(Record):
+    __slots__ = _fields = ("twists", "rotations", "total")
+
+    def __init__(self, twists: int, rotations: int, total: int) -> None:
+        set_field(self, "twists", twists)
+        set_field(self, "rotations", rotations)
+        set_field(self, "total", total)
 
 
-@dataclass(frozen=True)
-class ReplayReport:
+class ReplayReport(Record):
     """Replay of a move sequence: the start value, then one value per move."""
 
-    values: tuple[ExtendedRational, ...]
+    __slots__ = _fields = ("values",)
+
+    def __init__(self, values: tuple[ExtendedRational, ...]) -> None:
+        set_field(self, "values", values)
 
     @property
     def final(self) -> ExtendedRational:

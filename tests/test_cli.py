@@ -4,7 +4,6 @@ import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,7 +13,7 @@ from hypothesis import strategies as st
 
 from tanglegcd import cli
 from tanglegcd.cli import main
-from tanglegcd.enumeration import minimize
+from tanglegcd.enumeration import EnumerationResult, minimize
 from tanglegcd.euclid import run_negative, step_count, trace_to_dict
 
 
@@ -383,8 +382,9 @@ def test_enumerate_summary_and_flags_come_from_the_certificate(capsys, monkeypat
     # A certificate whose minima no listed trace reaches flags no row.
     def shifted(a, b):
         result = minimize(a, b)
-        return replace(result, min_total_steps=result.min_total_steps - 1,
-                       min_divisions=result.min_divisions - 1)
+        return EnumerationResult(result.pair, result.traces_examined,
+                                 result.min_total_steps - 1, result.min_divisions - 1,
+                                 result.witnesses_min_steps)
 
     monkeypatch.setattr(cli, "minimize", shifted)
     code, out, _ = run_cli(capsys, "enumerate", "4", "3")

@@ -28,6 +28,7 @@ from tanglegcd.euclid import (
     step_count,
     trace_to_dict,
 )
+from tanglegcd.enumeration import minimize
 
 
 pairs = st.tuples(st.integers(1, 400), st.integers(1, 400)).map(
@@ -333,7 +334,11 @@ def test_checked_constructors_refuse_without_asserts():
     assert json.loads(proc.stdout) == [1, ["ValueError"] * len(BAD_BUILDS)]
 
 
-@pytest.mark.parametrize("value", [run_lar(8, 5), run_lar(8, 5).steps[0]], ids=["trace", "step"])
+@pytest.mark.parametrize(
+    "value",
+    [run_lar(8, 5), run_lar(8, 5).steps[0], step_count(run_lar(8, 5)), minimize(8, 5)],
+    ids=["trace", "step", "step count", "enumeration"],
+)
 def test_traces_round_trip_through_pickle_and_deepcopy(value):
     copies = [pickle.loads(pickle.dumps(value, protocol))
               for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
@@ -341,7 +346,7 @@ def test_traces_round_trip_through_pickle_and_deepcopy(value):
         assert other == value
         assert hash(other) == hash(value)
         assert repr(other) == repr(value)
-    # Steps and traces are slotted: no per-instance dict.
+    # Steps, traces and results are slotted: no per-instance dict.
     assert not hasattr(value, "__dict__")
 
 

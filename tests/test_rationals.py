@@ -24,7 +24,15 @@ from tanglegcd.rationals import (
     rotate_value,
     twist_value,
 )
-from tanglegcd.tangles import Move, replay, tangle_number
+from tanglegcd.euclid import Variant
+from tanglegcd.tangles import (
+    Move,
+    UntanglePlan,
+    plan_metrics,
+    plan_untangle,
+    replay,
+    tangle_number,
+)
 from math import gcd
 
 
@@ -166,9 +174,16 @@ def test_str_forms():
     assert str(INFINITY) == "inf"
 
 
+# A plan with its moves cached: the cache is not part of the pickled state.
+PLAN_8_5 = plan_untangle(normalize(8, 5), Variant.LEAST_ABSOLUTE)
+PLAN_8_5.moves
+
+
 @pytest.mark.parametrize(
-    "value", [ZERO, INFINITY, normalize(-8, 5), normalize(10**50 + 1, 3)],
-    ids=["zero", "inf", "-8/5", "51 digits"],
+    "value",
+    [ZERO, INFINITY, normalize(-8, 5), normalize(10**50 + 1, 3),
+     replay(normalize(8, 5), PLAN_8_5.moves), plan_metrics(PLAN_8_5), PLAN_8_5],
+    ids=["zero", "inf", "-8/5", "51 digits", "replay report", "plan metrics", "plan"],
 )
 def test_value_round_trips_through_pickle_and_deepcopy(value):
     copies = [pickle.loads(pickle.dumps(value, protocol))
@@ -177,8 +192,9 @@ def test_value_round_trips_through_pickle_and_deepcopy(value):
         assert other == value
         assert hash(other) == hash(value)
         assert repr(other) == repr(value)
-    # Values are slotted: no per-instance dict.
-    assert not hasattr(value, "__dict__")
+    # Values and records are slotted: no per-instance dict, but for the one
+    # in which a plan caches its moves.
+    assert hasattr(value, "__dict__") == isinstance(value, UntanglePlan)
 
 
 # -8/5 pickled with protocol 2 at a9f359c, before values were slotted: the state is a dict.

@@ -1,0 +1,135 @@
+"""The frozen records behind every value and result type, and the cold import."""
+
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import tanglegcd
+from tanglegcd.enumeration import EnumerationResult, minimize
+from tanglegcd.euclid import EuclidStep, EuclidTrace, StepCount, Variant, run_lar, step_count
+from tanglegcd.rationals import ZERO, ExtendedRational, normalize
+from tanglegcd.tangles import (
+    Move,
+    PlanMetrics,
+    ReplayReport,
+    Stage,
+    UntanglePlan,
+    plan_untangle,
+    replay,
+)
+
+LAR_8_5 = run_lar(8, 5)
+
+# One example per record: its fields by name, and its repr as recorded
+# when the records were dataclasses.
+EXAMPLES = [
+    (ExtendedRational, {"numerator": -8, "denominator": 5},
+     "ExtendedRational(numerator=-8, denominator=5)"),
+    (EuclidStep, {"a": 8, "b": 5, "quotient": 2, "epsilon": -1, "remainder": 2},
+     "EuclidStep(a=8, b=5, quotient=2, epsilon=-1, remainder=2)"),
+    (EuclidTrace, {"steps": LAR_8_5.steps, "variant": Variant.LEAST_ABSOLUTE},
+     "EuclidTrace(steps=(EuclidStep(a=8, b=5, quotient=2, epsilon=-1, remainder=2), "
+     "EuclidStep(a=5, b=2, quotient=2, epsilon=1, remainder=1), "
+     "EuclidStep(a=2, b=1, quotient=2, epsilon=1, remainder=0)), "
+     "variant=<Variant.LEAST_ABSOLUTE: 'LeastAbsolute'>)"),
+    (StepCount, {"subtractions": 6, "swaps": 2, "total": 8},
+     "StepCount(subtractions=6, swaps=2, total=8)"),
+    (EnumerationResult,
+     {"pair": (3, 2), "traces_examined": 2, "min_total_steps": 4, "min_divisions": 2,
+      "witnesses_min_steps": minimize(3, 2).witnesses_min_steps},
+     "EnumerationResult(pair=(3, 2), traces_examined=2, min_total_steps=4, min_divisions=2, "
+     "witnesses_min_steps=(EuclidTrace(steps=(EuclidStep(a=3, b=2, quotient=1, epsilon=1, "
+     "remainder=1), EuclidStep(a=2, b=1, quotient=2, epsilon=1, remainder=0)), "
+     "variant=<Variant.CUSTOM: 'Custom'>),))"),
+    (UntanglePlan,
+     {"start": normalize(2, 1), "stages": (Stage(2, -1),), "policy": Variant.REGULAR},
+     "UntanglePlan(start=ExtendedRational(numerator=2, denominator=1), "
+     "stages=(Stage(twist_count=2, twist_direction=-1),), policy=<Variant.REGULAR: 'Regular'>)"),
+    (PlanMetrics, {"twists": 2, "rotations": 0, "total": 2},
+     "PlanMetrics(twists=2, rotations=0, total=2)"),
+    (ReplayReport, {"values": (normalize(1, 1), ZERO)},
+     "ReplayReport(values=(ExtendedRational(numerator=1, denominator=1), "
+     "ExtendedRational(numerator=0, denominator=1)))"),
+]
+
+# Protocol-2 pickles written when the records were dataclasses (b64bded).
+# The slotted types wrote their fields as a list, as the records do now.
+LAR_8_5_PICKLE = (
+    b"\x80\x02ctanglegcd.euclid\nEuclidTrace\nq\x00)\x81q\x01]q\x02(ctanglegcd.euclid\n"
+    b"EuclidStep\nq\x03)\x81q\x04]q\x05(K\x08K\x05K\x02J\xff\xff\xff\xffK\x02ebh\x03)\x81q\x06]"
+    b"q\x07(K\x05K\x02K\x02K\x01K\x01ebh\x03)\x81q\x08]q\t(K\x02K\x01K\x02K\x01K\x00eb\x87q\n"
+    b"ctanglegcd.euclid\nVariant\nq\x0bX\r\x00\x00\x00LeastAbsoluteq\x0c\x85q\rRq\x0eeb."
+)
+MINUS_8_5_PICKLE = (
+    b"\x80\x02ctanglegcd.rationals\nExtendedRational\nq\x00)\x81q\x01]q\x02"
+    b"(J\xf8\xff\xff\xffK\x05eb."
+)
+# The other types wrote their __dict__, which held a plan's cached moves too.
+DICT_STATE_PICKLES = {
+    "step count": (
+        b"\x80\x02ctanglegcd.euclid\nStepCount\nq\x00)\x81q\x01}q\x02(X\x0c\x00\x00\x00"
+        b"subtractionsq\x03K\x06X\x05\x00\x00\x00swapsq\x04K\x02X\x05\x00\x00\x00totalq\x05K"
+        b"\x08ub.",
+        step_count(LAR_8_5),
+    ),
+    "plan with cached moves": (
+        b"\x80\x02ctanglegcd.tangles\nUntanglePlan\nq\x00)\x81q\x01}q\x02(X\x05\x00\x00\x00"
+        b"startq\x03ctanglegcd.rationals\nExtendedRational\nq\x04)\x81q\x05]q\x06(K\x02K\x01eb"
+        b"X\x06\x00\x00\x00stagesq\x07ctanglegcd.tangles\nStage\nq\x08K\x02J\xff\xff\xff\xff"
+        b"\x86q\t\x81q\n\x85q\x0bX\x06\x00\x00\x00policyq\x0cctanglegcd.euclid\nVariant\nq\r"
+        b"X\x07\x00\x00\x00Regularq\x0e\x85q\x0fRq\x10X\x05\x00\x00\x00movesq\x11"
+        b"ctanglegcd.tangles\nMove\nq\x12X\x02\x00\x00\x00-Tq\x13\x85q\x14Rq\x15h\x15\x86q\x16ub.",
+        plan_untangle(normalize(2, 1), Variant.REGULAR),
+    ),
+    "replay report": (
+        b"\x80\x02ctanglegcd.tangles\nReplayReport\nq\x00)\x81q\x01}q\x02X\x06\x00\x00\x00"
+        b"valuesq\x03ctanglegcd.rationals\nExtendedRational\nq\x04)\x81q\x05]q\x06(K\x01K\x01eb"
+        b"h\x04)\x81q\x07]q\x08(K\x00K\x01eb\x86q\tsb.",
+        replay(normalize(1, 1), (Move.TWIST_NEGATIVE,)),
+    ),
+}
+
+
+def test_records_construct_print_refuse_changes_and_pickle_as_before():
+    for cls, fields, literal in EXAMPLES:
+        record = cls(**fields)
+        assert cls(*fields.values()) == record, cls
+        assert repr(record) == literal
+        assert cls.__match_args__ == tuple(fields)
+        for name in [*fields, "other"]:
+            with pytest.raises(AttributeError):
+                setattr(record, name, 0)
+            with pytest.raises(AttributeError):
+                delattr(record, name)
+        assert record != tuple(fields.values()) and tuple(fields.values()) != record
+    # Equal fields in records of different classes, or one field apart, are unequal.
+    assert StepCount(2, 0, 2) != PlanMetrics(2, 0, 2)
+    assert normalize(1, 2) != normalize(1, 3) and normalize(1, 2) != normalize(3, 2)
+    assert pickle.dumps(run_lar(8, 5), 2) == LAR_8_5_PICKLE
+    assert pickle.dumps(normalize(-8, 5), 2) == MINUS_8_5_PICKLE
+    assert pickle.loads(LAR_8_5_PICKLE) == run_lar(8, 5)
+    assert pickle.loads(MINUS_8_5_PICKLE) == normalize(-8, 5)
+    for name, (data, expected) in DICT_STATE_PICKLES.items():
+        loaded = pickle.loads(data)
+        assert (loaded, hash(loaded)) == (expected, hash(expected)), name
+        assert not hasattr(loaded, "__dict__") or loaded.__dict__ == {}, name
+    assert pickle.loads(DICT_STATE_PICKLES["plan with cached moves"][0]).moves == (
+        Move.TWIST_NEGATIVE, Move.TWIST_NEGATIVE
+    )
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    env = dict(os.environ)
+    src = str(Path(tanglegcd.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, tanglegcd.cli; "
+         "print(sorted({'dataclasses', 'inspect'} & sys.modules.keys()))"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
