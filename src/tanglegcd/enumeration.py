@@ -9,17 +9,27 @@ recurrence, and the recurrence collapses each chain of quotient-1 steps
 taken with a -1 remainder into a closed form, so its cost grows with the
 number of divisions, not with the partial quotients or with x0.  Nothing
 here consults the named variants, so both are independent oracles for them.
+
+One walker, `_generate`, serves the whole tree and the witnesses' subtree.
+It keeps a shared path of entries, one per step from the root, and each
+entry is built from its parent's by the caller's `branches` function:
+`enumerate_all` and the witnesses make each entry the step itself and build
+a trace from the path at each leaf, while the CLI's listing carries the
+rendered prefix of a row, so that a row costs one concatenation per entered
+node and no trace.
 """
 
 from __future__ import annotations
 
 from itertools import islice
-from typing import Callable, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator, TypeVar
 
 from ._record import Record, set_field
 from .euclid import EuclidStep, EuclidTrace, Variant, _step, _trace, check_pair
 
 MAX_WITNESSES = 16
+
+T = TypeVar("T")
 
 
 class EnumerationResult(Record):
@@ -36,6 +46,19 @@ class EnumerationResult(Record):
         set_field(self, "witnesses_min_steps", witnesses_min_steps)
 
 
+# The children of a pair as (a, b, entry): the next pair and the path entry
+# of the step that enters it.
+Children = Iterable[tuple[int, int, Any]]
+
+
+def _every_branch(a: int, b: int, q: int, r: int, _: object) -> Children:
+    return (b, b - r, _step(a, b, q + 1, -1, b - r)), (b, r, _step(a, b, q, 1, r))
+
+
+def _trace_leaf(path: list[EuclidStep], a: int, b: int, q: int) -> EuclidTrace:
+    return _trace((*path, _step(a, b, q, 1, 0)), Variant.CUSTOM)
+
+
 def enumerate_all(x0: int, x1: int) -> Iterator[EuclidTrace]:
     """Yield every distinct valid trace for (x0, x1) exactly once.
 
@@ -43,35 +66,42 @@ def enumerate_all(x0: int, x1: int) -> Iterator[EuclidTrace]:
     the order is reproducible.
     """
     check_pair(x0, x1)
-    return _generate(x0, x1, lambda a, b, q, r: ((q + 1, -1, b - r), (q, 1, r)))
+    return _generate(x0, x1, _every_branch, _trace_leaf)
 
 
 def _generate(
-    x0: int, x1: int, branches: Callable[[int, int, int, int], Iterable[tuple[int, int, int]]]
-) -> Iterator[EuclidTrace]:
-    # Explicit stack: entries are (a, b, entering_step) and a None sentinel
-    # that pops the shared path when a subtree is done.  Recursion would
-    # overflow on staircase pairs such as (10000, 9999).  At a pair (a, b)
-    # with q, r = divmod(a, b) and r > 0, `branches(a, b, q, r)` gives the
-    # steps to enter as (quotient, epsilon, remainder), the -1 branch first,
-    # so that the +1 branch is walked first.
-    path: list[EuclidStep] = []
-    stack: list[tuple[int, int, EuclidStep | None] | None] = [(x0, x1, None)]
+    x0: int,
+    x1: int,
+    branches: Callable[[int, int, int, int, Any], Children],
+    leaf: Callable[[list, int, int, int], T],
+    root: Any = None,
+) -> Iterator[T]:
+    # Explicit stack: entries are (a, b, entry) and a None sentinel that pops
+    # the shared path when a subtree is done.  Recursion would overflow on
+    # staircase pairs such as (10000, 9999).  An entry is built from its
+    # parent's: at a pair (a, b) entered by `entry`, with q, r = divmod(a, b)
+    # and r > 0, `branches(a, b, q, r, entry)` gives the children, the -1
+    # branch first, so that the +1 branch is walked first.  At r == 0 the
+    # walk yields `leaf(path, a, b, q)`, where `path` holds the entries from
+    # the root down to the leaf's; `root` is the entry of (x0, x1), and a
+    # None root is kept off the path.
+    path: list = []
+    stack: list[tuple[int, int, Any] | None] = [(x0, x1, root)]
     while stack:
         entry = stack.pop()
         if entry is None:
             path.pop()
             continue
-        a, b, enter = entry
-        if enter is not None:
-            path.append(enter)
+        a, b, node = entry
+        if node is not None:
+            path.append(node)
         q, r = divmod(a, b)
         if r == 0:
-            yield _trace((*path, _step(a, b, q, 1, 0)), Variant.CUSTOM)
+            yield leaf(path, a, b, q)
             continue
-        for quotient, epsilon, remainder in branches(a, b, q, r):
+        for child in branches(a, b, q, r, node):
             stack.append(None)
-            stack.append((b, remainder, _step(a, b, quotient, epsilon, remainder)))
+            stack.append(child)
 
 
 # Values of a state: (min total, min divisions, trace count).
@@ -164,14 +194,14 @@ def minimize(x0: int, x1: int) -> EnumerationResult:
 
     total, divisions, count = solved(x0, x1)
 
-    def optimal(a: int, b: int, q: int, r: int) -> list[tuple[int, int, int]]:
+    def optimal(a: int, b: int, q: int, r: int, _: object) -> Children:
         # The branches from which the minimum of pair (a, b) stays reachable.
         plus, minus = solved(b, r)[0], solved(b, b - r)[0] + 1
         branches = []
         if minus <= plus:
-            branches.append((q + 1, -1, b - r))
+            branches.append((b, b - r, _step(a, b, q + 1, -1, b - r)))
         if plus <= minus:
-            branches.append((q, 1, r))
+            branches.append((b, r, _step(a, b, q, 1, r)))
         return branches
 
     return EnumerationResult(
@@ -179,5 +209,5 @@ def minimize(x0: int, x1: int) -> EnumerationResult:
         traces_examined=count,
         min_total_steps=total,
         min_divisions=divisions,
-        witnesses_min_steps=tuple(islice(_generate(x0, x1, optimal), MAX_WITNESSES)),
+        witnesses_min_steps=tuple(islice(_generate(x0, x1, optimal, _trace_leaf), MAX_WITNESSES)),
     )

@@ -14,7 +14,8 @@ produce canonical pairs by construction (a twist keeps gcd, since
 gcd(n + k*d, d) = gcd(n, d); a rotation or negation only swaps or negates the
 pair), so they take the unchecked `_canonical` path and pay no gcd per value.
 `_canonical_values` is the same path in bulk, for the move kernel in
-`tangles`.
+`tangles`, and `_value_strings` renders such pairs as their values print,
+without building the values, for the CLI's streamed listings.
 """
 
 from __future__ import annotations
@@ -115,6 +116,12 @@ def _canonical_values(
     deque(map(_set_numerator, values, numerators), maxlen=0)
     deque(map(_set_denominator, values, denominators), maxlen=0)
     return values
+
+
+def _value_strings(numerators: Sequence[int], denominators: Sequence[int]) -> list[str]:
+    """str() of the value of each canonical pair, without building the values."""
+    return [str(n) if d == 1 else f"{n}/{d}" if d else "inf"
+            for n, d in zip(numerators, denominators)]
 
 
 ZERO = ExtendedRational(0, 1)

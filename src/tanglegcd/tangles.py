@@ -7,7 +7,8 @@ zero, and a Euclidean trace for the numerator/denominator pair reads off
 directly as a move sequence: each equation contributes its quotient in
 twists toward zero, followed by a rotation, except after the last equation.
 A plan stores one stage per equation, so planning and plan metrics cost
-O(divisions); its single moves are expanded from the stages once per plan.
+O(divisions); its single moves are expanded from the stages once per plan,
+or lazily, one `repeat` per stage, for a caller that streams them.
 
 Replay is one loop over the moves on the integer pair (n, d) of the current
 value, with no call per move (`_fold`); `replay` then builds all of its
@@ -29,11 +30,13 @@ from __future__ import annotations
 from collections import deque
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, NamedTuple
+from itertools import chain, repeat
+from typing import Iterable, Iterator, NamedTuple
 
 from ._record import Record, set_field
 from .euclid import RUNNERS, Variant
 from .rationals import (
+    ZERO,
     ExtendedRational,
     _canonical,
     _canonical_values,
@@ -103,13 +106,17 @@ class UntanglePlan(Record):
     @cached_property
     def moves(self) -> tuple[Move, ...]:
         """The single moves, expanded from the stages once per plan."""
-        moves = [Move.ROTATE] if _opens_with_rotation(self.start) else []
-        for index, stage in enumerate(self.stages):
-            if index:
-                moves.append(Move.ROTATE)
+        return tuple(self.iter_moves())
+
+    def iter_moves(self) -> Iterator[Move]:
+        """The single moves, expanded lazily: one `repeat` per stage."""
+        rotation = (Move.ROTATE,)
+        runs = [rotation] if _opens_with_rotation(self.start) else []
+        for stage in self.stages:
             twist = Move.TWIST_POSITIVE if stage.twist_direction > 0 else Move.TWIST_NEGATIVE
-            moves += [twist] * stage.twist_count
-        return tuple(moves)
+            runs += (repeat(twist, stage.twist_count), rotation)
+        # A rotation follows every stage but the last.
+        return chain.from_iterable(runs[:-1] if self.stages else runs)
 
 
 class PlanMetrics(Record):
@@ -172,10 +179,15 @@ def _fold(n: int, d: int, moves: Iterable[Move], numerators, denominators) -> tu
     return n, d
 
 
-def tangle_number(moves: Iterable[Move]) -> ExtendedRational:
-    """Fold a move sequence from the untangled value 0; only the last value is built."""
+def _final(start: ExtendedRational, moves: Iterable[Move]) -> ExtendedRational:
+    """The value the moves reach from start; only that value is built."""
     discard = deque(maxlen=0)
-    return _canonical(*_fold(0, 1, moves, discard, discard))
+    return _canonical(*_fold(start.numerator, start.denominator, moves, discard, discard))
+
+
+def tangle_number(moves: Iterable[Move]) -> ExtendedRational:
+    """Fold a move sequence from the untangled value 0."""
+    return _final(ZERO, moves)
 
 
 def plan_untangle(f: ExtendedRational, policy: Variant) -> UntanglePlan:

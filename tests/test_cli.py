@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -13,8 +14,9 @@ from hypothesis import strategies as st
 
 from tanglegcd import cli
 from tanglegcd.cli import main
-from tanglegcd.enumeration import EnumerationResult, minimize
-from tanglegcd.euclid import run_negative, step_count, trace_to_dict
+from tanglegcd.enumeration import EnumerationResult, enumerate_all, minimize
+from tanglegcd.euclid import division_count, run_negative, step_count, trace_to_dict
+from tanglegcd.tangles import Stage, UntanglePlan
 
 
 def run_cli(capsys, *argv):
@@ -459,7 +461,10 @@ def test_a_long_malformed_argument_is_quoted_in_part(capsys, name):
 
 
 @pytest.mark.parametrize(
-    "argv", [["untangle", "100000"], ["--json", "enumerate", "2000", "1999"]]
+    "argv",
+    [["untangle", "100000"], ["--json", "enumerate", "2000", "1999"],
+     # streamed: the write that fails comes mid-listing, not in one final print
+     ["enumerate", "2000", "1999"], ["--json", "untangle", "100000"]],
 )
 def test_closed_pipe_exits_1_without_traceback(argv):
     # Both commands write far more than a pipe buffer holds, so the write
@@ -530,3 +535,134 @@ def test_main_exits_0_1_or_2_without_traceback_and_prints_one_json_object(argv):
     assert "Traceback" not in err.getvalue()
     if "--json" in argv and code in (0, 1):
         assert isinstance(json.loads(out.getvalue()), dict)
+
+
+def reference_enumerate(a, b):
+    """`enumerate a b` as rendered from trace records, in both modes: (JSON, text)."""
+    certificate = minimize(a, b)
+    rows = []
+    for trace in enumerate_all(a, b):
+        divisions, total = division_count(trace), step_count(trace).total
+        rows.append({
+            "quotients": [s.quotient for s in trace.steps],
+            "epsilons": [s.epsilon for s in trace.steps],
+            "divisions": divisions,
+            "total": total,
+            "min_steps": total == certificate.min_total_steps,
+            "min_divisions": divisions == certificate.min_divisions,
+        })
+    payload = {
+        "x0": a, "x1": b, "traces": rows,
+        "traces_examined": certificate.traces_examined,
+        "min_total_steps": certificate.min_total_steps,
+        "min_divisions": certificate.min_divisions,
+    }
+    lines = []
+    for i, row in enumerate(rows, start=1):
+        quotients = ",".join(str(q) for q in row["quotients"])
+        epsilons = ",".join("+" if e > 0 else "-" for e in row["epsilons"])
+        flags = " *min-steps" if row["min_steps"] else ""
+        flags += " *min-divisions" if row["min_divisions"] else ""
+        lines.append(
+            f"#{i} quotients=[{quotients}] epsilons=[{epsilons}] total={row['total']}{flags}")
+    lines.append(f"summary: {certificate.traces_examined} traces, min total steps "
+                 f"{certificate.min_total_steps}, min divisions {certificate.min_divisions}")
+    return json.dumps(payload) + "\n", "\n".join(lines) + "\n"
+
+
+def test_enumerate_rows_rendered_in_the_walk_match_the_trace_records(capsys):
+    for a in range(1, 51):
+        for b in range(1, a + 1):
+            expected_json, expected_text = reference_enumerate(a, b)
+            assert run_cli(capsys, "--json", "enumerate", str(a), str(b)) == (0, expected_json, "")
+            assert run_cli(capsys, "enumerate", str(a), str(b)) == (0, expected_text, "")
+
+
+def child_env():
+    env = dict(os.environ)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+# Runs main on its arguments and reports, on stderr, the exit code and its
+# own peak RSS (RUSAGE_SELF: RUSAGE_CHILDREN in the test would keep the
+# maximum over every earlier child).
+PEAK_RSS_SCRIPT = """
+import resource, sys
+from tanglegcd.cli import main
+code = main(sys.argv[1:])
+sys.stdout.flush()
+print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)
+"""
+
+
+def test_a_two_million_move_untangle_streams_in_flat_memory():
+    pytest.importorskip("resource")
+    proc = subprocess.Popen(
+        [sys.executable, "-c", PEAK_RSS_SCRIPT, "--json", "untangle", "2000000"],
+        env=child_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    digest, size = hashlib.sha256(), 0
+    try:
+        while chunk := proc.stdout.read(1 << 20):
+            digest.update(chunk)
+            size += len(chunk)
+        err = proc.stderr.read().decode()
+        proc.wait(timeout=120)
+    finally:
+        proc.kill()
+        proc.stdout.close()
+        proc.stderr.close()
+    code, peak = map(int, err.split())
+    # ru_maxrss is in bytes on macOS and in KiB elsewhere.
+    peak_mb = peak / (1 << 20 if sys.platform == "darwin" else 1 << 10)
+    assert (code, size, digest.hexdigest()) == (
+        0, 26_889_037, "cd35de260b5c6c813be000edc58e5073c4327fc2c94f71ce6473a36abd195fdd")
+    assert peak_mb < 60
+
+
+class TailSink(io.TextIOBase):
+    """A stdout that counts what is written and keeps only its end."""
+
+    def __init__(self):
+        self.size, self.tail = 0, ""
+
+    def writable(self):
+        return True
+
+    def write(self, text):
+        self.size += len(text)
+        self.tail = (self.tail + text)[-20_000:]
+        return len(text)
+
+
+def test_verify_streams_values_past_the_int_str_limit():
+    # Values reach about 4,600 digits, over the default limit of 4,300, and
+    # are rendered as they are written, so the limit must stay lifted then.
+    moves = ",".join(["T,R,-T,R"] * 11_000)
+    limit = sys.get_int_max_str_digits()
+    sink, err = TailSink(), io.StringIO()
+    with redirect_stdout(sink), redirect_stderr(err):
+        code = main(["verify", "0", "--moves", moves])
+    assert (code, err.getvalue()) == (1, "")
+    assert sys.get_int_max_str_digits() == limit
+    value = Fraction(0)
+    for token in moves.split(","):
+        value = -1 / value if token == "R" else value + (1 if token == "T" else -1)
+    assert value.denominator > 10**4_300
+    sys.set_int_max_str_digits(0)
+    try:
+        assert sink.tail.endswith(f"\nR -> {value}\nfinal: {value}\nresult: fail\n")
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_an_untangle_plan_that_misses_zero_writes_nothing(capsys, monkeypatch):
+    def short_plan(f, policy):
+        return UntanglePlan(f, (Stage(1, -1),), policy)
+
+    monkeypatch.setattr(cli, "plan_untangle", short_plan)
+    for argv in (["untangle", "8/5"], ["--json", "untangle", "8/5"]):
+        assert run_cli(capsys, *argv) == (
+            1, "", "error: internal error: plan for 8/5 replayed to 3/5\n")

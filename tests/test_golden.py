@@ -74,6 +74,15 @@ GOLDEN = {
         0, (106, "7173986ed64a50cf9c38d93bf918e89c4eecf0a28bb848d3007bdf78f1a40a34"), EMPTY),
     "verify -8/5 --moves -T,R": (
         1, (59, "0a6a8feb91836150a7d87e0c60e2b45bfb23f1650eea8741d0f4ed22d4863886"), EMPTY),
+    # long listings, written as they are rendered
+    "--json untangle 100000": (
+        0, (1189033, "3e27f0c3c8a6786574edcdaa14fe8fd3a83830fd862a12a717ed406de923cb1e"), EMPTY),
+    "untangle 100000 --method negative": (
+        0, (1188969, "fa2c7543cc451394f84dad545fc9e090d514c4a121aa0f446e2af8f9ed25322c"), EMPTY),
+    "enumerate 200 199": (
+        0, (88220, "46c193cbac26666a687f6cae94b1f77572a6d5e80116c504be296caf6fb0e741"), EMPTY),
+    "--json enumerate 200 199": (
+        0, (161867, "c0677e995accb85b2107548d02eb9abc4ad6bcd8a4b4b31ec9048206552affe3"), EMPTY),
 }
 
 # command line -> (exit code, last stderr line)

@@ -33,6 +33,7 @@ from tanglegcd.tangles import (
     replay,
     tangle_number,
 )
+from tanglegcd.rationals import _value_strings
 from math import gcd
 
 
@@ -318,3 +319,9 @@ def test_excerpt_quotes_text_whole_up_to_40_characters():
     assert excerpt("-x") == "'-x'"
     assert excerpt("7" * 40) == repr("7" * 40)
     assert excerpt("7" * 41) == f"{'7' * 40!r}... (41 characters)"
+
+
+@given(st.lists(st.one_of(fractions, st.just(INFINITY), st.just(ZERO)), max_size=20))
+def test_value_strings_render_pairs_as_their_values_print(values):
+    strings = _value_strings([v.numerator for v in values], [v.denominator for v in values])
+    assert strings == [str(v) for v in values]

@@ -204,6 +204,22 @@ def test_replay_lists_each_twist_and_fixes_infinity():
     assert verify_plan(one, plan).values == (one, normalize(-1, 1), ZERO)
 
 
+@given(st.one_of(plan_starts, canonical_fractions), st.sampled_from(POLICIES))
+def test_iter_moves_expands_the_same_moves_lazily(f, policy):
+    plan = plan_untangle(f, policy)
+    moves = plan.iter_moves()
+    assert not isinstance(moves, (list, tuple))
+    assert tuple(moves) == plan.moves
+
+
+def test_iter_moves_of_hand_built_stages():
+    one = normalize(1, 1)
+    for stages in [(Stage(-1, 1), Stage(1, 1)), (Stage(0, 1),), (), (Stage(2, -1), Stage(0, 1))]:
+        plan = UntanglePlan(one, stages, Variant.REGULAR)
+        assert tuple(plan.iter_moves()) == plan.moves
+    assert tuple(UntanglePlan(INFINITY, (), Variant.REGULAR).iter_moves()) == (R,)
+
+
 def reference_parse(text):
     """Independent oracle: the per-token loop; the first bad token and its position, or None."""
     for position, raw in enumerate(text.split(","), start=1):
