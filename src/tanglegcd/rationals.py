@@ -15,7 +15,8 @@ gcd(n + k*d, d) = gcd(n, d); a rotation or negation only swaps or negates the
 pair), so they take the unchecked `_canonical` path and pay no gcd per value.
 `_canonical_values` is the same path in bulk, for the move kernel in
 `tangles`, and `_value_strings` renders such pairs as their values print,
-without building the values, for the CLI's streamed listings.
+without building the values and reusing the digits consecutive pairs share,
+for the CLI's streamed listings.
 """
 
 from __future__ import annotations
@@ -119,9 +120,29 @@ def _canonical_values(
 
 
 def _value_strings(numerators: Sequence[int], denominators: Sequence[int]) -> list[str]:
-    """str() of the value of each canonical pair, without building the values."""
-    return [str(n) if d == 1 else f"{n}/{d}" if d else "inf"
-            for n, d in zip(numerators, denominators)]
+    """str() of the value of each canonical pair, without building the values.
+
+    A pair reuses the digits it shares with the pair before, as a twist keeps
+    the denominator and a rotation swaps |n| and d: int == is linear in the
+    digit count, str() quadratic.
+    """
+    if max(denominators, default=0).bit_length() <= 64:
+        # No digits worth reusing: a twist changes the numerator, and a
+        # rotation turns a small denominator into the numerator.
+        return [str(n) if d == 1 else f"{n}/{d}" if d else "inf"
+                for n, d in zip(numerators, denominators)]
+    strings, n0, d0 = [], 0, -1  # the pair before, whose str()s are n_text and d_text
+    for n, d in zip(numerators, denominators):
+        if d != d0:
+            if d == abs(n0) and abs(n) == d0:
+                n_text, d_text = "-" + d_text if n < 0 else d_text, n_text.lstrip("-")
+            else:
+                n_text, d_text = str(n), str(d)
+        else:
+            n_text = str(n)
+        strings.append(n_text if d == 1 else f"{n_text}/{d_text}" if d else "inf")
+        n0, d0 = n, d
+    return strings
 
 
 ZERO = ExtendedRational(0, 1)

@@ -2,10 +2,12 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -15,7 +17,14 @@ from hypothesis import strategies as st
 from tanglegcd import cli
 from tanglegcd.cli import main
 from tanglegcd.enumeration import EnumerationResult, enumerate_all, minimize
-from tanglegcd.euclid import division_count, run_negative, step_count, trace_to_dict
+from tanglegcd.euclid import (
+    RUNNERS,
+    Variant,
+    division_count,
+    run_negative,
+    step_count,
+    trace_to_dict,
+)
 from tanglegcd.tangles import Stage, UntanglePlan
 
 
@@ -349,10 +358,10 @@ def test_construct_prints_a_value_past_the_int_str_limit(capsys):
 
 
 def test_json_mode_formats_no_trace_equation(capsys, monkeypatch):
-    def refuse(step):
+    def refuse(*row):
         raise AssertionError("a text line was formatted in JSON mode")
 
-    monkeypatch.setattr(cli, "_equation", refuse)
+    monkeypatch.setattr(cli, "_text_step", refuse)
     code, out, _ = run_cli(capsys, "--json", "gcd", "807", "673")
     assert code == 0
     assert json.loads(out)["total_steps"] == 57
@@ -578,6 +587,42 @@ def test_enumerate_rows_rendered_in_the_walk_match_the_trace_records(capsys):
             assert run_cli(capsys, "enumerate", str(a), str(b)) == (0, expected_text, "")
 
 
+METHODS = {"regular": Variant.REGULAR, "lar": Variant.LEAST_ABSOLUTE, "negative": Variant.NEGATIVE}
+
+
+def reference_gcd(a, b, method):
+    """`gcd a b --method method` as rendered from the trace record, in both modes: (JSON, text)."""
+    trace = RUNNERS[METHODS[method]](a, b)
+    counts = step_count(trace)
+    payload = {
+        "x0": a, "x1": b, "method": method, "trace": trace_to_dict(trace), "gcd": gcd(a, b),
+        "divisions": division_count(trace), "subtractions": counts.subtractions,
+        "swaps": counts.swaps, "total_steps": counts.total,
+    }
+    lines = [f"{s['a']} = {s['b']}({s['q']}){'+' if s['eps'] > 0 else '-'}{s['r']}"
+             for s in payload["trace"]["steps"]]
+    lines += ["", f"gcd: {payload['gcd']}", f"divisions: {payload['divisions']}",
+              f"subtractions: {counts.subtractions}", f"swaps: {counts.swaps}",
+              f"total steps: {counts.total}"]
+    return json.dumps(payload) + "\n", "\n".join(lines) + "\n"
+
+
+def test_gcd_traces_rendered_from_digits_match_the_trace_records(capsys, monkeypatch):
+    # One parser serves every call: building it is most of a small call's time.
+    parser = cli.build_parser()
+    monkeypatch.setattr(cli, "build_parser", lambda: parser)
+    rng = random.Random(12)
+    large = [sorted((rng.randrange(10**299, 10**300), rng.randrange(10**299, 10**300)),
+                    reverse=True) for _ in range(3)]
+    small = [(a, b) for a in range(1, 61) for b in range(1, a + 1)]
+    for a, b in small + large:
+        for method in METHODS:
+            expected_json, expected_text = reference_gcd(a, b, method)
+            argv = ["gcd", str(a), str(b), "--method", method]
+            assert run_cli(capsys, "--json", *argv) == (0, expected_json, "")
+            assert run_cli(capsys, *argv) == (0, expected_text, "")
+
+
 def child_env():
     env = dict(os.environ)
     src = str(Path(cli.__file__).resolve().parents[1])
@@ -586,21 +631,32 @@ def child_env():
 
 
 # Runs main on its arguments and reports, on stderr, the exit code and its
-# own peak RSS (RUSAGE_SELF: RUSAGE_CHILDREN in the test would keep the
-# maximum over every earlier child).
+# own peak RSS in bytes.  That is VmHWM where /proc exists: Linux carries the
+# spawning process's peak across exec into ru_maxrss, so under RUSAGE_SELF a
+# child started from a large test process reports at least that process's
+# peak (and RUSAGE_CHILDREN in the test would keep the maximum over every
+# earlier child).
 PEAK_RSS_SCRIPT = """
-import resource, sys
+import sys
 from tanglegcd.cli import main
 code = main(sys.argv[1:])
 sys.stdout.flush()
-print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)
+try:
+    with open("/proc/self/status") as status:
+        peak = next(int(line.split()[1]) << 10 for line in status if line.startswith("VmHWM:"))
+except OSError:
+    import resource
+    # ru_maxrss is in bytes on macOS and in KiB elsewhere.
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss << (sys.platform != "darwin") * 10
+print(code, peak, file=sys.stderr)
 """
 
 
-def test_a_two_million_move_untangle_streams_in_flat_memory():
+def peak_rss_run(*argv):
+    """Run main(argv) in a child: (exit code, stdout size, stdout sha256, peak RSS in MB)."""
     pytest.importorskip("resource")
     proc = subprocess.Popen(
-        [sys.executable, "-c", PEAK_RSS_SCRIPT, "--json", "untangle", "2000000"],
+        [sys.executable, "-c", PEAK_RSS_SCRIPT, *argv],
         env=child_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
     )
     digest, size = hashlib.sha256(), 0
@@ -615,11 +671,27 @@ def test_a_two_million_move_untangle_streams_in_flat_memory():
         proc.stdout.close()
         proc.stderr.close()
     code, peak = map(int, err.split())
-    # ru_maxrss is in bytes on macOS and in KiB elsewhere.
-    peak_mb = peak / (1 << 20 if sys.platform == "darwin" else 1 << 10)
-    assert (code, size, digest.hexdigest()) == (
+    return code, size, digest.hexdigest(), peak / (1 << 20)
+
+
+def test_a_two_million_move_untangle_streams_in_flat_memory():
+    code, size, digest, peak_mb = peak_rss_run("--json", "untangle", "2000000")
+    assert (code, size, digest) == (
         0, 26_889_037, "cd35de260b5c6c813be000edc58e5073c4327fc2c94f71ce6473a36abd195fdd")
     assert peak_mb < 60
+
+
+def test_a_4200_digit_gcd_trace_streams_in_bounded_memory():
+    # (F(20094), F(20093)): 20,092 regular steps of up to 4,200 digits each,
+    # 127 MB of JSON.  Rendered whole, the trace peaked at about 296 MB; the
+    # trace record alone holds about 20 MB.
+    a, b = 1, 0
+    for _ in range(20_093):
+        a, b = a + b, a
+    code, size, digest, peak_mb = peak_rss_run("--json", "gcd", str(a), str(b), "--method", "regular")
+    assert (code, size, digest) == (
+        0, 127_409_164, "3e6b499cc9cb0b832f1fc392a8e69563f2dc64834fc9fe15a60f42dd363025f8")
+    assert peak_mb < 100
 
 
 class TailSink(io.TextIOBase):

@@ -23,6 +23,21 @@ from tanglegcd.cli import main
 
 EMPTY = (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855")
 
+
+def fibonacci_pair(n):
+    """(F(n + 1), F(n))."""
+    a, b = 1, 0
+    for _ in range(n):
+        a, b = a + b, a
+    return a, b
+
+
+# Two pairs of about 210 digits, written out in full on the command line:
+# consecutive Fibonacci numbers, whose traces are the longest for their size,
+# and two prime powers, whose quotients vary.
+FIBONACCI = "{} {}".format(*fibonacci_pair(1000))
+POWERS = f"{2**700} {3**440}"
+
 # command line -> (exit code, (stdout bytes, sha256), (stderr bytes, sha256))
 GOLDEN = {
     # README's six examples
@@ -83,6 +98,31 @@ GOLDEN = {
         0, (88220, "46c193cbac26666a687f6cae94b1f77572a6d5e80116c504be296caf6fb0e741"), EMPTY),
     "--json enumerate 200 199": (
         0, (161867, "c0677e995accb85b2107548d02eb9abc4ad6bcd8a4b4b31ec9048206552affe3"), EMPTY),
+    # gcd traces of F(1001) F(1000) and 2**700 3**440, in both modes
+    f"--json gcd {FIBONACCI} --method regular": (
+        0, (355791, "cea168a4faf043074e56271f4743d6d5e5a7789dc27bc4bb9a6155afeffa2daf"), EMPTY),
+    f"--json gcd {FIBONACCI} --method lar": (
+        0, (178867, "eda825a9b8efb5c5a44a305146bc07a83341b28aa7bc8b3a8dbd1dcf16490d3b"), EMPTY),
+    f"--json gcd {FIBONACCI} --method negative": (
+        0, (178867, "007864d2d86da6c4ea8bc16b41ad4d30b252abc97da2bffeb0f6c9b1202a76f8"), EMPTY),
+    f"gcd {FIBONACCI} --method regular": (
+        0, (322310, "99b12d85a7de4bed01759713af2ed5215b56cfa8e03ada071b111ae40c2a277f"), EMPTY),
+    f"gcd {FIBONACCI} --method lar": (
+        0, (161352, "f47c60110279a4da23a8da560d98c4e1cfe057ed58887f4fc52016f51354f074"), EMPTY),
+    f"gcd {FIBONACCI} --method negative": (
+        0, (161352, "f47c60110279a4da23a8da560d98c4e1cfe057ed58887f4fc52016f51354f074"), EMPTY),
+    f"--json gcd {POWERS} --method regular": (
+        0, (139822, "a7f74b692dc0755eb73387b61843999ba0a81e8865e03c13aaf448f764de7532"), EMPTY),
+    f"--json gcd {POWERS} --method lar": (
+        0, (99490, "c18396dd7cde1721ec58a4b864f13997d9e0f3b1fe087d8bdd9ddc8236c65470"), EMPTY),
+    f"--json gcd {POWERS} --method negative": (
+        0, (703581, "16461c15d48d2a01339a3f05226b242cdea8ab2f2b92437462f0e39f665c40dd"), EMPTY),
+    f"gcd {POWERS} --method regular": (
+        0, (126402, "bf3628a6b43abfa74717cf72fc9fab8535394998825c558ddd24498b0d0f54bd"), EMPTY),
+    f"gcd {POWERS} --method lar": (
+        0, (89716, "1350534d55bb7152bcc747687df962ff73ec3c723f50096e742fe82725885361"), EMPTY),
+    f"gcd {POWERS} --method negative": (
+        0, (637545, "752c2783bce0f3774cb3d50f42f6038a7921df228d9cff75631d028e048ee95c"), EMPTY),
 }
 
 # command line -> (exit code, last stderr line)
@@ -129,7 +169,11 @@ def digest(data):
     return len(data), hashlib.sha256(data).hexdigest()
 
 
-@pytest.mark.parametrize("command", GOLDEN)
+def short_id(command):
+    return command.replace(FIBONACCI, "F(1001) F(1000)").replace(POWERS, "2**700 3**440")
+
+
+@pytest.mark.parametrize("command", GOLDEN, ids=short_id)
 def test_output_is_byte_identical(capsys, command):
     code, out, err = run(capsys, command)
     assert (code, digest(out), digest(err)) == GOLDEN[command]

@@ -27,6 +27,7 @@ from tanglegcd.rationals import (
 from tanglegcd.euclid import Variant
 from tanglegcd.tangles import (
     Move,
+    _fold,
     UntanglePlan,
     plan_metrics,
     plan_untangle,
@@ -325,3 +326,36 @@ def test_excerpt_quotes_text_whole_up_to_40_characters():
 def test_value_strings_render_pairs_as_their_values_print(values):
     strings = _value_strings([v.numerator for v in values], [v.denominator for v in values])
     assert strings == [str(v) for v in values]
+
+
+big_fractions = st.tuples(st.integers(-10**30, 10**30), st.integers(1, 10**30)).map(
+    lambda t: normalize(*t)
+)
+
+
+@given(st.lists(st.one_of(big_fractions, fractions, st.just(INFINITY), st.just(ZERO)),
+                max_size=20))
+def test_value_strings_of_large_pairs_render_as_their_values_print(values):
+    # A denominator past 64 bits turns digit reuse on for the whole list.
+    values = [normalize(-7, 10**25), *values]
+    strings = _value_strings([v.numerator for v in values], [v.denominator for v in values])
+    assert strings == [str(v) for v in values]
+
+
+@given(st.one_of(big_fractions, st.just(INFINITY), st.just(ZERO)),
+       st.lists(st.sampled_from(list(Move)), max_size=40))
+def test_value_strings_reuse_the_digits_moves_keep(start, moves):
+    numerators, denominators = [10**25], [10**25 + 1]
+    _fold(start.numerator, start.denominator, moves, numerators, denominators)
+    values = [normalize(n, d) for n, d in zip(numerators, denominators)]
+    assert _value_strings(numerators, denominators) == [str(v) for v in values]
+
+
+def test_value_strings_reuse_only_what_a_pair_shares():
+    # 0 <-> inf stays unsigned; a pair that shares only one integer with the
+    # one before, or shares it in place rather than swapped, renders anew.
+    pairs = [(-3, 10**25), (10**25, 3), (0, 1), (1, 0), (0, 1), (1, 0), (1, 0), (0, 1), (-1, 1),
+             (7, 10**25), (-3, 7), (-7, 3), (3, 7), (7, 3)]
+    numerators, denominators = map(list, zip(*pairs))
+    assert _value_strings(numerators, denominators)[2:] == [
+        "0", "inf", "0", "inf", "inf", "0", "-1", f"7/{10**25}", "-3/7", "-7/3", "3/7", "7/3"]
