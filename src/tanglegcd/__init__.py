@@ -11,98 +11,52 @@ Modules:
 * tangles: the twist/rotate move calculus on extended-rational values and
   Euclid-driven untangling plans, stored as one twist stage per equation.
 * cli: the `tanglegcd` command.
+
+The package surface is lazy (PEP 562): `import tanglegcd` loads none of
+the modules, and the first use of a name below, or of a module by name,
+imports the module that defines it.  So a CLI call loads only the layers
+its subcommand runs, and no module is compiled for nothing when no
+bytecode cache can be written.
 """
 
-from .enumeration import EnumerationResult, enumerate_all, minimize
-from .euclid import (
-    EuclidStep,
-    EuclidTrace,
-    InvalidInputError,
-    SignChooser,
-    StepCount,
-    Variant,
-    WrongVariantError,
-    division_count,
-    gcd_of,
-    goodman_zaring_defect,
-    run_general,
-    run_lar,
-    run_negative,
-    run_regular,
-    step_count,
-    trace_to_dict,
-)
-from .rationals import (
-    ExtendedRational,
-    FractionParseError,
-    IndeterminateFormError,
-    INFINITY,
-    ZERO,
-    normalize,
-    parse_fraction,
-    rotate_value,
-    twist_value,
-)
-from .tangles import (
-    Move,
-    MoveParseError,
-    PlanMetrics,
-    ReplayReport,
-    Stage,
-    UntanglePlan,
-    apply_move,
-    format_moves,
-    parse_moves,
-    plan_metrics,
-    plan_untangle,
-    replay,
-    tangle_number,
-    verify_plan,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "EnumerationResult",
-    "EuclidStep",
-    "EuclidTrace",
-    "ExtendedRational",
-    "FractionParseError",
-    "INFINITY",
-    "IndeterminateFormError",
-    "InvalidInputError",
-    "Move",
-    "MoveParseError",
-    "PlanMetrics",
-    "ReplayReport",
-    "SignChooser",
-    "Stage",
-    "StepCount",
-    "UntanglePlan",
-    "Variant",
-    "WrongVariantError",
-    "ZERO",
-    "apply_move",
-    "division_count",
-    "enumerate_all",
-    "format_moves",
-    "gcd_of",
-    "goodman_zaring_defect",
-    "minimize",
-    "normalize",
-    "parse_fraction",
-    "parse_moves",
-    "plan_metrics",
-    "plan_untangle",
-    "replay",
-    "rotate_value",
-    "run_general",
-    "run_lar",
-    "run_negative",
-    "run_regular",
-    "step_count",
-    "tangle_number",
-    "trace_to_dict",
-    "twist_value",
-    "verify_plan",
-]
+# Each public name, by the module that defines it.
+_EXPORTS = {
+    "enumeration": ("EnumerationResult", "enumerate_all", "minimize"),
+    "euclid": (
+        "EuclidStep", "EuclidTrace", "InvalidInputError", "SignChooser", "StepCount",
+        "Variant", "WrongVariantError", "division_count", "gcd_of", "goodman_zaring_defect",
+        "run_general", "run_lar", "run_negative", "run_regular", "step_count",
+        "trace_to_dict",
+    ),
+    "rationals": (
+        "ExtendedRational", "FractionParseError", "IndeterminateFormError", "INFINITY",
+        "ZERO", "normalize", "parse_fraction", "rotate_value", "twist_value",
+    ),
+    "tangles": (
+        "Move", "MoveParseError", "PlanMetrics", "ReplayReport", "Stage", "UntanglePlan",
+        "apply_move", "format_moves", "parse_moves", "plan_metrics", "plan_untangle",
+        "replay", "tangle_number", "verify_plan",
+    ),
+}
+_OWNERS = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_OWNERS)
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        # Importing a submodule binds it in this namespace.
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _OWNERS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_OWNERS[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, *_EXPORTS})

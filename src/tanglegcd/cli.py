@@ -18,37 +18,36 @@ costs little beyond its record: `--json untangle 1000000` took 2.0 s and
 streamed, `--json enumerate 9999 7001` went from about 0.32 s to 0.13 s per
 cold call, and `--json gcd` on a 4,200-digit Fibonacci pair from 4.3 s and
 296 MB to 1.5 s and 36 MB (2 vCPUs, Python 3.11.7).
+
+A cold call loads only what its subcommand runs.  At module scope this
+file imports only the standard modules the parser needs and `rationals`,
+which every subcommand's argument checks and rendering use; each handler
+imports the layer functions it calls, and `json` is imported only where a
+JSON object is written.  So `verify` loads `tangles` and `euclid` but not
+`enumeration`, and `gcd`, `steps` and `enumerate` load no `tangles`.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import re
 import sys
 from collections.abc import Iterator
 from itertools import chain, count, islice
-from typing import Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
-from .enumeration import _generate, minimize
-from .euclid import RUNNERS, Variant, division_count, gcd_of, step_count
 from .rationals import EXCERPT_CHARS, ExtendedRational, _value_strings, excerpt, parse_fraction
-from .tangles import (
-    Move,
-    _final,
-    _fold,
-    format_moves,
-    parse_moves,
-    plan_metrics,
-    plan_untangle,
-    tangle_number,
-)
 
+if TYPE_CHECKING:
+    from .tangles import Move
+
+# Each --method by the value of its euclid.Variant; a handler builds the
+# Variant, so building the parser imports no layer beyond rationals.
 _METHODS = {
-    "regular": Variant.REGULAR,
-    "lar": Variant.LEAST_ABSOLUTE,
-    "negative": Variant.NEGATIVE,
+    "regular": "Regular",
+    "lar": "LeastAbsolute",
+    "negative": "Negative",
 }
 
 
@@ -85,6 +84,8 @@ def _replayed(start: ExtendedRational, moves: Iterable[Move]) -> Iterator[tuple[
     Yields each chunk's moves and the str() of the values they reach.  No
     value record is built, and only one chunk of pairs is held.
     """
+    from .tangles import _fold
+
     n, d = start.numerator, start.denominator
     moves = iter(moves)
     while True:
@@ -109,6 +110,8 @@ def _value_list(start: ExtendedRational, moves: Iterable[Move],
 
 def _json_pieces(payload: dict) -> Iterator[str]:
     """json.dumps(payload) and a newline, in pieces; a long field's as they come."""
+    import json
+
     separator = "{"
     for key, value in payload.items():
         yield f"{separator}{json.dumps(key)}: "
@@ -182,8 +185,10 @@ def _text_step(a: str, b: str, q: int, eps: int, r: str) -> str:
 
 
 def cmd_gcd(args: argparse.Namespace) -> Result:
+    from .euclid import RUNNERS, Variant, division_count, gcd_of, step_count
+
     a, b = _ordered_pair(args.a, args.b)
-    trace = RUNNERS[_METHODS[args.method]](a, b)
+    trace = RUNNERS[Variant(_METHODS[args.method])](a, b)
     counts = step_count(trace)
     # A row has about as many characters as a has bits, and rows shrink
     # along the trace, so a joined piece holds about _CHUNK_BITS bits of text.
@@ -192,8 +197,9 @@ def cmd_gcd(args: argparse.Namespace) -> Result:
         "x0": a,
         "x1": b,
         "method": args.method,
-        # trace_to_dict(trace), rendered in pieces
-        "trace": chain([f'{{"variant": {json.dumps(trace.variant.value)}, "steps": ['],
+        # trace_to_dict(trace), rendered in pieces; a Variant's value is an
+        # identifier, so it is its own JSON string body
+        "trace": chain([f'{{"variant": "{trace.variant.value}", "steps": ['],
                        _joined(", ", _step_rows(trace.steps, _json_step), rows), ["]}"]),
         "gcd": gcd_of(trace),
         "divisions": division_count(trace),
@@ -215,18 +221,24 @@ def cmd_gcd(args: argparse.Namespace) -> Result:
 
 
 def cmd_steps(args: argparse.Namespace) -> Result:
+    from .euclid import RUNNERS, Variant, _negative_counts, division_count, step_count
+
     a, b = _ordered_pair(args.a, args.b)
     rows = []
-    for name, variant in _METHODS.items():
-        trace = RUNNERS[variant](a, b)
-        counts = step_count(trace)
+    for name, value in _METHODS.items():
+        if name == "negative":
+            # Counted without the trace, whose length is the quotients' sum.
+            divisions, subtractions = _negative_counts(a, b)
+        else:
+            trace = RUNNERS[Variant(value)](a, b)
+            divisions, subtractions = division_count(trace), step_count(trace).subtractions
         rows.append(
             {
                 "method": name,
-                "divisions": division_count(trace),
-                "subtractions": counts.subtractions,
-                "swaps": counts.swaps,
-                "total": counts.total,
+                "divisions": divisions,
+                "subtractions": subtractions,
+                "swaps": divisions - 1,
+                "total": subtractions + divisions - 1,
             }
         )
     payload = {"x0": a, "x1": b, "rows": rows}
@@ -257,6 +269,8 @@ def _trace_rows(a: int, b: int, separator: str, plus: str, minus: str,
     depth, memory quadratic in the depth of staircase pairs.  The caller
     checks the pair first, as `minimize` does.
     """
+    from .enumeration import _generate
+
     plus_prefix, minus_prefix = plus + separator, minus + separator
 
     def branches(a: int, b: int, q: int, r: int, entry: list) -> tuple:
@@ -278,6 +292,8 @@ def _trace_rows(a: int, b: int, separator: str, plus: str, minus: str,
 
 
 def cmd_enumerate(args: argparse.Namespace) -> Result:
+    from .enumeration import minimize
+
     a, b = _ordered_pair(args.a, args.b)
     if a > args.limit:
         raise ValueError(
@@ -328,8 +344,11 @@ def cmd_enumerate(args: argparse.Namespace) -> Result:
 
 
 def cmd_untangle(args: argparse.Namespace) -> Result:
+    from .euclid import Variant
+    from .tangles import _final, plan_metrics, plan_untangle
+
     f = parse_fraction(args.fraction)
-    plan = plan_untangle(f, _METHODS[args.method])
+    plan = plan_untangle(f, Variant(_METHODS[args.method]))
     # One integer-only replay first, so a failing plan writes nothing.
     final = _final(f, plan.iter_moves())
     if not final.is_zero:
@@ -359,6 +378,8 @@ def cmd_untangle(args: argparse.Namespace) -> Result:
 
 
 def cmd_construct(args: argparse.Namespace) -> Result:
+    from .tangles import format_moves, parse_moves, tangle_number
+
     moves = parse_moves(args.moves)
     payload = {"moves": format_moves(moves), "tangle_number": str(tangle_number(moves))}
 
@@ -369,6 +390,8 @@ def cmd_construct(args: argparse.Namespace) -> Result:
 
 
 def cmd_verify(args: argparse.Namespace) -> Result:
+    from .tangles import _final, format_moves, parse_moves
+
     f = parse_fraction(args.fraction)
     moves = parse_moves(args.moves)
     start, final = str(f), _final(f, moves)

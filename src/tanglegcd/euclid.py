@@ -203,6 +203,31 @@ def run_negative(x0: int, x1: int) -> EuclidTrace:
     return run_general(x0, x1, always_negative, variant=Variant.NEGATIVE)
 
 
+def _negative_counts(x0: int, x1: int) -> tuple[int, int]:
+    """The divisions and subtractions of run_negative(x0, x1), in O(regular divisions).
+
+    The negative trace is as long as the regular quotients sum to.  With
+    q, r = divmod(a, b) and r > 0, its step from (a, b) reaches (b, b - r),
+    and from there each step has quotient 2 and lowers both terms by r
+    while the second stays above r: with k, s = divmod(b, r), that is k
+    divisions and q + 1 + 2(k - 1) subtractions in all, ending exactly if
+    s = 0 and at (r + s, s) otherwise.
+    """
+    check_pair(x0, x1)
+    divisions = subtractions = 0
+    a, b = x0, x1
+    while True:
+        q, r = divmod(a, b)
+        if r == 0:
+            return divisions + 1, subtractions + q
+        k, s = divmod(b, r)
+        divisions += k
+        subtractions += q + 2 * k - 1
+        if s == 0:
+            return divisions, subtractions
+        a, b = r + s, s
+
+
 # Runner of each named variant; CUSTOM has none, since it needs a sign chooser.
 RUNNERS = {
     Variant.REGULAR: run_regular,

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from math import gcd
@@ -107,6 +108,18 @@ def test_steps_exact_multiple(capsys):
     code, out, _ = run_cli(capsys, "--json", "steps", "9", "3")
     rows = json.loads(out)["rows"]
     assert all(row["total"] == 3 for row in rows)
+
+
+def test_steps_counts_a_billion_step_negative_trace_without_running_it(capsys):
+    # The negative trace of this pair has 10**9 steps; its row is counted.
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "--json", "steps", "1000000001", "1000000000")
+    assert time.perf_counter() - start < 1
+    assert code == 0
+    rows = {row["method"]: row for row in json.loads(out)["rows"]}
+    assert rows["negative"] == {"method": "negative", "divisions": 10**9,
+                                "subtractions": 2 * 10**9, "swaps": 10**9 - 1,
+                                "total": 3 * 10**9 - 1}
 
 
 def test_enumerate_4_3(capsys):
@@ -397,7 +410,7 @@ def test_enumerate_summary_and_flags_come_from_the_certificate(capsys, monkeypat
                                  result.min_total_steps - 1, result.min_divisions - 1,
                                  result.witnesses_min_steps)
 
-    monkeypatch.setattr(cli, "minimize", shifted)
+    monkeypatch.setattr("tanglegcd.enumeration.minimize", shifted)
     code, out, _ = run_cli(capsys, "enumerate", "4", "3")
     assert code == 0
     lines = out.splitlines()
@@ -734,7 +747,7 @@ def test_an_untangle_plan_that_misses_zero_writes_nothing(capsys, monkeypatch):
     def short_plan(f, policy):
         return UntanglePlan(f, (Stage(1, -1),), policy)
 
-    monkeypatch.setattr(cli, "plan_untangle", short_plan)
+    monkeypatch.setattr("tanglegcd.tangles.plan_untangle", short_plan)
     for argv in (["untangle", "8/5"], ["--json", "untangle", "8/5"]):
         assert run_cli(capsys, *argv) == (
             1, "", "error: internal error: plan for 8/5 replayed to 3/5\n")

@@ -18,6 +18,7 @@ from tanglegcd.euclid import (
     InvalidInputError,
     Variant,
     WrongVariantError,
+    _negative_counts,
     division_count,
     gcd_of,
     goodman_zaring_defect,
@@ -384,3 +385,19 @@ def test_an_inconsistent_pickled_step_is_refused(data, first_remainder):
     assert data.count(first_remainder) == 1
     with pytest.raises(ValueError):
         pickle.loads(data.replace(first_remainder, first_remainder[:-1] + b"\x03"))
+
+
+def test_negative_counts_match_the_negative_trace_up_to_300():
+    for x0 in range(1, 301):
+        for x1 in range(1, x0 + 1):
+            trace = run_negative(x0, x1)
+            assert _negative_counts(x0, x1) == (
+                division_count(trace), step_count(trace).subtractions), (x0, x1)
+    with pytest.raises(InvalidInputError):
+        _negative_counts(2, 3)
+
+
+@given(st.tuples(st.integers(1, 10**4), st.integers(1, 10**4)).map(lambda t: (max(t), min(t))))
+def test_negative_counts_match_the_negative_trace(pair):
+    trace = run_negative(*pair)
+    assert _negative_counts(*pair) == (division_count(trace), step_count(trace).subtractions)

@@ -122,14 +122,67 @@ def test_records_construct_print_refuse_changes_and_pickle_as_before():
     )
 
 
-def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+def run_fresh(code, stdin=b""):
+    """Run code in a fresh interpreter that imports tanglegcd from this checkout."""
     env = dict(os.environ)
     src = str(Path(tanglegcd.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys, tanglegcd.cli; "
-         "print(sorted({'dataclasses', 'inspect'} & sys.modules.keys()))"],
-        env=env, capture_output=True, text=True, timeout=60,
+    proc = subprocess.run([sys.executable, "-c", code], input=stdin, env=env,
+                          capture_output=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr.decode()
+    return proc
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    proc = run_fresh("import sys, tanglegcd.cli; "
+                     "print(sorted({'dataclasses', 'inspect'} & sys.modules.keys()))")
+    assert proc.stdout.decode().strip() == "[]"
+
+
+LAYERS = {"tanglegcd.enumeration", "tanglegcd.euclid", "tanglegcd.rationals", "tanglegcd.tangles"}
+
+
+def modules_loaded_by(code):
+    """The modules of interest a fresh interpreter holds after running code."""
+    proc = run_fresh(f"{code}\nimport sys\nprint(*sys.modules, file=sys.stderr)")
+    return {"json", *LAYERS} & set(proc.stderr.decode().splitlines()[-1].split())
+
+
+def main_call(*argv):
+    return f"from tanglegcd.cli import main\nmain({list(argv)!r})"
+
+
+# Each cold call loads only the layers its subcommand runs, and json only
+# where JSON is written.
+@pytest.mark.parametrize("code,loaded", [
+    ("import tanglegcd", set()),
+    ("import tanglegcd.cli", {"tanglegcd.rationals"}),
+    (main_call("verify", "8/5", "--moves", "-T,R,T,R,-T,R,T,T"),
+     {"tanglegcd.rationals", "tanglegcd.euclid", "tanglegcd.tangles"}),
+    (main_call("untangle", "8/5"), {"tanglegcd.rationals", "tanglegcd.euclid", "tanglegcd.tangles"}),
+    (main_call("construct", "--moves", "T,R"),
+     {"tanglegcd.rationals", "tanglegcd.euclid", "tanglegcd.tangles"}),
+    (main_call("gcd", "807", "673"), {"tanglegcd.rationals", "tanglegcd.euclid"}),
+    (main_call("steps", "807", "673"), {"tanglegcd.rationals", "tanglegcd.euclid"}),
+    (main_call("enumerate", "8", "5"),
+     {"tanglegcd.rationals", "tanglegcd.euclid", "tanglegcd.enumeration"}),
+])
+def test_a_cold_call_loads_only_what_its_subcommand_runs(code, loaded):
+    assert modules_loaded_by(code) == loaded
+    if code.startswith("from tanglegcd.cli"):
+        json_call = code.replace("main([", "main(['--json', ")
+        assert modules_loaded_by(json_call) == loaded | {"json"}
+
+
+def test_pickles_load_after_importing_only_the_package():
+    pickles = [LAR_8_5_PICKLE, MINUS_8_5_PICKLE, *(data for data, _ in DICT_STATE_PICKLES.values())]
+    expected = [run_lar(8, 5), normalize(-8, 5), *(value for _, value in DICT_STATE_PICKLES.values())]
+    proc = run_fresh(
+        "import io, pickle, sys, tanglegcd\n"
+        "assert [m for m in sys.modules if m.startswith('tanglegcd.')] == []\n"
+        "stream = io.BytesIO(sys.stdin.buffer.read())\n"
+        f"for _ in range({len(pickles)}):\n"
+        "    print(repr(pickle.load(stream)))\n",
+        stdin=b"".join(pickles),
     )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.decode().splitlines() == [repr(value) for value in expected]

@@ -1,9 +1,11 @@
 """The documented public surface and the experiment scripts stay usable."""
 
+import importlib
 import os
 import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -29,6 +31,44 @@ def test_readme_library_names_are_exported():
 
 def test_every_exported_name_imports():
     assert [name for name in tanglegcd.__all__ if not hasattr(tanglegcd, name)] == []
+
+
+def test_star_import_binds_every_exported_name():
+    namespace = {}
+    exec("from tanglegcd import *", namespace)
+    assert [name for name in tanglegcd.__all__ if name not in namespace] == []
+
+
+def test_dir_lists_every_exported_name_and_module():
+    assert set(tanglegcd.__all__) | set(tanglegcd._EXPORTS) <= set(dir(tanglegcd))
+
+
+def test_an_unknown_name_raises_attribute_error_naming_the_module():
+    with pytest.raises(AttributeError, match="module 'tanglegcd' has no attribute 'no_such'"):
+        tanglegcd.no_such
+    with pytest.raises(ImportError):
+        exec("from tanglegcd import no_such", {})
+
+
+def test_each_name_comes_from_the_module_its_table_entry_names():
+    for name in tanglegcd.__all__:
+        module = importlib.import_module(f"tanglegcd.{tanglegcd._OWNERS[name]}")
+        value = getattr(tanglegcd, name)
+        assert getattr(module, name) is value, name
+        if isinstance(value, (type, types.FunctionType)):
+            assert value.__module__ == module.__name__, name
+
+
+def test_modules_resolve_as_attributes_after_a_bare_import():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import tanglegcd; "
+         "print(tanglegcd.euclid.run_lar is tanglegcd.run_lar, tanglegcd.tangles.__name__)"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "True tanglegcd.tangles\n"
 
 
 SCRIPT_ARGUMENTS = {
