@@ -11,7 +11,8 @@ text would print them.  `enumerate` renders each trace row during its walk
 of the trace tree, from prefixes built once per node; `untangle` and
 `verify` replay their moves in chunks on integer pairs and render each
 chunk's values with one join, reusing the digits a value shares with the
-one before; `gcd` renders its division chain with one str() per integer.
+one before; `gcd` renders its division chain with one str() per integer,
+and the negative variant's chain as it is computed, with no trace record.
 So memory stays flat in the number of moves and of traces, and a trace
 costs little beyond its record: `--json untangle 1000000` took 2.0 s and
 178 MB of peak RSS when it was built whole and takes 0.57 s and 17 MB
@@ -163,16 +164,18 @@ def _ordered_pair(a: int, b: int) -> tuple[int, int]:
     return a, b
 
 
-def _step_rows(steps: Sequence, row: Callable[[str, str, int, int, str], str]) -> Iterator[str]:
-    """row(a, b, q, eps, r) for each step, with each integer rendered once.
+def _step_rows(a: int, b: int, steps: Iterable[tuple[int, int, int]],
+               row: Callable[[str, str, int, int, str], str]) -> Iterator[str]:
+    """row(a, b, q, eps, r) for each (q, eps, r) of the steps from (a, b).
 
     A step's a and b are the step before's b and r, so one str() per step
-    slides the window of digits: int -> str is quadratic in the digit count.
+    renders each integer once and slides the window of digits: int -> str is
+    quadratic in the digit count.
     """
-    a, b = str(steps[0].a), str(steps[0].b)
-    for step in steps:
-        r = str(step.remainder)
-        yield row(a, b, step.quotient, step.epsilon, r)
+    a, b = str(a), str(b)
+    for q, eps, r in steps:
+        r = str(r)
+        yield row(a, b, q, eps, r)
         a, b = b, r
 
 
@@ -185,11 +188,26 @@ def _text_step(a: str, b: str, q: int, eps: int, r: str) -> str:
 
 
 def cmd_gcd(args: argparse.Namespace) -> Result:
-    from .euclid import RUNNERS, Variant, division_count, gcd_of, step_count
+    from math import gcd
+
+    from .euclid import (RUNNERS, Variant, _negative_counts, _negative_steps, division_count,
+                         step_count)
 
     a, b = _ordered_pair(args.a, args.b)
-    trace = RUNNERS[Variant(_METHODS[args.method])](a, b)
-    counts = step_count(trace)
+    variant = Variant(_METHODS[args.method])
+    if variant is Variant.NEGATIVE:
+        # Streamed and counted without the trace, whose length is the quotients' sum.
+        divisions, subtractions = _negative_counts(a, b)
+
+        def steps() -> Iterator[tuple[int, int, int]]:
+            return _negative_steps(a, b)
+    else:
+        trace = RUNNERS[variant](a, b)
+        divisions, subtractions = division_count(trace), step_count(trace).subtractions
+
+        def steps() -> Iterator[tuple[int, int, int]]:
+            return ((s.quotient, s.epsilon, s.remainder) for s in trace.steps)
+    swaps = divisions - 1
     # A row has about as many characters as a has bits, and rows shrink
     # along the trace, so a joined piece holds about _CHUNK_BITS bits of text.
     rows = min(_ROWS, _CHUNK_BITS // (8 * a.bit_length()) + 1)
@@ -199,23 +217,23 @@ def cmd_gcd(args: argparse.Namespace) -> Result:
         "method": args.method,
         # trace_to_dict(trace), rendered in pieces; a Variant's value is an
         # identifier, so it is its own JSON string body
-        "trace": chain([f'{{"variant": "{trace.variant.value}", "steps": ['],
-                       _joined(", ", _step_rows(trace.steps, _json_step), rows), ["]}"]),
-        "gcd": gcd_of(trace),
-        "divisions": division_count(trace),
-        "subtractions": counts.subtractions,
-        "swaps": counts.swaps,
-        "total_steps": counts.total,
+        "trace": chain([f'{{"variant": "{variant.value}", "steps": ['],
+                       _joined(", ", _step_rows(a, b, steps(), _json_step), rows), ["]}"]),
+        "gcd": gcd(a, b),
+        "divisions": divisions,
+        "subtractions": subtractions,
+        "swaps": swaps,
+        "total_steps": subtractions + swaps,
     }
 
     def text() -> Iterable[str | Iterator[str]]:
-        yield _joined("\n", _step_rows(trace.steps, _text_step), rows)
+        yield _joined("\n", _step_rows(a, b, steps(), _text_step), rows)
         yield ""
         yield f"gcd: {payload['gcd']}"
-        yield f"divisions: {payload['divisions']}"
-        yield f"subtractions: {counts.subtractions}"
-        yield f"swaps: {counts.swaps}"
-        yield f"total steps: {counts.total}"
+        yield f"divisions: {divisions}"
+        yield f"subtractions: {subtractions}"
+        yield f"swaps: {swaps}"
+        yield f"total steps: {payload['total_steps']}"
 
     return payload, text, 0
 
@@ -296,8 +314,10 @@ def cmd_enumerate(args: argparse.Namespace) -> Result:
 
     a, b = _ordered_pair(args.a, args.b)
     if a > args.limit:
+        shown = str(a)
         raise ValueError(
-            f"x0 = {a} exceeds the enumeration bound {args.limit}; "
+            f"x0 = {shown if len(shown) <= EXCERPT_CHARS else excerpt(shown)} "
+            f"exceeds the enumeration bound {args.limit}; "
             "raise the bound to proceed (see --limit)"
         )
     certificate = minimize(a, b)

@@ -158,7 +158,8 @@ def minimize(x0: int, x1: int) -> EnumerationResult:
 
     Witness policy: the first MAX_WITNESSES traces attaining the minimal
     step total, in the depth-first order enumerate_all uses, rebuilt by
-    taking only the steps from which the minimum stays reachable.
+    taking only the steps from which the minimum stays reachable.  The walk
+    reads both branches of a pair off the solved chains in O(1) per pair.
     """
     check_pair(x0, x1)
     # (X, W) of the chain of states (k*r + s, r), keyed by (r, s) with s > 0.
@@ -183,21 +184,29 @@ def minimize(x0: int, x1: int) -> EnumerationResult:
             below = chains[r, s] = (x, w)
         return below
 
-    def solved(a: int, b: int) -> Values:
-        # The values of pair (a, b).
-        q, r = divmod(a, b)
-        if r == 0:
-            return (q, 1, 1)
-        k, s = divmod(b, r)
-        total, divisions, count = _closed(k, s, *chain(r, s))
-        return (q + total, divisions, count)
-
-    total, divisions, count = solved(x0, x1)
+    # Pair (x0, x1) has the values of state (x1, r), plus q subtractions.
+    q, r = divmod(x0, x1)
+    total, divisions, count = _closed(*divmod(x1, r), *chain(r, x1 % r)) if r else _END
+    total += q
+    memo: dict[tuple[int, int], list] = {}  # the branches of each entered pair
 
     def optimal(a: int, b: int, q: int, r: int, _: object) -> Children:
-        # The branches from which the minimum of pair (a, b) stays reachable.
-        plus, minus = solved(b, r)[0], solved(b, b - r)[0] + 1
-        branches = []
+        # The branches from which the minimum of pair (a, b) stays reachable,
+        # read off chain (r, s), b = k*r + s, as in state (b, r): +1 goes on
+        # to X in k subtractions, -1 one link lower, or at the base to pair
+        # (r + s, s) if k = 1 and to the leaf (2r, r) if k = 2, s = 0.  A
+        # solved chain is read from the table without a call.
+        if (branches := memo.get((a, b))) is not None:
+            return branches
+        k, s = divmod(b, r)
+        x, w = chains.get((r, s)) or chain(r, s)
+        plus = k + x[0]
+        if k == 1:
+            k, t = divmod(r, s)
+            minus = k + 2 + (chains.get((s, t)) or chain(s, t))[0][0]
+        else:
+            minus = 3 if k == 2 and not s else 2 + _closed(k - 1, s, x, w)[0]
+        branches = memo[a, b] = []
         if minus <= plus:
             branches.append((b, b - r, _step(a, b, q + 1, -1, b - r)))
         if plus <= minus:

@@ -25,7 +25,7 @@ consistent and chained by construction; they build through the unchecked
 from __future__ import annotations
 
 from enum import Enum
-from typing import Callable
+from typing import Callable, Iterator
 
 from ._record import Record, set_field
 
@@ -158,7 +158,8 @@ def least_absolute(a: int, b: int) -> int:
 def check_pair(x0: int, x1: int) -> None:
     """Refuse a pair outside x0 >= x1 >= 1 with InvalidInputError."""
     if x1 < 1 or x0 < x1:
-        raise InvalidInputError(f"need x0 >= x1 >= 1, got ({x0}, {x1})")
+        # No digits in the message: str() of a huge int can itself raise.
+        raise InvalidInputError(f"need x0 >= x1 >= 1, got {'x1 < 1' if x1 < 1 else 'x0 < x1'}")
 
 
 def run_general(
@@ -226,6 +227,18 @@ def _negative_counts(x0: int, x1: int) -> tuple[int, int]:
         if s == 0:
             return divisions, subtractions
         a, b = r + s, s
+
+
+def _negative_steps(x0: int, x1: int) -> Iterator[tuple[int, int, int]]:
+    """The (quotient, epsilon, remainder) of each step of run_negative(x0, x1), as taken."""
+    a, b = x0, x1
+    while True:
+        q, r = divmod(a, b)
+        if r == 0:
+            yield q, 1, 0
+            return
+        yield q + 1, -1, b - r
+        a, b = b, b - r
 
 
 # Runner of each named variant; CUSTOM has none, since it needs a sign chooser.

@@ -161,10 +161,14 @@ def test_enumerate_summary_matches_minimize(capsys, a, b):
 
 
 def test_enumerate_bound_diagnostic(capsys):
-    code, out, err = run_cli(capsys, "enumerate", "10001", "3")
-    assert code == 2
-    assert out == ""
-    assert "--limit" in err
+    # A long x0 is quoted in part, with its length.
+    for x0, shown in (("10001", "x0 = 10001 exceeds"), (str(10**200), "x0 = '1000000000")):
+        code, out, err = run_cli(capsys, "enumerate", x0, "3")
+        assert code == 2
+        assert out == ""
+        assert "--limit" in err
+        assert shown in err
+        assert len(err.encode()) < 200
 
 
 def test_enumerate_limit_override(capsys):
@@ -705,6 +709,16 @@ def test_a_4200_digit_gcd_trace_streams_in_bounded_memory():
     assert (code, size, digest) == (
         0, 127_409_164, "3e6b499cc9cb0b832f1fc392a8e69563f2dc64834fc9fe15a60f42dd363025f8")
     assert peak_mb < 100
+
+
+def test_a_negative_gcd_trace_streams_in_flat_memory():
+    # 300,000 steps of quotient 2: built whole before it was written, the
+    # trace peaked at about 61 MB; a `gcd 8 5` child takes about 15 MB.
+    code, size, digest, peak_mb = peak_rss_run("--json", "gcd", "300001", "300000",
+                                               "--method", "negative")
+    assert (code, size, digest) == (
+        0, 17_666_875, "7d6a49207dbf0a374e110f2bd15185a0fcea826abd376f713d9f6c94ce814cf3")
+    assert peak_mb < 30
 
 
 class TailSink(io.TextIOBase):

@@ -156,6 +156,11 @@ def test_invalid_pairs_rejected():
         minimize(3, 5)
     with pytest.raises(InvalidInputError):
         next(iter(enumerate_all(3, 0)))
+    # Past the int/str limit: the message carries no digits, since str() of
+    # either integer would raise.
+    for call in (run_lar, minimize, enumerate_all):
+        with pytest.raises(InvalidInputError):
+            call(10**5000, 10**5001)
 
 
 @given(small_pairs)
@@ -308,4 +313,26 @@ def test_minimize_matches_the_per_pair_recurrence_on_random_pairs_to_a_million()
     for _ in range(400):
         x0 = rng.randint(1, 10**6)
         x1 = rng.randint(1, x0)
+        assert minimize(x0, x1) == per_pair_minimize(x0, x1), (x0, x1)
+
+
+def continued_fraction(quotients):
+    """The pair (n, d) of n/d = [quotients[0]; quotients[1], ...]."""
+    n, d = 1, 0
+    for quotient in reversed(quotients):
+        n, d = quotient * n + d, n
+    return n, d
+
+
+def test_minimize_matches_the_per_pair_recurrence_on_deep_pairs():
+    # Partial quotients from {1, 2, 3} reach every link of a chain the
+    # witness walk reads: k = 1, k = 2 with s = 0, and k >= 3.
+    rng = random.Random(14)
+    pairs = [continued_fraction([rng.choice((1, 2, 3)) for _ in range(rng.randint(20, 60))])
+             for _ in range(200)]
+    fib = [0, 1]
+    while len(fib) <= 40:
+        fib.append(fib[-1] + fib[-2])
+    pairs += [(fib[n + 1], fib[n]) for n in range(29, 40)]
+    for x0, x1 in pairs:
         assert minimize(x0, x1) == per_pair_minimize(x0, x1), (x0, x1)
