@@ -11,14 +11,15 @@ text would print them.  `enumerate` renders each trace row during its walk
 of the trace tree, from prefixes built once per node; `untangle` and
 `verify` replay their moves in chunks on integer pairs and render each
 chunk's values with one join, reusing the digits a value shares with the
-one before; `gcd` renders its division chain with one str() per integer,
-and the negative variant's chain as it is computed, with no trace record.
-So memory stays flat in the number of moves and of traces, and a trace
-costs little beyond its record: `--json untangle 1000000` took 2.0 s and
-178 MB of peak RSS when it was built whole and takes 0.57 s and 17 MB
-streamed, `--json enumerate 9999 7001` went from about 0.32 s to 0.13 s per
-cold call, and `--json gcd` on a 4,200-digit Fibonacci pair from 4.3 s and
-296 MB to 1.5 s and 36 MB (2 vCPUs, Python 3.11.7).
+one before; `gcd` renders each division of every method as euclid's one
+division loop computes it, with one str() per integer and no trace record,
+and `steps` counts every method's row without a trace.  So memory stays
+flat in the number of moves, of traces and of divisions:
+`--json untangle 1000000` took 2.0 s and 178 MB of peak RSS when it was
+built whole and takes 0.57 s and 17 MB streamed, `--json enumerate 9999
+7001` went from about 0.32 s to 0.13 s per cold call, and `--json gcd` on a
+4,200-digit Fibonacci pair from 4.3 s and 296 MB to 1.5 s and 36 MB with
+the trace record held, and to 16 MB without it (2 vCPUs, Python 3.11.7).
 
 A cold call loads only what its subcommand runs.  At module scope this
 file imports only the standard modules the parser needs and `rationals`,
@@ -145,35 +146,40 @@ def _digits_within_limit(text: str) -> str:
     return text
 
 
+def _shown(value: int) -> str:
+    """An integer for a message: whole up to EXCERPT_CHARS characters, else an excerpt."""
+    text = str(value)
+    return text if len(text) <= EXCERPT_CHARS else excerpt(text)
+
+
 def _positive_int(text: str) -> int:
     try:
         value = int(_digits_within_limit(text))
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an integer: {excerpt(text)}") from None
     if value < 1:
-        shown = value if len(text) <= EXCERPT_CHARS else excerpt(text)
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {shown}")
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {_shown(value)}")
     return value
 
 
 def _ordered_pair(a: int, b: int) -> tuple[int, int]:
     # gcd is symmetric; accept misordered input with a notice instead of erroring
     if a < b:
-        print(f"notice: swapped inputs to ({b}, {a})", file=sys.stderr)
+        print(f"notice: swapped inputs to ({_shown(b)}, {_shown(a)})", file=sys.stderr)
         return b, a
     return a, b
 
 
-def _step_rows(a: int, b: int, steps: Iterable[tuple[int, int, int]],
+def _step_rows(a: int, b: int, divisions: Iterable[tuple[int, int, int, int, int]],
                row: Callable[[str, str, int, int, str], str]) -> Iterator[str]:
-    """row(a, b, q, eps, r) for each (q, eps, r) of the steps from (a, b).
+    """row(a, b, q, eps, r) for each (a, b, q, eps, r) of the divisions from (a, b).
 
-    A step's a and b are the step before's b and r, so one str() per step
-    renders each integer once and slides the window of digits: int -> str is
-    quadratic in the digit count.
+    A division's a and b are the division before's b and r, so one str()
+    per division renders each integer once and slides the window of digits:
+    int -> str is quadratic in the digit count.
     """
     a, b = str(a), str(b)
-    for q, eps, r in steps:
+    for _, _, q, eps, r in divisions:
         r = str(r)
         yield row(a, b, q, eps, r)
         a, b = b, r
@@ -190,23 +196,12 @@ def _text_step(a: str, b: str, q: int, eps: int, r: str) -> str:
 def cmd_gcd(args: argparse.Namespace) -> Result:
     from math import gcd
 
-    from .euclid import (RUNNERS, Variant, _negative_counts, _negative_steps, division_count,
-                         step_count)
+    from .euclid import CHOOSERS, Variant, _counts, _divisions
 
     a, b = _ordered_pair(args.a, args.b)
     variant = Variant(_METHODS[args.method])
-    if variant is Variant.NEGATIVE:
-        # Streamed and counted without the trace, whose length is the quotients' sum.
-        divisions, subtractions = _negative_counts(a, b)
-
-        def steps() -> Iterator[tuple[int, int, int]]:
-            return _negative_steps(a, b)
-    else:
-        trace = RUNNERS[variant](a, b)
-        divisions, subtractions = division_count(trace), step_count(trace).subtractions
-
-        def steps() -> Iterator[tuple[int, int, int]]:
-            return ((s.quotient, s.epsilon, s.remainder) for s in trace.steps)
+    chooser = CHOOSERS[variant]
+    divisions, subtractions = _counts(a, b, variant)
     swaps = divisions - 1
     # A row has about as many characters as a has bits, and rows shrink
     # along the trace, so a joined piece holds about _CHUNK_BITS bits of text.
@@ -218,7 +213,9 @@ def cmd_gcd(args: argparse.Namespace) -> Result:
         # trace_to_dict(trace), rendered in pieces; a Variant's value is an
         # identifier, so it is its own JSON string body
         "trace": chain([f'{{"variant": "{variant.value}", "steps": ['],
-                       _joined(", ", _step_rows(a, b, steps(), _json_step), rows), ["]}"]),
+                       _joined(", ", _step_rows(a, b, _divisions(a, b, chooser), _json_step),
+                               rows),
+                       ["]}"]),
         "gcd": gcd(a, b),
         "divisions": divisions,
         "subtractions": subtractions,
@@ -227,7 +224,7 @@ def cmd_gcd(args: argparse.Namespace) -> Result:
     }
 
     def text() -> Iterable[str | Iterator[str]]:
-        yield _joined("\n", _step_rows(a, b, steps(), _text_step), rows)
+        yield _joined("\n", _step_rows(a, b, _divisions(a, b, chooser), _text_step), rows)
         yield ""
         yield f"gcd: {payload['gcd']}"
         yield f"divisions: {divisions}"
@@ -239,17 +236,12 @@ def cmd_gcd(args: argparse.Namespace) -> Result:
 
 
 def cmd_steps(args: argparse.Namespace) -> Result:
-    from .euclid import RUNNERS, Variant, _negative_counts, division_count, step_count
+    from .euclid import Variant, _counts
 
     a, b = _ordered_pair(args.a, args.b)
     rows = []
     for name, value in _METHODS.items():
-        if name == "negative":
-            # Counted without the trace, whose length is the quotients' sum.
-            divisions, subtractions = _negative_counts(a, b)
-        else:
-            trace = RUNNERS[Variant(value)](a, b)
-            divisions, subtractions = division_count(trace), step_count(trace).subtractions
+        divisions, subtractions = _counts(a, b, Variant(value))
         rows.append(
             {
                 "method": name,
@@ -314,10 +306,8 @@ def cmd_enumerate(args: argparse.Namespace) -> Result:
 
     a, b = _ordered_pair(args.a, args.b)
     if a > args.limit:
-        shown = str(a)
         raise ValueError(
-            f"x0 = {shown if len(shown) <= EXCERPT_CHARS else excerpt(shown)} "
-            f"exceeds the enumeration bound {args.limit}; "
+            f"x0 = {_shown(a)} exceeds the enumeration bound {args.limit}; "
             "raise the bound to proceed (see --limit)"
         )
     certificate = minimize(a, b)

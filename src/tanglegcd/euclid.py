@@ -13,6 +13,11 @@ which yields the classic variants as fixed policies:
 Step accounting counts every subtraction (the quotients summed) plus every
 switch to the next working pair (equations minus one).
 
+One division loop, `_divisions`, yields each division of a chain as the
+chooser signs it.  The runners build their traces from it; `_counts`, the
+CLI's `gcd` and `steps` and `tangles.plan_untangle` read it with no trace
+record, so a chain costs memory for its rendering at most, not for its steps.
+
 The raw constructors of EuclidStep and EuclidTrace are checked doors: an
 inconsistent step, or steps that do not chain into one trace ending in
 remainder 0, raise ValueError under any interpreter flags, `-O` included, and
@@ -25,6 +30,7 @@ consistent and chained by construction; they build through the unchecked
 from __future__ import annotations
 
 from enum import Enum
+from itertools import starmap
 from typing import Callable, Iterator
 
 from ._record import Record, set_field
@@ -162,6 +168,28 @@ def check_pair(x0: int, x1: int) -> None:
         raise InvalidInputError(f"need x0 >= x1 >= 1, got {'x1 < 1' if x1 < 1 else 'x0 < x1'}")
 
 
+def _divisions(x0: int, x1: int, chooser: SignChooser) -> Iterator[tuple[int, int, int, int, int]]:
+    """Each division (a, b, q, eps, r) of the chain from (x0, x1) under a sign chooser.
+
+    The package's one division loop; the caller checks the pair.  Forced
+    divisions (b divides a) bypass the chooser and close the chain with
+    eps +1 and remainder 0.
+    """
+    a, b = x0, x1
+    while True:
+        q, r = divmod(a, b)
+        if r == 0:
+            yield a, b, q, 1, 0
+            return
+        eps = chooser(a, b)
+        if eps == -1:
+            q, r = q + 1, b - r
+        elif eps != 1:
+            raise ValueError(f"sign chooser must return +1 or -1, got {eps!r}")
+        yield a, b, q, eps, r
+        a, b = b, r
+
+
 def run_general(
     x0: int, x1: int, chooser: SignChooser, *, variant: Variant = Variant.CUSTOM
 ) -> EuclidTrace:
@@ -171,22 +199,7 @@ def run_general(
     chooser and always close the trace with epsilon +1 and remainder 0.
     """
     check_pair(x0, x1)
-    steps: list[EuclidStep] = []
-    a, b = x0, x1
-    while True:
-        q, r = divmod(a, b)
-        if r == 0:
-            steps.append(_step(a, b, q, 1, 0))
-            return _trace(tuple(steps), variant)
-        eps = chooser(a, b)
-        if eps == 1:
-            steps.append(_step(a, b, q, 1, r))
-            a, b = b, r
-        elif eps == -1:
-            steps.append(_step(a, b, q + 1, -1, b - r))
-            a, b = b, b - r
-        else:
-            raise ValueError(f"sign chooser must return +1 or -1, got {eps!r}")
+    return _trace(tuple(starmap(_step, _divisions(x0, x1, chooser))), variant)
 
 
 def run_regular(x0: int, x1: int) -> EuclidTrace:
@@ -204,10 +217,19 @@ def run_negative(x0: int, x1: int) -> EuclidTrace:
     return run_general(x0, x1, always_negative, variant=Variant.NEGATIVE)
 
 
-def _negative_counts(x0: int, x1: int) -> tuple[int, int]:
-    """The divisions and subtractions of run_negative(x0, x1), in O(regular divisions).
+# Sign chooser of each named variant; CUSTOM has none, its caller brings one.
+CHOOSERS = {
+    Variant.REGULAR: always_positive,
+    Variant.LEAST_ABSOLUTE: least_absolute,
+    Variant.NEGATIVE: always_negative,
+}
 
-    The negative trace is as long as the regular quotients sum to.  With
+
+def _counts(x0: int, x1: int, variant: Variant) -> tuple[int, int]:
+    """The divisions and subtractions of the named variant's trace of (x0, x1).
+
+    No trace is built.  The negative trace is as long as the regular
+    quotients sum to, so it is counted in O(regular divisions).  With
     q, r = divmod(a, b) and r > 0, its step from (a, b) reaches (b, b - r),
     and from there each step has quotient 2 and lowers both terms by r
     while the second stays above r: with k, s = divmod(b, r), that is k
@@ -216,6 +238,11 @@ def _negative_counts(x0: int, x1: int) -> tuple[int, int]:
     """
     check_pair(x0, x1)
     divisions = subtractions = 0
+    if variant is not Variant.NEGATIVE:
+        for _, _, q, _, _ in _divisions(x0, x1, CHOOSERS[variant]):
+            divisions += 1
+            subtractions += q
+        return divisions, subtractions
     a, b = x0, x1
     while True:
         q, r = divmod(a, b)
@@ -227,26 +254,6 @@ def _negative_counts(x0: int, x1: int) -> tuple[int, int]:
         if s == 0:
             return divisions, subtractions
         a, b = r + s, s
-
-
-def _negative_steps(x0: int, x1: int) -> Iterator[tuple[int, int, int]]:
-    """The (quotient, epsilon, remainder) of each step of run_negative(x0, x1), as taken."""
-    a, b = x0, x1
-    while True:
-        q, r = divmod(a, b)
-        if r == 0:
-            yield q, 1, 0
-            return
-        yield q + 1, -1, b - r
-        a, b = b, b - r
-
-
-# Runner of each named variant; CUSTOM has none, since it needs a sign chooser.
-RUNNERS = {
-    Variant.REGULAR: run_regular,
-    Variant.LEAST_ABSOLUTE: run_lar,
-    Variant.NEGATIVE: run_negative,
-}
 
 
 def gcd_of(trace: EuclidTrace) -> int:

@@ -6,9 +6,10 @@ reciprocal (zero and infinity swap).  Untangling a value means driving it to
 zero, and a Euclidean trace for the numerator/denominator pair reads off
 directly as a move sequence: each equation contributes its quotient in
 twists toward zero, followed by a rotation, except after the last equation.
-A plan stores one stage per equation, so planning and plan metrics cost
-O(divisions); its single moves are expanded from the stages once per plan,
-or lazily, one `repeat` per stage, for a caller that streams them.
+A plan stores one stage per equation, read from euclid's division loop
+with no trace record, so planning and plan metrics cost O(divisions); its
+single moves are expanded from the stages lazily, one `repeat` per stage,
+and `moves` collects them into a tuple on each read.
 
 Replay is one loop over the moves on the integer pair (n, d) of the current
 value, with no call per move (`_fold`); `replay` then builds all of its
@@ -29,12 +30,11 @@ from __future__ import annotations
 
 from collections import deque
 from enum import Enum
-from functools import cached_property
 from itertools import chain, repeat
 from typing import Iterable, Iterator, NamedTuple
 
 from ._record import Record, set_field
-from .euclid import RUNNERS, Variant
+from .euclid import CHOOSERS, Variant, _divisions
 from .rationals import (
     ZERO,
     ExtendedRational,
@@ -95,17 +95,16 @@ def _opens_with_rotation(f: ExtendedRational) -> bool:
 
 
 class UntanglePlan(Record):
-    _fields = ("start", "stages", "policy")
-    __slots__ = (*_fields, "__dict__")  # the dict holds the cached moves
+    __slots__ = _fields = ("start", "stages", "policy")
 
     def __init__(self, start: ExtendedRational, stages: tuple[Stage, ...], policy: Variant) -> None:
         set_field(self, "start", start)
         set_field(self, "stages", stages)
         set_field(self, "policy", policy)
 
-    @cached_property
+    @property
     def moves(self) -> tuple[Move, ...]:
-        """The single moves, expanded from the stages once per plan."""
+        """The single moves, expanded from the stages on each read."""
         return tuple(self.iter_moves())
 
     def iter_moves(self) -> Iterator[Move]:
@@ -195,22 +194,23 @@ def plan_untangle(f: ExtendedRational, policy: Variant) -> UntanglePlan:
 
     Zero needs no moves and infinity a single rotation.  A magnitude below
     one starts with a rotation so the value becomes an ordered pair; from
-    there the policy's Euclidean trace on (|numerator|, denominator) is read
+    there the policy's division chain on (|numerator|, denominator) is read
     off stage by stage, twisting toward zero.  The first stage twists against
     the sign s of the value, so negative starts mirror positive ones.  Twisting
     s*a/b by q toward zero leaves s*eps*r/b, and rotating that gives sign
     -s*eps, so each later direction is the previous one times -eps.
     """
-    runner = RUNNERS.get(policy)
-    if runner is None:
+    chooser = CHOOSERS.get(policy)
+    if chooser is None:
         raise ValueError(f"unsupported planning policy: {policy!r}")
     stages: list[Stage] = []
     value = rotate_value(f) if _opens_with_rotation(f) else f
     if not value.is_zero:
         direction = -value.sign()
-        for step in runner(abs(value.numerator), value.denominator).steps:
-            stages.append(Stage(step.quotient, direction))
-            direction *= -step.epsilon
+        # |numerator| >= denominator >= 1 here, so the pair needs no check.
+        for _, _, q, eps, _ in _divisions(abs(value.numerator), value.denominator, chooser):
+            stages.append(Stage(q, direction))
+            direction *= -eps
     return UntanglePlan(start=f, stages=tuple(stages), policy=policy)
 
 
@@ -225,7 +225,7 @@ def verify_plan(f: ExtendedRational, plan: UntanglePlan) -> ReplayReport:
     """Replay a plan's moves from f; the plan must have been built for f."""
     if plan.start != f:
         raise ValueError(f"plan starts at {plan.start}, not {f}")
-    return replay(f, plan.moves)
+    return replay(f, plan.iter_moves())
 
 
 def plan_metrics(plan: UntanglePlan) -> PlanMetrics:

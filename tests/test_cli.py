@@ -19,10 +19,10 @@ from tanglegcd import cli
 from tanglegcd.cli import main
 from tanglegcd.enumeration import EnumerationResult, enumerate_all, minimize
 from tanglegcd.euclid import (
-    RUNNERS,
-    Variant,
     division_count,
+    run_lar,
     run_negative,
+    run_regular,
     step_count,
     trace_to_dict,
 )
@@ -82,8 +82,17 @@ def test_gcd_json_schema(capsys):
 def test_gcd_swaps_misordered_inputs_with_notice(capsys):
     code, out, err = run_cli(capsys, "gcd", "673", "807")
     assert code == 0
-    assert "swapped" in err
+    assert err == "notice: swapped inputs to (807, 673)\n"
     assert out.splitlines()[0] == "807 = 673(1)+134"
+
+
+@pytest.mark.parametrize("command", ["steps", "enumerate"])
+def test_the_swap_notice_quotes_a_long_integer_in_part(capsys, command):
+    # enumerate then refuses the 4,000-digit x0 by its bound, quoted the same way.
+    code, _, err = run_cli(capsys, command, "7", "1" * 4000)
+    assert code == (0 if command == "steps" else 2)
+    assert err.startswith(f"notice: swapped inputs to ('{'1' * 40}'... (4000 characters), 7)\n")
+    assert len(err.encode()) < 300
 
 
 def test_steps_807_673(capsys):
@@ -604,12 +613,13 @@ def test_enumerate_rows_rendered_in_the_walk_match_the_trace_records(capsys):
             assert run_cli(capsys, "enumerate", str(a), str(b)) == (0, expected_text, "")
 
 
-METHODS = {"regular": Variant.REGULAR, "lar": Variant.LEAST_ABSOLUTE, "negative": Variant.NEGATIVE}
+# The runner of each --method: the trace records the CLI's streamed rows must match.
+RUNNERS = {"regular": run_regular, "lar": run_lar, "negative": run_negative}
 
 
 def reference_gcd(a, b, method):
     """`gcd a b --method method` as rendered from the trace record, in both modes: (JSON, text)."""
-    trace = RUNNERS[METHODS[method]](a, b)
+    trace = RUNNERS[method](a, b)
     counts = step_count(trace)
     payload = {
         "x0": a, "x1": b, "method": method, "trace": trace_to_dict(trace), "gcd": gcd(a, b),
@@ -633,7 +643,7 @@ def test_gcd_traces_rendered_from_digits_match_the_trace_records(capsys, monkeyp
                     reverse=True) for _ in range(3)]
     small = [(a, b) for a in range(1, 61) for b in range(1, a + 1)]
     for a, b in small + large:
-        for method in METHODS:
+        for method in RUNNERS:
             expected_json, expected_text = reference_gcd(a, b, method)
             argv = ["gcd", str(a), str(b), "--method", method]
             assert run_cli(capsys, "--json", *argv) == (0, expected_json, "")
@@ -700,15 +710,22 @@ def test_a_two_million_move_untangle_streams_in_flat_memory():
 
 def test_a_4200_digit_gcd_trace_streams_in_bounded_memory():
     # (F(20094), F(20093)): 20,092 regular steps of up to 4,200 digits each,
-    # 127 MB of JSON.  Rendered whole, the trace peaked at about 296 MB; the
-    # trace record alone holds about 20 MB.
+    # 127 MB of JSON, and half as many LAR steps.  Rendered whole, the
+    # regular trace peaked at about 296 MB; with the trace record held while
+    # its rows streamed, at about 36 MB.
     a, b = 1, 0
     for _ in range(20_093):
         a, b = a + b, a
-    code, size, digest, peak_mb = peak_rss_run("--json", "gcd", str(a), str(b), "--method", "regular")
-    assert (code, size, digest) == (
-        0, 127_409_164, "3e6b499cc9cb0b832f1fc392a8e69563f2dc64834fc9fe15a60f42dd363025f8")
-    assert peak_mb < 100
+    for method, expected in [
+        ("regular", (0, 127_409_164,
+                     "3e6b499cc9cb0b832f1fc392a8e69563f2dc64834fc9fe15a60f42dd363025f8")),
+        ("lar", (0, 63_722_105,
+                 "1f040fa8851282c25e3f5daa79664214f563fc2ae60ac4983ac2f2b429190492")),
+    ]:
+        code, size, digest, peak_mb = peak_rss_run("--json", "gcd", str(a), str(b),
+                                                   "--method", method)
+        assert (code, size, digest) == expected, method
+        assert peak_mb < 30, method
 
 
 def test_a_negative_gcd_trace_streams_in_flat_memory():

@@ -18,7 +18,7 @@ from tanglegcd.euclid import (
     InvalidInputError,
     Variant,
     WrongVariantError,
-    _negative_counts,
+    _counts,
     division_count,
     gcd_of,
     goodman_zaring_defect,
@@ -387,17 +387,24 @@ def test_an_inconsistent_pickled_step_is_refused(data, first_remainder):
         pickle.loads(data.replace(first_remainder, first_remainder[:-1] + b"\x03"))
 
 
-def test_negative_counts_match_the_negative_trace_up_to_300():
+RUNNERS = {Variant.REGULAR: run_regular, Variant.LEAST_ABSOLUTE: run_lar,
+           Variant.NEGATIVE: run_negative}
+
+
+@pytest.mark.parametrize("variant", RUNNERS)
+def test_counts_match_the_trace_up_to_300(variant):
     for x0 in range(1, 301):
         for x1 in range(1, x0 + 1):
-            trace = run_negative(x0, x1)
-            assert _negative_counts(x0, x1) == (
+            trace = RUNNERS[variant](x0, x1)
+            assert _counts(x0, x1, variant) == (
                 division_count(trace), step_count(trace).subtractions), (x0, x1)
     with pytest.raises(InvalidInputError):
-        _negative_counts(2, 3)
+        _counts(2, 3, variant)
 
 
-@given(st.tuples(st.integers(1, 10**4), st.integers(1, 10**4)).map(lambda t: (max(t), min(t))))
-def test_negative_counts_match_the_negative_trace(pair):
-    trace = run_negative(*pair)
-    assert _negative_counts(*pair) == (division_count(trace), step_count(trace).subtractions)
+@pytest.mark.parametrize("variant", RUNNERS)
+@given(pair=st.tuples(st.integers(1, 10**4), st.integers(1, 10**4)).map(
+    lambda t: (max(t), min(t))))
+def test_counts_match_the_trace(variant, pair):
+    trace = RUNNERS[variant](*pair)
+    assert _counts(*pair, variant) == (division_count(trace), step_count(trace).subtractions)

@@ -28,7 +28,6 @@ from tanglegcd.euclid import Variant
 from tanglegcd.tangles import (
     Move,
     _fold,
-    UntanglePlan,
     plan_metrics,
     plan_untangle,
     replay,
@@ -176,9 +175,7 @@ def test_str_forms():
     assert str(INFINITY) == "inf"
 
 
-# A plan with its moves cached: the cache is not part of the pickled state.
 PLAN_8_5 = plan_untangle(normalize(8, 5), Variant.LEAST_ABSOLUTE)
-PLAN_8_5.moves
 
 
 @pytest.mark.parametrize(
@@ -194,9 +191,8 @@ def test_value_round_trips_through_pickle_and_deepcopy(value):
         assert other == value
         assert hash(other) == hash(value)
         assert repr(other) == repr(value)
-    # Values and records are slotted: no per-instance dict, but for the one
-    # in which a plan caches its moves.
-    assert hasattr(value, "__dict__") == isinstance(value, UntanglePlan)
+    # Values and records are slotted: none carries a per-instance dict.
+    assert not hasattr(value, "__dict__")
 
 
 # -8/5 pickled with protocol 2 at a9f359c, before values were slotted: the state is a dict.

@@ -68,7 +68,8 @@ MINUS_8_5_PICKLE = (
     b"\x80\x02ctanglegcd.rationals\nExtendedRational\nq\x00)\x81q\x01]q\x02"
     b"(J\xf8\xff\xff\xffK\x05eb."
 )
-# The other types wrote their __dict__, which held a plan's cached moves too.
+# The other types wrote their __dict__, which held a plan's cached moves too;
+# loading reads only the fields.
 DICT_STATE_PICKLES = {
     "step count": (
         b"\x80\x02ctanglegcd.euclid\nStepCount\nq\x00)\x81q\x01}q\x02(X\x0c\x00\x00\x00"
@@ -116,7 +117,7 @@ def test_records_construct_print_refuse_changes_and_pickle_as_before():
     for name, (data, expected) in DICT_STATE_PICKLES.items():
         loaded = pickle.loads(data)
         assert (loaded, hash(loaded)) == (expected, hash(expected)), name
-        assert not hasattr(loaded, "__dict__") or loaded.__dict__ == {}, name
+        assert not hasattr(loaded, "__dict__"), name
     assert pickle.loads(DICT_STATE_PICKLES["plan with cached moves"][0]).moves == (
         Move.TWIST_NEGATIVE, Move.TWIST_NEGATIVE
     )

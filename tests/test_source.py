@@ -1,0 +1,22 @@
+"""Rules the package's source keeps."""
+
+import ast
+from pathlib import Path
+
+import tanglegcd
+
+PACKAGE = Path(tanglegcd.__file__).resolve().parent
+
+
+def test_no_module_checks_an_invariant_with_assert():
+    # `python -O` strips assert statements, so an invariant checked by one is
+    # not checked at all there; every check raises explicitly instead.
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert modules
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in modules
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

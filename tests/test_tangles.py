@@ -273,6 +273,24 @@ def test_plan_stages_link_back_to_trace():
     ]
 
 
+RUNNERS = {Variant.REGULAR: run_regular, Variant.LEAST_ABSOLUTE: run_lar,
+           Variant.NEGATIVE: run_negative}
+
+
+@given(st.one_of(plan_starts, canonical_fractions), st.sampled_from(POLICIES))
+def test_plan_stages_are_read_off_the_policy_trace(f, policy):
+    # Planning reads the division loop, not a trace record; each stage must
+    # still be its trace step's quotient, twisting toward zero.
+    value = apply_move(f, R) if f.is_infinite or 0 < abs(f.numerator) < f.denominator else f
+    expected = []
+    if not value.is_zero:
+        direction = -value.sign()
+        for step in RUNNERS[policy](abs(value.numerator), value.denominator).steps:
+            expected.append((step.quotient, direction))
+            direction *= -step.epsilon
+    assert plan_untangle(f, policy).stages == tuple(expected)
+
+
 @given(canonical_fractions, st.sampled_from(POLICIES))
 def test_plan_metrics_and_stages_agree_with_expanded_moves(f, policy):
     plan = plan_untangle(f, policy)
