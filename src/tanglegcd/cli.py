@@ -7,19 +7,13 @@ mode.  Exit status is 0 only when the command completed and any verification
 passed.
 
 Long outputs are streamed, byte for byte as one `json.dumps` or one joined
-text would print them.  `enumerate` renders each trace row during its walk
-of the trace tree, from prefixes built once per node; `untangle` and
-`verify` replay their moves in chunks on integer pairs and render each
-chunk's values with one join, reusing the digits a value shares with the
-one before; `gcd` renders each division of every method as euclid's one
-division loop computes it, with one str() per integer and no trace record,
-and `steps` counts every method's row without a trace.  So memory stays
-flat in the number of moves, of traces and of divisions:
-`--json untangle 1000000` took 2.0 s and 178 MB of peak RSS when it was
-built whole and takes 0.57 s and 17 MB streamed, `--json enumerate 9999
-7001` went from about 0.32 s to 0.13 s per cold call, and `--json gcd` on a
-4,200-digit Fibonacci pair from 4.3 s and 296 MB to 1.5 s and 36 MB with
-the trace record held, and to 16 MB without it (2 vCPUs, Python 3.11.7).
+text would print them, so memory stays flat in the number of moves, of
+traces and of divisions.  `enumerate` renders each trace row during its
+walk of the trace tree.  `untangle` replays its plan by stages
+(`tangles._stage_runs`), `verify` and `construct` the user's moves one by
+one (`tangles._fold`); values are rendered a chunk at a time.  `gcd` renders
+and counts each division as euclid's division loop yields it, with one str()
+per integer, and `steps` counts every method's row without a trace.
 
 A cold call loads only what its subcommand runs.  At module scope this
 file imports only the standard modules the parser needs and `rationals`,
@@ -36,13 +30,13 @@ import os
 import re
 import sys
 from collections.abc import Iterator
-from itertools import chain, count, islice
+from itertools import chain, count, islice, tee
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from .rationals import EXCERPT_CHARS, ExtendedRational, _value_strings, excerpt, parse_fraction
 
 if TYPE_CHECKING:
-    from .tangles import Move
+    from .tangles import Move, Stage
 
 # Each --method by the value of its euclid.Variant; a handler builds the
 # Variant, so building the parser imports no layer beyond rationals.
@@ -60,8 +54,8 @@ _METHODS = {
 # pieces as they come.  A text "line" may also be a block of lines.
 Result = tuple[dict, Callable[[], Iterable[str | Iterator[str]]], int]
 
-# Moves are folded, and moves joined into one written piece, _CHUNK at a
-# time, and a fold also holds at most about _CHUNK_BITS bits of values, so
+# Values are rendered, and moves joined into one written piece, _CHUNK at a
+# time, and a chunk holds at most about _CHUNK_BITS bits of values, so
 # memory stays flat in the number of moves and in the size of the values.
 # Trace rows, up to thousands of characters each, are joined _ROWS at a time,
 # and `gcd`'s fewer when their text would pass _CHUNK_BITS bits.
@@ -80,6 +74,11 @@ def _joined(separator: str, items: Iterable[str], size: int = _CHUNK) -> Iterato
         yield separator.join(batch)
 
 
+def _chunk_size(n: int, d: int) -> int:
+    """How many values from about the size of (n, d) fit in one chunk."""
+    return min(_CHUNK, _CHUNK_BITS // (n.bit_length() + d.bit_length() + 1) + 1)
+
+
 def _replayed(start: ExtendedRational, moves: Iterable[Move]) -> Iterator[tuple[list, list]]:
     """Replay moves from start through the move kernel, one chunk at a time.
 
@@ -90,23 +89,28 @@ def _replayed(start: ExtendedRational, moves: Iterable[Move]) -> Iterator[tuple[
 
     n, d = start.numerator, start.denominator
     moves = iter(moves)
-    while True:
-        size = min(_CHUNK, _CHUNK_BITS // (n.bit_length() + d.bit_length() + 1) + 1)
-        chunk = list(islice(moves, size))
-        if not chunk:
-            return
+    while chunk := list(islice(moves, _chunk_size(n, d))):
         numerators, denominators = [], []
         n, d = _fold(n, d, chunk, numerators, denominators)
         yield chunk, _value_strings(numerators, denominators)
 
 
-def _value_list(start: ExtendedRational, moves: Iterable[Move],
-                opening: str, separator: str, closing: str) -> Iterator[str]:
-    """start and the values the moves reach from it, listed in pieces."""
-    yield f"{opening}{start}"
-    for _, values in _replayed(start, moves):
-        yield separator
-        yield separator.join(values)
+def _planned(start: ExtendedRational, stages: tuple[Stage, ...]) -> Iterator[list[str]]:
+    """str() of start and the values its plan reaches, by the stage kernel, a chunk at a time."""
+    from .tangles import _stage_runs
+
+    runs_n, runs_d = tee(_stage_runs(start, stages))
+    numerators = chain.from_iterable(run[0] for run in runs_n)
+    denominators = chain.from_iterable(run[1] for run in runs_d)
+    # Twisting toward zero, a plan's values never outgrow its start.
+    while chunk := list(islice(numerators, _chunk_size(start.numerator, start.denominator))):
+        yield _value_strings(chunk, list(islice(denominators, len(chunk))))
+
+
+def _value_list(chunks: Iterable, opening: str, separator: str, closing: str) -> Iterator[str]:
+    """The values of the chunks, listed in pieces."""
+    yield opening
+    yield from _joined(separator, map(separator.join, chunks), 1)
     yield closing
 
 
@@ -171,18 +175,23 @@ def _ordered_pair(a: int, b: int) -> tuple[int, int]:
 
 
 def _step_rows(a: int, b: int, divisions: Iterable[tuple[int, int, int, int, int]],
-               row: Callable[[str, str, int, int, str], str]) -> Iterator[str]:
+               row: Callable[[str, str, int, int, str], str], counts: dict) -> Iterator[str]:
     """row(a, b, q, eps, r) for each (a, b, q, eps, r) of the divisions from (a, b).
 
     A division's a and b are the division before's b and r, so one str()
     per division renders each integer once and slides the window of digits:
-    int -> str is quadratic in the digit count.
+    int -> str is quadratic in the digit count.  After the last row, `counts`
+    holds the chain's gcd, its last divisor, and its step counts.
     """
     a, b = str(a), str(b)
-    for _, _, q, eps, r in divisions:
+    subtractions = 0
+    for done, (_, divisor, q, eps, r) in enumerate(divisions, 1):
+        subtractions += q
         r = str(r)
         yield row(a, b, q, eps, r)
         a, b = b, r
+    counts.update(gcd=divisor, divisions=done, subtractions=subtractions, swaps=done - 1,
+                  total_steps=subtractions + done - 1)
 
 
 def _json_step(a: str, b: str, q: int, eps: int, r: str) -> str:
@@ -194,15 +203,12 @@ def _text_step(a: str, b: str, q: int, eps: int, r: str) -> str:
 
 
 def cmd_gcd(args: argparse.Namespace) -> Result:
-    from math import gcd
-
-    from .euclid import CHOOSERS, Variant, _counts, _divisions
+    from .euclid import CHOOSERS, Variant, _divisions
 
     a, b = _ordered_pair(args.a, args.b)
     variant = Variant(_METHODS[args.method])
     chooser = CHOOSERS[variant]
-    divisions, subtractions = _counts(a, b, variant)
-    swaps = divisions - 1
+    counts = dict.fromkeys(("gcd", "divisions", "subtractions", "swaps", "total_steps"), 0)
     # A row has about as many characters as a has bits, and rows shrink
     # along the trace, so a joined piece holds about _CHUNK_BITS bits of text.
     rows = min(_ROWS, _CHUNK_BITS // (8 * a.bit_length()) + 1)
@@ -213,24 +219,18 @@ def cmd_gcd(args: argparse.Namespace) -> Result:
         # trace_to_dict(trace), rendered in pieces; a Variant's value is an
         # identifier, so it is its own JSON string body
         "trace": chain([f'{{"variant": "{variant.value}", "steps": ['],
-                       _joined(", ", _step_rows(a, b, _divisions(a, b, chooser), _json_step),
-                               rows),
+                       _joined(", ", _step_rows(a, b, _divisions(a, b, chooser), _json_step,
+                                                counts), rows),
                        ["]}"]),
-        "gcd": gcd(a, b),
-        "divisions": divisions,
-        "subtractions": subtractions,
-        "swaps": swaps,
-        "total_steps": subtractions + swaps,
+        # Generators, so each is read only when written, after the trace.
+        **{key: (str(counts[k]) for k in [key]) for key in counts},
     }
 
     def text() -> Iterable[str | Iterator[str]]:
-        yield _joined("\n", _step_rows(a, b, _divisions(a, b, chooser), _text_step), rows)
+        yield _joined("\n", _step_rows(a, b, _divisions(a, b, chooser), _text_step, counts), rows)
         yield ""
-        yield f"gcd: {payload['gcd']}"
-        yield f"divisions: {divisions}"
-        yield f"subtractions: {subtractions}"
-        yield f"swaps: {swaps}"
-        yield f"total steps: {payload['total_steps']}"
+        for key, value in counts.items():
+            yield f"{key.replace('_', ' ')}: {value}"
 
     return payload, text, 0
 
@@ -355,14 +355,15 @@ def cmd_enumerate(args: argparse.Namespace) -> Result:
 
 def cmd_untangle(args: argparse.Namespace) -> Result:
     from .euclid import Variant
-    from .tangles import _final, plan_metrics, plan_untangle
+    from .tangles import _stage_runs, plan_metrics, plan_untangle
 
     f = parse_fraction(args.fraction)
     plan = plan_untangle(f, Variant(_METHODS[args.method]))
-    # One integer-only replay first, so a failing plan writes nothing.
-    final = _final(f, plan.iter_moves())
-    if not final.is_zero:
-        raise RuntimeError(f"internal error: plan for {f} replayed to {final}")
+    # The stage kernel's last pair first, in O(stages), so a failing plan writes nothing.
+    for _, _, n, d in _stage_runs(f, plan.stages):
+        pass
+    if (n, d) != (0, 1):
+        raise RuntimeError(f"internal error: plan for {f} replayed to {ExtendedRational(n, d)}")
     metrics = plan_metrics(plan)
 
     payload = {
@@ -372,7 +373,7 @@ def cmd_untangle(args: argparse.Namespace) -> Result:
         "twists": metrics.twists,
         "rotations": metrics.rotations,
         "total": metrics.total,
-        "values": _value_list(f, plan.iter_moves(), '["', '", "', '"]'),
+        "values": _value_list(_planned(f, plan.stages), '["', '", "', '"]'),
         "verified": True,
     }
 
@@ -381,7 +382,7 @@ def cmd_untangle(args: argparse.Namespace) -> Result:
         yield f"twists: {metrics.twists}"
         yield f"rotations: {metrics.rotations}"
         yield f"total: {metrics.total}"
-        yield _value_list(f, plan.iter_moves(), "values: ", " -> ", "")
+        yield _value_list(_planned(f, plan.stages), "values: ", " -> ", "")
         yield "verified: pass"
 
     return payload, text, 0
@@ -408,7 +409,8 @@ def cmd_verify(args: argparse.Namespace) -> Result:
     payload = {
         "fraction": start,
         "moves": format_moves(moves),
-        "values": _value_list(f, moves, '["', '", "', '"]'),
+        "values": _value_list(chain([[start]], (values for _, values in _replayed(f, moves))),
+                              '["', '", "', '"]'),
         "final": str(final),
         "pass": final.is_zero,
     }

@@ -11,12 +11,15 @@ with no trace record, so planning and plan metrics cost O(divisions); its
 single moves are expanded from the stages lazily, one `repeat` per stage,
 and `moves` collects them into a tuple on each read.
 
-Replay is one loop over the moves on the integer pair (n, d) of the current
-value, with no call per move (`_fold`); `replay` then builds all of its
-values at once and `tangle_number` only the last; `verify_plan` replays the
-plan's moves.  Every pair is canonical by construction, since
-gcd(n + k*d, d) = gcd(n, d) and a rotation only swaps and negates, so no
-value pays the raw constructor's gcd check.
+Two kernels replay on the integer pair (n, d) of the current value, with no
+call per move.  A plan is replayed by its stages (`_stage_runs`): the values
+a twist stage reaches form one arithmetic run, n + j*s*d over a fixed d, so
+the kernel does O(stages) work and each run expands in C; `verify_plan`
+and the CLI's `untangle` read it.  Moves a user supplies are replayed one
+by one (`_fold`): `replay` builds all of their values at once,
+`tangle_number` only the last.  Every pair is canonical by construction,
+since gcd(n + k*d, d) = gcd(n, d) and a rotation only swaps and negates, so
+no value pays the raw constructor's gcd check.
 
 Which Euclidean variant runs underneath is the planning policy.  Least
 absolute remainders gives the same total as the regular variant and the
@@ -221,11 +224,47 @@ def replay(start: ExtendedRational, moves: Iterable[Move]) -> ReplayReport:
     return ReplayReport(_canonical_values(numerators, denominators))
 
 
+def _stage_runs(start: ExtendedRational, stages: tuple[Stage, ...]) -> Iterator[tuple]:
+    """start's pair and the pairs a plan's moves reach from it, one run per stage.
+
+    Yields (numerators, denominators, n, d) per run, (n, d) being the pair
+    the run ends at.  A run is its head pair (n, d), the start or the value
+    the rotation before the stage reaches, then the stage's k twists, each
+    adding s*d, s = +1 for a positive direction and -1 otherwise: its
+    numerators are one `range` over `repeat(d, k + 1)`, or `repeat(n, k + 1)`
+    at infinity (d = 0).  A count of zero or less twists nothing, as in
+    `iter_moves`.  A plan that opens with a rotation yields its start alone
+    first.  So the loop is O(stages) and the runs expand in C.
+    """
+    n, d = start.numerator, start.denominator
+    rotate = _opens_with_rotation(start)
+    if rotate:
+        yield (n,), (d,), n, d
+    # No stages: the opening rotation, if any, as for one stage of no twists.
+    for count, direction in stages or (Stage(0, 1),):
+        if rotate:
+            # `_fold`'s rotation rule.
+            n, d = (-d, n) if n > 0 else (d, -n) if n else (1, 0)
+        # As in `iter_moves`, a rotation comes between a stage and the next.
+        rotate = True
+        twists = count if count > 0 else 0
+        step = d if direction > 0 else -d
+        end = n + twists * step
+        numerators = range(n, end + step, step) if d else repeat(n, twists + 1)
+        yield numerators, repeat(d, twists + 1), end, d
+        n = end
+
+
 def verify_plan(f: ExtendedRational, plan: UntanglePlan) -> ReplayReport:
-    """Replay a plan's moves from f; the plan must have been built for f."""
+    """Replay a plan from f by its stages; the plan must have been built for f."""
     if plan.start != f:
-        raise ValueError(f"plan starts at {plan.start}, not {f}")
-    return replay(f, plan.iter_moves())
+        # No digits in the message: str() of a huge int can itself raise.
+        raise ValueError("the plan was built for another start value")
+    numerators, denominators = [], []
+    for run_numerators, run_denominators, _, _ in _stage_runs(f, plan.stages):
+        numerators += run_numerators
+        denominators += run_denominators
+    return ReplayReport(_canonical_values(numerators, denominators))
 
 
 def plan_metrics(plan: UntanglePlan) -> PlanMetrics:

@@ -6,6 +6,8 @@ import random
 import subprocess
 import sys
 import time
+from argparse import Namespace
+from collections import deque
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from math import gcd
@@ -19,6 +21,8 @@ from tanglegcd import cli
 from tanglegcd.cli import main
 from tanglegcd.enumeration import EnumerationResult, enumerate_all, minimize
 from tanglegcd.euclid import (
+    Variant,
+    _counts,
     division_count,
     run_lar,
     run_negative,
@@ -77,6 +81,34 @@ def test_gcd_json_schema(capsys):
     assert payload["trace"]["steps"][0] == {"a": 8, "b": 5, "q": 2, "eps": -1, "r": 2}
     for step in payload["trace"]["steps"]:
         assert set(step) == {"a", "b", "q", "eps", "r"}
+
+
+def test_gcd_counts_its_rows_as_they_render(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("gcd divided the chain a second time to count it")
+
+    monkeypatch.setattr("tanglegcd.euclid._counts", refuse)
+    for argv in (["gcd", "807", "673", "--method", "lar"], ["--json", "gcd", "807", "673"]):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+    assert json.loads(out)["total_steps"] == 57
+
+
+def test_gcd_prints_the_counts_of_the_library_sweep():
+    # The count fields are written after the trace, from its rendered rows:
+    # each field's JSON text once the rows are drained.
+    for method, value in cli._METHODS.items():
+        variant = Variant(value)
+        for a in range(1, 301):
+            for b in range(1, a + 1):
+                payload, _, _ = cli.cmd_gcd(Namespace(a=a, b=b, method=method))
+                deque(payload["trace"], maxlen=0)
+                divisions, subtractions = _counts(a, b, variant)
+                written = ["".join(payload[key]) for key in
+                           ("gcd", "divisions", "subtractions", "swaps", "total_steps")]
+                assert written == [
+                    f"{gcd(a, b)}", f"{divisions}", f"{subtractions}", f"{divisions - 1}",
+                    f"{subtractions + divisions - 1}"], (a, b, method)
 
 
 def test_gcd_swaps_misordered_inputs_with_notice(capsys):
@@ -772,6 +804,20 @@ def test_verify_streams_values_past_the_int_str_limit():
         assert sink.tail.endswith(f"\nR -> {value}\nfinal: {value}\nresult: fail\n")
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+def test_untangle_never_replays_move_by_move(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a plan was replayed one move at a time")
+
+    expected = {}
+    for argv in (["untangle", "8/5"], ["--json", "untangle", "8/5"],
+                 ["--json", "untangle", "-1/1003"], ["untangle", "inf", "--method", "negative"]):
+        expected[tuple(argv)] = run_cli(capsys, *argv)
+    monkeypatch.setattr("tanglegcd.tangles._fold", refuse)
+    for argv, result in expected.items():
+        assert run_cli(capsys, *argv) == result
+        assert result[0] == 0
 
 
 def test_an_untangle_plan_that_misses_zero_writes_nothing(capsys, monkeypatch):

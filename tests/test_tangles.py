@@ -3,7 +3,7 @@ from fractions import Fraction
 from itertools import accumulate, groupby
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from tanglegcd.euclid import (
@@ -187,6 +187,42 @@ def test_verify_plan_equals_the_per_move_fold(f, policy):
     values = verify_plan(f, plan).values
     assert values == tuple(accumulate(plan.moves, apply_move, initial=f))
     assert_built_in_bulk(values)
+
+
+# Hand-built plans: any stage tuple from any start, so every branch of the
+# stage kernel runs, including counts of zero or less, direction 0 (a
+# negative twist), twists at infinity and rotations of zero.
+hand_built_plans = st.builds(
+    UntanglePlan,
+    st.one_of(
+        starts,
+        st.tuples(st.integers(10**40, 10**60), st.integers(1, 10**30)).map(
+            lambda t: normalize(-t[0], t[1])),
+    ),
+    st.lists(st.builds(Stage, st.integers(-2, 50), st.sampled_from([-1, 0, 1])),
+             max_size=8).map(tuple),
+    st.sampled_from(POLICIES),
+)
+
+
+@given(hand_built_plans)
+# 3 -> 2 -> 1 -> 0, a rotation of zero, then twists at infinity in direction 0.
+@example(UntanglePlan(normalize(3, 1), (Stage(3, -1), Stage(2, 0)), Variant.REGULAR))
+def test_verify_plan_of_hand_built_stages_equals_the_per_move_fold(plan):
+    f = plan.start
+    values = verify_plan(f, plan).values
+    assert values == tuple(accumulate(plan.moves, apply_move, initial=f))
+    assert_built_in_bulk(values)
+
+
+def test_verify_plan_never_replays_move_by_move(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a plan was replayed one move at a time")
+
+    monkeypatch.setattr("tanglegcd.tangles._fold", refuse)
+    for f in (normalize(8, 5), normalize(-1, 1003), normalize(10**6 + 3, 1), INFINITY, ZERO):
+        for policy in POLICIES:
+            assert verify_plan(f, plan_untangle(f, policy)).passed
 
 
 def test_replay_lists_each_twist_and_fixes_infinity():
@@ -391,6 +427,10 @@ def test_verify_plan_requires_matching_start():
     plan = plan_untangle(normalize(8, 5), Variant.REGULAR)
     with pytest.raises(ValueError):
         verify_plan(normalize(7, 5), plan)
+    # A start past the 4,300-digit int/str limit: the message has no digits.
+    plan = plan_untangle(normalize(1, 2), Variant.LEAST_ABSOLUTE)
+    with pytest.raises(ValueError, match="^the plan was built for another start value$"):
+        verify_plan(normalize(10**5000 + 1, 3), plan)
 
 
 def test_replay_can_fail():
