@@ -9,18 +9,22 @@ passed.
 Long outputs are streamed, byte for byte as one `json.dumps` or one joined
 text would print them, so memory stays flat in the number of moves, of
 traces and of divisions.  `enumerate` renders each trace row during its
-walk of the trace tree.  `untangle` replays its plan by stages
-(`tangles._stage_runs`), `verify` and `construct` the user's moves one by
-one (`tangles._fold`); values are rendered a chunk at a time.  `gcd` renders
-and counts each division as euclid's division loop yields it, with one str()
-per integer, and `steps` counts every method's row without a trace.
+own flat walk of the trace tree (`_trace_rows`).  `untangle` replays its
+plan by stages (`tangles._stage_runs`), `verify` and `construct` the user's
+moves one by one (`tangles._fold`); values are rendered a chunk at a time.
+`gcd` renders and counts each division as euclid's division loop yields
+it, with one str() per integer, and `steps` counts every method's row
+without a trace.
 
 A cold call loads only what its subcommand runs.  At module scope this
-file imports only the standard modules the parser needs and `rationals`,
-which every subcommand's argument checks and rendering use; each handler
-imports the layer functions it calls, and `json` is imported only where a
-JSON object is written.  So `verify` loads `tangles` and `euclid` but not
-`enumeration`, and `gcd`, `steps` and `enumerate` load no `tangles`.
+file imports only the standard modules the parser needs and no layer of
+the package; each handler, and each helper that words an error or a
+notice, imports the layer functions it calls.  So `gcd` and `steps` load `euclid` alone,
+`enumerate` `euclid` and `enumeration`, and `untangle`, `construct` and
+`verify` `rationals`, `euclid` and `tangles`.  JSON is written by
+`_json_text`, which renders bools, ints and plain ASCII strings itself and
+imports `json` only for any other value: of the payloads, only the rows of
+`steps`.
 """
 
 from __future__ import annotations
@@ -33,13 +37,12 @@ from collections.abc import Iterator
 from itertools import chain, count, islice, tee
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
-from .rationals import EXCERPT_CHARS, ExtendedRational, _value_strings, excerpt, parse_fraction
-
 if TYPE_CHECKING:
+    from .rationals import ExtendedRational
     from .tangles import Move, Stage
 
 # Each --method by the value of its euclid.Variant; a handler builds the
-# Variant, so building the parser imports no layer beyond rationals.
+# Variant, so building the parser imports no layer.
 _METHODS = {
     "regular": "Regular",
     "lar": "LeastAbsolute",
@@ -85,6 +88,7 @@ def _replayed(start: ExtendedRational, moves: Iterable[Move]) -> Iterator[tuple[
     Yields each chunk's moves and the str() of the values they reach.  No
     value record is built, and only one chunk of pairs is held.
     """
+    from .rationals import _value_strings
     from .tangles import _fold
 
     n, d = start.numerator, start.denominator
@@ -97,6 +101,7 @@ def _replayed(start: ExtendedRational, moves: Iterable[Move]) -> Iterator[tuple[
 
 def _planned(start: ExtendedRational, stages: tuple[Stage, ...]) -> Iterator[list[str]]:
     """str() of start and the values its plan reaches, by the stage kernel, a chunk at a time."""
+    from .rationals import _value_strings
     from .tangles import _stage_runs
 
     runs_n, runs_d = tee(_stage_runs(start, stages))
@@ -114,14 +119,35 @@ def _value_list(chunks: Iterable, opening: str, separator: str, closing: str) ->
     yield closing
 
 
-def _json_pieces(payload: dict) -> Iterator[str]:
-    """json.dumps(payload) and a newline, in pieces; a long field's as they come."""
+_JSON_BOOLS = ("false", "true")
+
+
+def _json_text(value: object) -> str:
+    """json.dumps(value); a payload's bools, ints and plain ASCII strings without `json`.
+
+    json.dumps writes an exact bool as false / true, an exact int as its
+    str(), and a str of printable ASCII without a quote or backslash as
+    itself in quotes; anything else, such as an enum member, goes to it.
+    """
+    kind = type(value)
+    if kind is bool:
+        return _JSON_BOOLS[value]
+    if kind is int:
+        return str(value)
+    if (kind is str and value.isascii() and value.isprintable()
+            and '"' not in value and "\\" not in value):
+        return f'"{value}"'
     import json
 
+    return json.dumps(value)
+
+
+def _json_pieces(payload: dict) -> Iterator[str]:
+    """json.dumps(payload) and a newline, in pieces; a long field's as they come."""
     separator = "{"
     for key, value in payload.items():
-        yield f"{separator}{json.dumps(key)}: "
-        yield from value if isinstance(value, Iterator) else (json.dumps(value),)
+        yield f"{separator}{_json_text(key)}: "
+        yield from value if isinstance(value, Iterator) else (_json_text(value),)
         separator = ", "
     yield "}\n"
 
@@ -152,6 +178,8 @@ def _digits_within_limit(text: str) -> str:
 
 def _shown(value: int) -> str:
     """An integer for a message: whole up to EXCERPT_CHARS characters, else an excerpt."""
+    from .rationals import EXCERPT_CHARS, excerpt
+
     text = str(value)
     return text if len(text) <= EXCERPT_CHARS else excerpt(text)
 
@@ -160,6 +188,8 @@ def _positive_int(text: str) -> int:
     try:
         value = int(_digits_within_limit(text))
     except ValueError:
+        from .rationals import excerpt
+
         raise argparse.ArgumentTypeError(f"not an integer: {excerpt(text)}") from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {_shown(value)}")
@@ -262,43 +292,36 @@ def cmd_steps(args: argparse.Namespace) -> Result:
     return payload, text, 0
 
 
-_JSON_BOOLS = ("false", "true")
-
-
 def _trace_rows(a: int, b: int, separator: str, plus: str, minus: str,
                 row: Callable[[str, str, int, int], str]) -> Iterator[str]:
-    """One row per trace of (a, b), in enumerate_all's order, from its walker.
+    """One row per trace of (a, b), in enumerate_all's order, by a flat walk.
 
     A row is row(quotients, epsilons, divisions, total), the two lists
-    rendered with `separator` and the signs `plus` and `minus`.  Each path
-    entry of the walk carries its rendered quotient and epsilon prefixes,
-    the subtractions so far and the depth, built from its parent's, so a row
-    costs one concatenation per entered node and no record.  A leaf reads
-    only its own entry, so an entry drops its prefixes once its children
-    are built: the walk's shared path would otherwise hold a prefix per
-    depth, memory quadratic in the depth of staircase pairs.  The caller
-    checks the pair first, as `minimize` does.
+    rendered with `separator` and the signs `plus` and `minus`.  The walk
+    keeps its own stack of (a, b, quotient prefix, epsilon prefix,
+    subtractions, depth), each entry built from its parent's, so a node
+    costs one divmod and then one row or two pushes, with no record.  The
+    stack holds at most one pending sibling per level of the current path,
+    each with its own prefixes, which grow with its depth; so memory is
+    bounded by the square of the depth, and on staircase pairs, whose
+    +1 branch ends at once, by the depth.  The caller checks the pair first,
+    as `minimize` does.
     """
-    from .enumeration import _generate
-
     plus_prefix, minus_prefix = plus + separator, minus + separator
-
-    def branches(a: int, b: int, q: int, r: int, entry: list) -> tuple:
-        quotients, epsilons, subtractions, depth = entry
-        entry[0] = entry[1] = None
+    stack = [(a, b, "", "", 0, 0)]
+    pop, push = stack.pop, stack.append
+    while stack:
+        a, b, quotients, epsilons, subtractions, depth = pop()
+        q, r = divmod(a, b)
+        if r == 0:
+            # The last division has remainder 0 and sign +1; swaps are depth.
+            yield row(f"{quotients}{q}", epsilons + plus, depth + 1, subtractions + q + depth)
+            continue
+        # The -1 branch first, so that the +1 branch is walked first.
         depth += 1
-        return (
-            (b, b - r, [f"{quotients}{q + 1}{separator}", epsilons + minus_prefix,
-                        subtractions + q + 1, depth]),
-            (b, r, [f"{quotients}{q}{separator}", epsilons + plus_prefix, subtractions + q, depth]),
-        )
-
-    def leaf(path: list, a: int, b: int, q: int) -> str:
-        # The last division has remainder 0 and sign +1; swaps are depth.
-        quotients, epsilons, subtractions, depth = path[-1]
-        return row(f"{quotients}{q}", epsilons + plus, depth + 1, subtractions + q + depth)
-
-    return _generate(a, b, branches, leaf, ["", "", 0, 0])
+        push((b, b - r, f"{quotients}{q + 1}{separator}", epsilons + minus_prefix,
+              subtractions + q + 1, depth))
+        push((b, r, f"{quotients}{q}{separator}", epsilons + plus_prefix, subtractions + q, depth))
 
 
 def cmd_enumerate(args: argparse.Namespace) -> Result:
@@ -355,6 +378,7 @@ def cmd_enumerate(args: argparse.Namespace) -> Result:
 
 def cmd_untangle(args: argparse.Namespace) -> Result:
     from .euclid import Variant
+    from .rationals import ExtendedRational, parse_fraction
     from .tangles import _stage_runs, plan_metrics, plan_untangle
 
     f = parse_fraction(args.fraction)
@@ -401,6 +425,7 @@ def cmd_construct(args: argparse.Namespace) -> Result:
 
 
 def cmd_verify(args: argparse.Namespace) -> Result:
+    from .rationals import parse_fraction
     from .tangles import _final, format_moves, parse_moves
 
     f = parse_fraction(args.fraction)

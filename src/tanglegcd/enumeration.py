@@ -10,26 +10,22 @@ taken with a -1 remainder into a closed form, so its cost grows with the
 number of divisions, not with the partial quotients or with x0.  Nothing
 here consults the named variants, so both are independent oracles for them.
 
-One walker, `_generate`, serves the whole tree and the witnesses' subtree.
-It keeps a shared path of entries, one per step from the root, and each
-entry is built from its parent's by the caller's `branches` function:
-`enumerate_all` and the witnesses make each entry the step itself and build
-a trace from the path at each leaf, while the CLI's listing carries the
-rendered prefix of a row, so that a row costs one concatenation per entered
-node and no trace.
+One walker, `_generate`, serves the whole tree (`enumerate_all`) and the
+witnesses' subtree (`minimize`): the caller's `branches` function gives
+the children of each pair, and each leaf is built into a trace from the
+steps on the path from the root.  The CLI's listing needs no trace, only
+its rows, and walks the tree in its own flat loop (`cli._trace_rows`).
 """
 
 from __future__ import annotations
 
 from itertools import islice
-from typing import Any, Callable, Iterable, Iterator, TypeVar
+from typing import Callable, Iterable, Iterator
 
 from ._record import Record, set_field
 from .euclid import EuclidStep, EuclidTrace, Variant, _step, _trace, check_pair
 
 MAX_WITNESSES = 16
-
-T = TypeVar("T")
 
 
 class EnumerationResult(Record):
@@ -46,17 +42,13 @@ class EnumerationResult(Record):
         set_field(self, "witnesses_min_steps", witnesses_min_steps)
 
 
-# The children of a pair as (a, b, entry): the next pair and the path entry
-# of the step that enters it.
-Children = Iterable[tuple[int, int, Any]]
+# The children of a pair as (a, b, step): the next pair and the step that
+# enters it.
+Children = Iterable[tuple[int, int, EuclidStep]]
 
 
-def _every_branch(a: int, b: int, q: int, r: int, _: object) -> Children:
+def _every_branch(a: int, b: int, q: int, r: int) -> Children:
     return (b, b - r, _step(a, b, q + 1, -1, b - r)), (b, r, _step(a, b, q, 1, r))
-
-
-def _trace_leaf(path: list[EuclidStep], a: int, b: int, q: int) -> EuclidTrace:
-    return _trace((*path, _step(a, b, q, 1, 0)), Variant.CUSTOM)
 
 
 def enumerate_all(x0: int, x1: int) -> Iterator[EuclidTrace]:
@@ -66,40 +58,35 @@ def enumerate_all(x0: int, x1: int) -> Iterator[EuclidTrace]:
     the order is reproducible.
     """
     check_pair(x0, x1)
-    return _generate(x0, x1, _every_branch, _trace_leaf)
+    return _generate(x0, x1, _every_branch)
 
 
 def _generate(
-    x0: int,
-    x1: int,
-    branches: Callable[[int, int, int, int, Any], Children],
-    leaf: Callable[[list, int, int, int], T],
-    root: Any = None,
-) -> Iterator[T]:
-    # Explicit stack: entries are (a, b, entry) and a None sentinel that pops
+    x0: int, x1: int, branches: Callable[[int, int, int, int], Children]
+) -> Iterator[EuclidTrace]:
+    # Explicit stack: entries are (a, b, step) and a None sentinel that pops
     # the shared path when a subtree is done.  Recursion would overflow on
-    # staircase pairs such as (10000, 9999).  An entry is built from its
-    # parent's: at a pair (a, b) entered by `entry`, with q, r = divmod(a, b)
-    # and r > 0, `branches(a, b, q, r, entry)` gives the children, the -1
-    # branch first, so that the +1 branch is walked first.  At r == 0 the
-    # walk yields `leaf(path, a, b, q)`, where `path` holds the entries from
-    # the root down to the leaf's; `root` is the entry of (x0, x1), and a
-    # None root is kept off the path.
-    path: list = []
-    stack: list[tuple[int, int, Any] | None] = [(x0, x1, root)]
+    # staircase pairs such as (10000, 9999).  At a pair (a, b) entered by
+    # `step`, with q, r = divmod(a, b) and r > 0, `branches(a, b, q, r)`
+    # gives the children, the -1 branch first, so that the +1 branch is
+    # walked first; they are pushed as given, so a node allocates nothing
+    # here.  At r == 0 the walk yields the trace of the steps on the path
+    # from the root.  The root is entered by no step.
+    path: list[EuclidStep] = []
+    stack: list[tuple[int, int, EuclidStep | None] | None] = [(x0, x1, None)]
     while stack:
         entry = stack.pop()
         if entry is None:
             path.pop()
             continue
-        a, b, node = entry
-        if node is not None:
-            path.append(node)
+        a, b, step = entry
+        if step is not None:
+            path.append(step)
         q, r = divmod(a, b)
         if r == 0:
-            yield leaf(path, a, b, q)
+            yield _trace((*path, _step(a, b, q, 1, 0)), Variant.CUSTOM)
             continue
-        for child in branches(a, b, q, r, node):
+        for child in branches(a, b, q, r):
             stack.append(None)
             stack.append(child)
 
@@ -190,7 +177,7 @@ def minimize(x0: int, x1: int) -> EnumerationResult:
     total += q
     memo: dict[tuple[int, int], list] = {}  # the branches of each entered pair
 
-    def optimal(a: int, b: int, q: int, r: int, _: object) -> Children:
+    def optimal(a: int, b: int, q: int, r: int) -> Children:
         # The branches from which the minimum of pair (a, b) stays reachable,
         # read off chain (r, s), b = k*r + s, as in state (b, r): +1 goes on
         # to X in k subtractions, -1 one link lower, or at the base to pair
@@ -218,5 +205,5 @@ def minimize(x0: int, x1: int) -> EnumerationResult:
         traces_examined=count,
         min_total_steps=total,
         min_divisions=divisions,
-        witnesses_min_steps=tuple(islice(_generate(x0, x1, optimal, _trace_leaf), MAX_WITNESSES)),
+        witnesses_min_steps=tuple(islice(_generate(x0, x1, optimal), MAX_WITNESSES)),
     )

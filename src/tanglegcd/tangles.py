@@ -268,7 +268,10 @@ def verify_plan(f: ExtendedRational, plan: UntanglePlan) -> ReplayReport:
 
 
 def plan_metrics(plan: UntanglePlan) -> PlanMetrics:
-    """Twist, rotation and total move counts, read from the stages."""
-    twists = sum(stage.twist_count for stage in plan.stages)
+    """Twist, rotation and total move counts, read from the stages.
+
+    A count of zero or less twists nothing, as in `iter_moves`.
+    """
+    twists = sum(count for count, _ in plan.stages if count > 0)
     rotations = _opens_with_rotation(plan.start) + max(len(plan.stages) - 1, 0)
     return PlanMetrics(twists=twists, rotations=rotations, total=twists + rotations)

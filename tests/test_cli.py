@@ -30,7 +30,7 @@ from tanglegcd.euclid import (
     step_count,
     trace_to_dict,
 )
-from tanglegcd.tangles import Stage, UntanglePlan
+from tanglegcd.tangles import Move, Stage, UntanglePlan
 
 
 def run_cli(capsys, *argv):
@@ -314,6 +314,34 @@ def test_verify_json_reports_values(capsys):
     payload = json.loads(out)
     assert payload["pass"] is False
     assert payload["values"] == ["1", "-1"]
+
+
+# Payload values _json_text renders itself and values it hands to json.dumps:
+# text with quotes, backslashes, control characters, DEL, non-ASCII and lone
+# surrogates; enum members (str subclasses); ints past the int/str limit.
+json_values = st.one_of(
+    st.booleans(),
+    st.integers(),
+    st.builds(lambda high, low: high * 10**4300 + low,
+              st.integers(-10**6, 10**6), st.integers(0, 10**4300)),
+    st.text(st.characters(max_codepoint=0x7F)),
+    st.text(st.sampled_from('"\\\x00\x1f\x7f\x80\xe9\u2028\ud800\udfff\U0001f600 aZ/')),
+    st.text(st.characters(exclude_categories=())),
+    st.sampled_from([*Move, *Variant]),
+    st.lists(st.integers(), max_size=3),
+)
+
+
+@settings(max_examples=1000)
+@given(json_values)
+def test_json_text_writes_what_json_dumps_writes(value):
+    # main lifts the int/str limit while the pieces are written.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        assert cli._json_text(value) == json.dumps(value)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_json_flag_accepted_before_and_after_subcommand(capsys):
@@ -768,6 +796,15 @@ def test_a_negative_gcd_trace_streams_in_flat_memory():
     assert (code, size, digest) == (
         0, 17_666_875, "7d6a49207dbf0a374e110f2bd15185a0fcea826abd376f713d9f6c94ce814cf3")
     assert peak_mb < 30
+
+
+def test_a_staircase_listing_streams_in_bounded_memory():
+    # (4000, 3999): 3,999 traces, the deepest of 3,999 divisions, 56 MB of
+    # JSON.  Built whole, the listing peaked at about 286 MB.
+    code, size, digest, peak_mb = peak_rss_run("--json", "enumerate", "4000", "3999")
+    assert (code, size, digest) == (
+        0, 56_452_770, "1d546f9a5166d3db51e97fd4ad5fe4684215552e723249bbc3769f3557dc16c8")
+    assert peak_mb < 45
 
 
 class TailSink(io.TextIOBase):

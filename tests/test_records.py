@@ -154,25 +154,52 @@ def main_call(*argv):
 
 
 # Each cold call loads only the layers its subcommand runs, and json only
-# where JSON is written.
+# where a JSON value is not a bool, an int or a plain ASCII string: of the
+# payloads, only the rows of `steps`.
 @pytest.mark.parametrize("code,loaded", [
     ("import tanglegcd", set()),
-    ("import tanglegcd.cli", {"tanglegcd.rationals"}),
+    ("import tanglegcd.cli", set()),
     (main_call("verify", "8/5", "--moves", "-T,R,T,R,-T,R,T,T"),
      {"tanglegcd.rationals", "tanglegcd.euclid", "tanglegcd.tangles"}),
     (main_call("untangle", "8/5"), {"tanglegcd.rationals", "tanglegcd.euclid", "tanglegcd.tangles"}),
     (main_call("construct", "--moves", "T,R"),
      {"tanglegcd.rationals", "tanglegcd.euclid", "tanglegcd.tangles"}),
-    (main_call("gcd", "807", "673"), {"tanglegcd.rationals", "tanglegcd.euclid"}),
-    (main_call("steps", "807", "673"), {"tanglegcd.rationals", "tanglegcd.euclid"}),
-    (main_call("enumerate", "8", "5"),
-     {"tanglegcd.rationals", "tanglegcd.euclid", "tanglegcd.enumeration"}),
+    (main_call("gcd", "807", "673"), {"tanglegcd.euclid"}),
+    (main_call("steps", "807", "673"), {"tanglegcd.euclid"}),
+    (main_call("enumerate", "8", "5"), {"tanglegcd.euclid", "tanglegcd.enumeration"}),
 ])
 def test_a_cold_call_loads_only_what_its_subcommand_runs(code, loaded):
     assert modules_loaded_by(code) == loaded
     if code.startswith("from tanglegcd.cli"):
         json_call = code.replace("main([", "main(['--json', ")
-        assert modules_loaded_by(json_call) == loaded | {"json"}
+        json_loaded = loaded | {"json"} if "'steps'" in code else loaded
+        assert modules_loaded_by(json_call) == json_loaded
+
+
+X0_45 = "123456789012345678901234567890123456789012345"
+
+
+# The messages of these errors quote an argument by `rationals.excerpt`, which
+# a cold `gcd` or `enumerate` first imports in the error branch; pytest's own
+# process already holds `rationals`, so they run in a fresh interpreter.
+@pytest.mark.parametrize("argv,message", [
+    (["gcd", "12x", "3"], "error: argument a: not an integer: '12x'\n"),
+    (["enumerate", X0_45, "3"],
+     f"error: x0 = {X0_45[:40]!r}... (45 characters) exceeds the enumeration bound 10000; "),
+])
+def test_an_error_branch_imports_what_its_message_needs(argv, message):
+    proc = run_fresh(
+        "import sys\n"
+        "from tanglegcd.cli import main\n"
+        "assert 'tanglegcd.rationals' not in sys.modules\n"
+        "try:\n"
+        f"    code = main({argv!r})\n"
+        "except SystemExit as exc:\n"
+        "    code = exc.code\n"
+        "print(code, 'tanglegcd.rationals' in sys.modules)\n"
+    )
+    assert proc.stdout.decode().split() == ["2", "True"]
+    assert message in proc.stderr.decode()
 
 
 def test_pickles_load_after_importing_only_the_package():

@@ -213,6 +213,9 @@ def test_verify_plan_of_hand_built_stages_equals_the_per_move_fold(plan):
     values = verify_plan(f, plan).values
     assert values == tuple(accumulate(plan.moves, apply_move, initial=f))
     assert_built_in_bulk(values)
+    rotations = plan.moves.count(R)
+    twists = len(plan.moves) - rotations
+    assert plan_metrics(plan) == PlanMetrics(twists, rotations, twists + rotations)
 
 
 def test_verify_plan_never_replays_move_by_move(monkeypatch):
@@ -246,6 +249,12 @@ def test_iter_moves_expands_the_same_moves_lazily(f, policy):
     moves = plan.iter_moves()
     assert not isinstance(moves, (list, tuple))
     assert tuple(moves) == plan.moves
+
+
+def test_plan_metrics_count_no_twists_for_a_count_of_zero_or_less():
+    plan = UntanglePlan(normalize(1, 1), (Stage(-1, 1), Stage(1, 1)), Variant.REGULAR)
+    assert plan.moves == (R, T)
+    assert plan_metrics(plan) == PlanMetrics(twists=1, rotations=1, total=2)
 
 
 def test_iter_moves_of_hand_built_stages():
