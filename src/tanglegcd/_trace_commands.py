@@ -1,0 +1,215 @@
+"""The `gcd`, `steps` and `enumerate` handlers: Euclid traces, step counts and trace listings.
+
+`cli` imports this module for these subcommands only, so no other cold call
+compiles it.  `gcd` renders and counts each division as euclid's division
+loop yields it, with one str() per integer; `steps` counts every method's
+row without a trace; `enumerate` renders each trace row during its own flat
+walk of the trace tree (`_trace_rows`).  Rows are joined into written pieces
+of about _PIECE characters, so memory stays flat in the number of rows.
+"""
+
+from __future__ import annotations
+
+import sys
+from itertools import chain, count
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator
+
+from .cli import _JSON_BOOLS, _METHODS, _shown
+
+if TYPE_CHECKING:
+    import argparse
+
+    from .cli import Result
+
+_PIECE = 1 << 19
+
+
+def _joined_rows(separator: str, rows: Iterable[str]) -> Iterator[str]:
+    """separator.join(rows), in pieces of about _PIECE characters: one join per piece."""
+    batch, length = [], 0
+    for row in rows:
+        batch.append(row)
+        length += len(row)
+        if length >= _PIECE:
+            yield separator.join(batch)
+            # The next piece starts with the separator.
+            batch, length = [""], 0
+    if batch:
+        yield separator.join(batch)
+
+
+def _ordered_pair(a: int, b: int) -> tuple[int, int]:
+    # gcd is symmetric; accept misordered input with a notice instead of erroring
+    if a < b:
+        print(f"notice: swapped inputs to ({_shown(b)}, {_shown(a)})", file=sys.stderr)
+        return b, a
+    return a, b
+
+
+def _step_rows(a: int, b: int, divisions: Iterable[tuple[int, int, int, int, int]],
+               row: Callable[[str, str, int, int, str], str], counts: dict) -> Iterator[str]:
+    """row(a, b, q, eps, r) for each (a, b, q, eps, r) of the divisions from (a, b).
+
+    A division's a and b are the division before's b and r, so one str()
+    per division renders each integer once and slides the window of digits:
+    int -> str is quadratic in the digit count.  After the last row, `counts`
+    holds the chain's gcd, its last divisor, and its step counts.
+    """
+    a, b = str(a), str(b)
+    subtractions = 0
+    for done, (_, divisor, q, eps, r) in enumerate(divisions, 1):
+        subtractions += q
+        r = str(r)
+        yield row(a, b, q, eps, r)
+        a, b = b, r
+    counts.update(gcd=divisor, divisions=done, subtractions=subtractions, swaps=done - 1,
+                  total_steps=subtractions + done - 1)
+
+
+def _json_step(a: str, b: str, q: int, eps: int, r: str) -> str:
+    return f'{{"a": {a}, "b": {b}, "q": {q}, "eps": {eps}, "r": {r}}}'
+
+
+def _text_step(a: str, b: str, q: int, eps: int, r: str) -> str:
+    return f"{a} = {b}({q}){'+' if eps > 0 else '-'}{r}"
+
+
+def cmd_gcd(args: argparse.Namespace) -> Result:
+    from .euclid import CHOOSERS, Variant, _divisions
+
+    a, b = _ordered_pair(args.a, args.b)
+    variant = Variant(_METHODS[args.method])
+    chooser = CHOOSERS[variant]
+    counts = dict.fromkeys(("gcd", "divisions", "subtractions", "swaps", "total_steps"), 0)
+    payload = {
+        "x0": a,
+        "x1": b,
+        "method": args.method,
+        # trace_to_dict(trace), rendered in pieces; a Variant's value is an
+        # identifier, so it is its own JSON string body
+        "trace": chain([f'{{"variant": "{variant.value}", "steps": ['],
+                       _joined_rows(", ", _step_rows(a, b, _divisions(a, b, chooser), _json_step,
+                                                     counts)),
+                       ["]}"]),
+        # Generators, so each is read only when written, after the trace.
+        **{key: (str(counts[k]) for k in [key]) for key in counts},
+    }
+
+    def text() -> Iterable[str | Iterator[str]]:
+        yield _joined_rows("\n", _step_rows(a, b, _divisions(a, b, chooser), _text_step, counts))
+        yield ""
+        for key, value in counts.items():
+            yield f"{key.replace('_', ' ')}: {value}"
+
+    return payload, text, 0
+
+
+def cmd_steps(args: argparse.Namespace) -> Result:
+    from .euclid import Variant, _counts
+
+    a, b = _ordered_pair(args.a, args.b)
+    rows = []
+    for name, value in _METHODS.items():
+        divisions, subtractions = _counts(a, b, Variant(value))
+        rows.append(
+            {
+                "method": name,
+                "divisions": divisions,
+                "subtractions": subtractions,
+                "swaps": divisions - 1,
+                "total": subtractions + divisions - 1,
+            }
+        )
+    payload = {"x0": a, "x1": b, "rows": rows}
+
+    def text() -> Iterable[str]:
+        columns = "{:<10}{:>10}{:>14}{:>7}{:>7}".format
+        yield columns(*rows[0])  # the header is the row keys
+        for row in rows:
+            yield columns(*row.values())
+
+    return payload, text, 0
+
+
+def _trace_rows(a: int, b: int, separator: str, plus: str, minus: str,
+                row: Callable[[str, str, int, int], str]) -> Iterator[str]:
+    """One row per trace of (a, b), in enumerate_all's order, by a flat walk.
+
+    A row is row(quotients, epsilons, divisions, total), the two lists
+    rendered with `separator` and the signs `plus` and `minus`.  The walk
+    keeps its own stack of (a, b, quotient prefix, epsilon prefix,
+    subtractions, depth), each entry built from its parent's, so a node
+    costs one divmod and then one row or two pushes, with no record.  The
+    stack holds at most one pending sibling per level of the current path,
+    each with its own prefixes, which grow with its depth; so memory is
+    bounded by the square of the depth, and on staircase pairs, whose
+    +1 branch ends at once, by the depth.  The caller checks the pair first,
+    as `minimize` does.
+    """
+    plus_prefix, minus_prefix = plus + separator, minus + separator
+    stack = [(a, b, "", "", 0, 0)]
+    pop, push = stack.pop, stack.append
+    while stack:
+        a, b, quotients, epsilons, subtractions, depth = pop()
+        q, r = divmod(a, b)
+        if r == 0:
+            # The last division has remainder 0 and sign +1; swaps are depth.
+            yield row(f"{quotients}{q}", epsilons + plus, depth + 1, subtractions + q + depth)
+            continue
+        # The -1 branch first, so that the +1 branch is walked first.
+        depth += 1
+        push((b, b - r, f"{quotients}{q + 1}{separator}", epsilons + minus_prefix,
+              subtractions + q + 1, depth))
+        push((b, r, f"{quotients}{q}{separator}", epsilons + plus_prefix, subtractions + q, depth))
+
+
+def cmd_enumerate(args: argparse.Namespace) -> Result:
+    from .enumeration import minimize
+
+    a, b = _ordered_pair(args.a, args.b)
+    if a > args.limit:
+        raise ValueError(
+            f"x0 = {_shown(a)} exceeds the enumeration bound {args.limit}; "
+            "raise the bound to proceed (see --limit)"
+        )
+    certificate = minimize(a, b)
+    least_total, least_divisions = certificate.min_total_steps, certificate.min_divisions
+
+    def json_row(quotients: str, epsilons: str, divisions: int, total: int) -> str:
+        return (
+            f'{{"quotients": [{quotients}], "epsilons": [{epsilons}], '
+            f'"divisions": {divisions}, "total": {total}, '
+            f'"min_steps": {_JSON_BOOLS[total == least_total]}, '
+            f'"min_divisions": {_JSON_BOOLS[divisions == least_divisions]}}}'
+        )
+
+    def json_rows() -> Iterator[str]:
+        yield "["
+        yield from _joined_rows(", ", _trace_rows(a, b, ", ", "1", "-1", json_row))
+        yield "]"
+
+    payload = {
+        "x0": a,
+        "x1": b,
+        "traces": json_rows(),
+        "traces_examined": certificate.traces_examined,
+        "min_total_steps": least_total,
+        "min_divisions": least_divisions,
+    }
+
+    def text() -> Iterable[str | Iterator[str]]:
+        numbers = count(1)
+
+        def text_row(quotients: str, epsilons: str, divisions: int, total: int) -> str:
+            flags = " *min-steps" if total == least_total else ""
+            flags += " *min-divisions" if divisions == least_divisions else ""
+            return (f"#{next(numbers)} quotients=[{quotients}] epsilons=[{epsilons}] "
+                    f"total={total}{flags}")
+
+        yield _joined_rows("\n", _trace_rows(a, b, ",", "+", "-", text_row))
+        yield (
+            f"summary: {certificate.traces_examined} traces, min total steps "
+            f"{least_total}, min divisions {least_divisions}"
+        )
+
+    return payload, text, 0

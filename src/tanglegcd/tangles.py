@@ -31,6 +31,7 @@ one direction for start values of magnitude at least one.
 
 from __future__ import annotations
 
+import sys
 from collections import deque
 from enum import Enum
 from itertools import chain, repeat
@@ -234,7 +235,9 @@ def _stage_runs(start: ExtendedRational, stages: tuple[Stage, ...]) -> Iterator[
     numerators are one `range` over `repeat(d, k + 1)`, or `repeat(n, k + 1)`
     at infinity (d = 0).  A count of zero or less twists nothing, as in
     `iter_moves`.  A plan that opens with a rotation yields its start alone
-    first.  So the loop is O(stages) and the runs expand in C.
+    first.  So the loop is O(stages) and the runs expand in C.  A run's
+    length is a C size, so a stage of sys.maxsize twists or more is refused
+    with a ValueError when the walk reaches it.
     """
     n, d = start.numerator, start.denominator
     rotate = _opens_with_rotation(start)
@@ -248,6 +251,9 @@ def _stage_runs(start: ExtendedRational, stages: tuple[Stage, ...]) -> Iterator[
         # As in `iter_moves`, a rotation comes between a stage and the next.
         rotate = True
         twists = count if count > 0 else 0
+        if twists >= sys.maxsize:
+            # No digits in the message: str() of a huge int can itself raise.
+            raise ValueError("a plan stage has more twists than a replay can count")
         step = d if direction > 0 else -d
         end = n + twists * step
         numerators = range(n, end + step, step) if d else repeat(n, twists + 1)

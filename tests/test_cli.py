@@ -1,4 +1,6 @@
+import functools
 import hashlib
+import importlib
 import io
 import json
 import os
@@ -14,10 +16,10 @@ from math import gcd
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tanglegcd import cli
+from tanglegcd import _tangle_commands, _trace_commands, cli
 from tanglegcd.cli import main
 from tanglegcd.enumeration import EnumerationResult, enumerate_all, minimize
 from tanglegcd.euclid import (
@@ -31,6 +33,7 @@ from tanglegcd.euclid import (
     trace_to_dict,
 )
 from tanglegcd.tangles import Move, Stage, UntanglePlan
+from test_golden import GOLDEN
 
 
 def run_cli(capsys, *argv):
@@ -101,7 +104,7 @@ def test_gcd_prints_the_counts_of_the_library_sweep():
         variant = Variant(value)
         for a in range(1, 301):
             for b in range(1, a + 1):
-                payload, _, _ = cli.cmd_gcd(Namespace(a=a, b=b, method=method))
+                payload, _, _ = _trace_commands.cmd_gcd(Namespace(a=a, b=b, method=method))
                 deque(payload["trace"], maxlen=0)
                 divisions, subtractions = _counts(a, b, variant)
                 written = ["".join(payload[key]) for key in
@@ -447,7 +450,7 @@ def test_json_mode_formats_no_trace_equation(capsys, monkeypatch):
     def refuse(*row):
         raise AssertionError("a text line was formatted in JSON mode")
 
-    monkeypatch.setattr(cli, "_text_step", refuse)
+    monkeypatch.setattr(_trace_commands, "_text_step", refuse)
     code, out, _ = run_cli(capsys, "--json", "gcd", "807", "673")
     assert code == 0
     assert json.loads(out)["total_steps"] == 57
@@ -460,7 +463,8 @@ def test_json_mode_formats_no_trace_equation(capsys, monkeypatch):
 )
 def test_json_mode_never_asks_a_handler_for_text(capsys, monkeypatch, command):
     argv = command.split()
-    handler = getattr(cli, f"cmd_{argv[0]}")
+    commands = _trace_commands if hasattr(_trace_commands, f"cmd_{argv[0]}") else _tangle_commands
+    handler = getattr(commands, f"cmd_{argv[0]}")
 
     def no_text():
         raise AssertionError("text requested in JSON mode")
@@ -469,7 +473,7 @@ def test_json_mode_never_asks_a_handler_for_text(capsys, monkeypatch, command):
         payload, _, code = handler(args)
         return payload, no_text, code
 
-    monkeypatch.setattr(cli, f"cmd_{argv[0]}", without_text)
+    monkeypatch.setattr(commands, f"cmd_{argv[0]}", without_text)
     code, out, _ = run_cli(capsys, "--json", *argv)
     assert code in (0, 1)
     assert isinstance(json.loads(out), dict)
@@ -800,11 +804,12 @@ def test_a_negative_gcd_trace_streams_in_flat_memory():
 
 def test_a_staircase_listing_streams_in_bounded_memory():
     # (4000, 3999): 3,999 traces, the deepest of 3,999 divisions, 56 MB of
-    # JSON.  Built whole, the listing peaked at about 286 MB.
+    # JSON.  Built whole, the listing peaked at about 286 MB, and joined 256
+    # rows (up to 30 KB each) a piece at about 40 MB.
     code, size, digest, peak_mb = peak_rss_run("--json", "enumerate", "4000", "3999")
     assert (code, size, digest) == (
         0, 56_452_770, "1d546f9a5166d3db51e97fd4ad5fe4684215552e723249bbc3769f3557dc16c8")
-    assert peak_mb < 45
+    assert peak_mb < 25
 
 
 class TailSink(io.TextIOBase):
@@ -865,3 +870,92 @@ def test_an_untangle_plan_that_misses_zero_writes_nothing(capsys, monkeypatch):
     for argv in (["untangle", "8/5"], ["--json", "untangle", "8/5"]):
         assert run_cli(capsys, *argv) == (
             1, "", "error: internal error: plan for 8/5 replayed to 3/5\n")
+
+
+@pytest.mark.parametrize("argv", [["untangle", "1/12345678901234567890123"],
+                                  ["--json", "untangle", "9223372036854775807"]])
+def test_an_untangle_stage_of_too_many_twists_exits_2_without_output(capsys, argv):
+    # One stage of 12345678901234567890123 twists, and one of 2**63 - 1.
+    assert run_cli(capsys, *argv) == (
+        2, "", "error: a plan stage has more twists than a replay can count\n")
+
+
+# Values a command line is drawn from, by the argument they are given to:
+# integers in and out of range, fractions and move strings, some starting
+# with "-", and method names.
+INTEGERS = ["1", "8", "5", "807", "673", "0", "00", "-3", "1_000", "10001", "9" * 4301, "x", ""]
+VALUES = {
+    "a": INTEGERS, "b": INTEGERS, "--limit": INTEGERS,
+    "fraction": ["8/5", "-8/5", "-7/9", "inf", "-inf", "8/0", "0", "1/12345678901", "-x", "- 1"],
+    "--moves": ["T", "R", "-T", "T,R", "-T,R", "T, R", "-T, R", "-X", "-=T", "-T=R", "-hT", ""],
+    "--method": ["regular", "lar", "negative", "LAR", "-lar"],
+}
+# Other tokens: the subcommands, every option, and forms that only argparse
+# reads (abbreviations, "=", help, "--").
+ARGV_TOKENS = [
+    *cli._SUBCOMMANDS, "--json", "--method", "--limit", "--moves", "--meth", "--js", "--lim",
+    "--json=", "--method=lar", "--limit=20", "--moves=T", "-h", "--help", "-hT", "--", "-", "",
+    "-5", "--T", "- T", *{value for values in VALUES.values() for value in values},
+]
+
+
+@st.composite
+def plain_argv(draw):
+    """A command line: a subcommand's arguments, shuffled, with a few other tokens.
+
+    One in ten is any tokens at all.
+    """
+    tokens = st.sampled_from(ARGV_TOKENS)
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.lists(tokens, max_size=6))
+    name = draw(st.sampled_from(list(cli._SUBCOMMANDS)))
+    _, positionals, options, _, _ = cli._SUBCOMMANDS[name]
+    units = [[draw(st.sampled_from(VALUES[dest]))] for dest, _, _ in positionals]
+    units += [[flag, draw(st.sampled_from(VALUES[flag]))]
+              for flag in options if draw(st.booleans())]
+    units += [["--json"]] * draw(st.integers(0, 2))
+    units += [[token] for token in draw(st.lists(tokens, max_size=2))]
+    return [*["--json"] * draw(st.integers(0, 2)), name,
+            *(token for unit in draw(st.permutations(units)) for token in unit)]
+
+
+@functools.cache
+def reference_parser():
+    return cli.build_parser()
+
+
+@settings(max_examples=3000, deadline=None)
+@given(plain_argv())
+# argparse refuses a bad value given before the one that counts.
+@example(["untangle", "8/5", "--method", "gcd", "--method", "regular"])
+@example(["enumerate", "8", "5", "--limit", "0", "--limit", "5"])
+def test_the_plain_reader_reads_what_argparse_reads(argv):
+    plain = cli._plain_args(argv)
+    if plain is not None:
+        assert vars(plain) == vars(reference_parser().parse_args(argv))
+
+
+def perfbench_cold_argvs(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    return {name: list(workload.cold_argv)
+            for name, workload in importlib.import_module("workloads").WORKLOADS.items()}
+
+
+def test_every_golden_success_and_benchmark_cold_call_is_read_without_argparse(monkeypatch):
+    argvs = [command.split() for command, (code, _, _) in GOLDEN.items() if code in (0, 1)]
+    argvs += perfbench_cold_argvs(monkeypatch).values()
+    assert len(argvs) > 30
+    for argv in argvs:
+        plain = cli._plain_args(argv)
+        assert plain is not None, argv
+        assert vars(plain) == vars(reference_parser().parse_args(argv))
+
+
+@pytest.mark.parametrize("argv", [["--help"], *([name, "--help"] for name in cli._SUBCOMMANDS)])
+def test_help_is_argparse_help(capsys, argv):
+    with pytest.raises(SystemExit) as exc_info:
+        main(argv)
+    out = capsys.readouterr().out
+    assert exc_info.value.code == 0
+    assert out.startswith(f"usage: tanglegcd {argv[0] if len(argv) > 1 else ''}".rstrip())
+    assert "--json" in out

@@ -143,30 +143,38 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
 LAYERS = {"tanglegcd.enumeration", "tanglegcd.euclid", "tanglegcd.rationals", "tanglegcd.tangles"}
 
 
+# argparse, and gettext and locale with it, load only to report an error or print help.
+PARSER_MODULES = {"argparse", "gettext", "locale"}
+TRACE_COMMANDS, TANGLE_COMMANDS = "tanglegcd._trace_commands", "tanglegcd._tangle_commands"
+
+
 def modules_loaded_by(code):
     """The modules of interest a fresh interpreter holds after running code."""
     proc = run_fresh(f"{code}\nimport sys\nprint(*sys.modules, file=sys.stderr)")
-    return {"json", *LAYERS} & set(proc.stderr.decode().splitlines()[-1].split())
+    watched = {"json", *LAYERS, *PARSER_MODULES, TRACE_COMMANDS, TANGLE_COMMANDS}
+    return watched & set(proc.stderr.decode().splitlines()[-1].split())
 
 
 def main_call(*argv):
     return f"from tanglegcd.cli import main\nmain({list(argv)!r})"
 
 
-# Each cold call loads only the layers its subcommand runs, and json only
-# where a JSON value is not a bool, an int or a plain ASCII string: of the
-# payloads, only the rows of `steps`.
+# Each cold call loads only its subcommand's handler module and the layers it
+# runs, no argparse, and json only where a JSON value is not a bool, an int or
+# a plain ASCII string: of the payloads, only the rows of `steps`.
 @pytest.mark.parametrize("code,loaded", [
     ("import tanglegcd", set()),
     ("import tanglegcd.cli", set()),
     (main_call("verify", "8/5", "--moves", "-T,R,T,R,-T,R,T,T"),
-     {"tanglegcd.rationals", "tanglegcd.euclid", "tanglegcd.tangles"}),
-    (main_call("untangle", "8/5"), {"tanglegcd.rationals", "tanglegcd.euclid", "tanglegcd.tangles"}),
+     {TANGLE_COMMANDS, "tanglegcd.rationals", "tanglegcd.euclid", "tanglegcd.tangles"}),
+    (main_call("untangle", "8/5"),
+     {TANGLE_COMMANDS, "tanglegcd.rationals", "tanglegcd.euclid", "tanglegcd.tangles"}),
     (main_call("construct", "--moves", "T,R"),
-     {"tanglegcd.rationals", "tanglegcd.euclid", "tanglegcd.tangles"}),
-    (main_call("gcd", "807", "673"), {"tanglegcd.euclid"}),
-    (main_call("steps", "807", "673"), {"tanglegcd.euclid"}),
-    (main_call("enumerate", "8", "5"), {"tanglegcd.euclid", "tanglegcd.enumeration"}),
+     {TANGLE_COMMANDS, "tanglegcd.rationals", "tanglegcd.euclid", "tanglegcd.tangles"}),
+    (main_call("gcd", "807", "673"), {TRACE_COMMANDS, "tanglegcd.euclid"}),
+    (main_call("steps", "807", "673"), {TRACE_COMMANDS, "tanglegcd.euclid"}),
+    (main_call("enumerate", "8", "5"),
+     {TRACE_COMMANDS, "tanglegcd.euclid", "tanglegcd.enumeration"}),
 ])
 def test_a_cold_call_loads_only_what_its_subcommand_runs(code, loaded):
     assert modules_loaded_by(code) == loaded
@@ -176,18 +184,35 @@ def test_a_cold_call_loads_only_what_its_subcommand_runs(code, loaded):
         assert modules_loaded_by(json_call) == json_loaded
 
 
+def test_a_cli_run_as_a_module_is_not_imported_again_by_its_handler_module():
+    # `python -m tanglegcd.cli` runs cli as __main__, and the handler modules
+    # import cli by name; -X importtime lists every module imported by name.
+    env = dict(os.environ)
+    src = str(Path(tanglegcd.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    for argv in (["untangle", "8/5", "--json"], ["gcd", "807", "673"]):
+        proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "tanglegcd.cli", *argv],
+                              env=env, capture_output=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr.decode()
+        imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.decode().splitlines()]
+        assert "tanglegcd.euclid" in imported
+        assert "tanglegcd.cli" not in imported
+
+
 X0_45 = "123456789012345678901234567890123456789012345"
 
 
 # The messages of these errors quote an argument by `rationals.excerpt`, which
 # a cold `gcd` or `enumerate` first imports in the error branch; pytest's own
-# process already holds `rationals`, so they run in a fresh interpreter.
-@pytest.mark.parametrize("argv,message", [
-    (["gcd", "12x", "3"], "error: argument a: not an integer: '12x'\n"),
+# process already holds `rationals`, so they run in a fresh interpreter.  The
+# usage error is argparse's, which loads for it; the handler's error is not.
+@pytest.mark.parametrize("argv,message,argparse_loaded", [
+    (["gcd", "12x", "3"], "error: argument a: not an integer: '12x'\n", True),
     (["enumerate", X0_45, "3"],
-     f"error: x0 = {X0_45[:40]!r}... (45 characters) exceeds the enumeration bound 10000; "),
+     f"error: x0 = {X0_45[:40]!r}... (45 characters) exceeds the enumeration bound 10000; ",
+     False),
 ])
-def test_an_error_branch_imports_what_its_message_needs(argv, message):
+def test_an_error_branch_imports_what_its_message_needs(argv, message, argparse_loaded):
     proc = run_fresh(
         "import sys\n"
         "from tanglegcd.cli import main\n"
@@ -196,9 +221,9 @@ def test_an_error_branch_imports_what_its_message_needs(argv, message):
         f"    code = main({argv!r})\n"
         "except SystemExit as exc:\n"
         "    code = exc.code\n"
-        "print(code, 'tanglegcd.rationals' in sys.modules)\n"
+        "print(code, 'tanglegcd.rationals' in sys.modules, 'argparse' in sys.modules)\n"
     )
-    assert proc.stdout.decode().split() == ["2", "True"]
+    assert proc.stdout.decode().split() == ["2", "True", str(argparse_loaded)]
     assert message in proc.stderr.decode()
 
 

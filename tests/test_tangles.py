@@ -1,6 +1,8 @@
 import pickle
+import sys
 from fractions import Fraction
 from itertools import accumulate, groupby
+from operator import length_hint
 
 import pytest
 from hypothesis import example, given
@@ -23,6 +25,7 @@ from tanglegcd.tangles import (
     PlanMetrics,
     Stage,
     UntanglePlan,
+    _stage_runs,
     apply_move,
     format_moves,
     parse_moves,
@@ -440,6 +443,27 @@ def test_verify_plan_requires_matching_start():
     plan = plan_untangle(normalize(1, 2), Variant.LEAST_ABSOLUTE)
     with pytest.raises(ValueError, match="^the plan was built for another start value$"):
         verify_plan(normalize(10**5000 + 1, 3), plan)
+
+
+# 1/12345678901234567890123 plans one stage of 12345678901234567890123
+# twists after its rotation, and sys.maxsize (2**63 - 1 on 64-bit builds) a
+# single stage of sys.maxsize twists, whose run would be sys.maxsize + 1 long.
+TOO_MANY_TWISTS = [normalize(1, 12345678901234567890123), normalize(sys.maxsize, 1)]
+
+
+@pytest.mark.parametrize("f", TOO_MANY_TWISTS, ids=str)
+@pytest.mark.parametrize("policy", POLICIES)
+def test_verify_plan_refuses_a_stage_of_too_many_twists_without_digits(f, policy):
+    with pytest.raises(ValueError, match=r"^\D+$"):
+        verify_plan(f, plan_untangle(f, policy))
+
+
+def test_a_stage_one_twist_short_of_the_limit_is_replayed_lazily():
+    f = normalize(sys.maxsize - 1, 1)
+    (numerators, denominators, n, d), = _stage_runs(f, plan_untangle(f, Variant.REGULAR).stages)
+    assert (n, d) == (0, 1)
+    assert length_hint(denominators) == sys.maxsize
+    assert next(iter(numerators)) == sys.maxsize - 1
 
 
 def test_replay_can_fail():
