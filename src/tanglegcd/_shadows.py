@@ -1,0 +1,32 @@
+"""Exact decimal shadows: big integers printed in linear time.
+
+str() of an int is quadratic in its digit count, while a `decimal.Decimal`
+keeps its digits in a power-of-ten base and prints them in linear time.  A
+listing whose integers each follow from ones it printed before (a remainder
+from its division, a twisted numerator from the one before it, a rotated
+pair from a swap) can keep an exact Decimal "shadow" of each integer, built
+from the shadows before it by one linear operation, and print the shadow.
+The integers still decide everything: each shadow only follows them.
+
+Past SHADOW_BITS bits, `_trace_commands._step_rows` and
+`rationals._value_strings` print that way.  At or below it, str() of an int
+costs less than a Decimal operation and the str() of its result, so they
+call str(); and a call that prints no bigger integer never imports
+`decimal`, which takes 2 to 3 ms in a fresh interpreter.
+
+A shadow is touched only through `exact_context()`'s methods and by
+copy_abs() and copy_negate(): abs(), unary minus and the arithmetic
+operators round to the thread's context, 28 digits by default.
+"""
+
+SHADOW_BITS = 1500
+
+
+def exact_context():
+    """A decimal context that never rounds: any rounding raises instead of printing wrong digits."""
+    import decimal
+
+    context = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
+                              Emin=decimal.MIN_EMIN)
+    context.traps[decimal.Inexact] = context.traps[decimal.Rounded] = True
+    return context

@@ -8,11 +8,12 @@ values are rendered a chunk at a time.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from itertools import chain, islice, tee
-from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .cli import _METHODS
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     import argparse
 

@@ -2,7 +2,9 @@
 
 `cli` imports this module for these subcommands only, so no other cold call
 compiles it.  `gcd` renders and counts each division as euclid's division
-loop yields it, with one str() per integer; `steps` counts every method's
+loop yields it, printing each integer once: past SHADOW_BITS bits from its
+exact decimal shadow (see `_shadows`), which only the exact context's
+methods touch, and below it by one str().  `steps` counts every method's
 row without a trace; `enumerate` renders each trace row during its own flat
 walk of the trace tree (`_trace_rows`).  Rows are joined into written pieces
 of about _PIECE characters, so memory stays flat in the number of rows.
@@ -11,11 +13,12 @@ of about _PIECE characters, so memory stays flat in the number of rows.
 from __future__ import annotations
 
 import sys
+from collections.abc import Callable, Iterable, Iterator
 from itertools import chain, count
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 from .cli import _JSON_BOOLS, _METHODS, _shown
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     import argparse
 
@@ -50,18 +53,37 @@ def _step_rows(a: int, b: int, divisions: Iterable[tuple[int, int, int, int, int
                row: Callable[[str, str, int, int, str], str], counts: dict) -> Iterator[str]:
     """row(a, b, q, eps, r) for each (a, b, q, eps, r) of the divisions from (a, b).
 
-    A division's a and b are the division before's b and r, so one str()
-    per division renders each integer once and slides the window of digits:
-    int -> str is quadratic in the digit count.  After the last row, `counts`
-    holds the chain's gcd, its last divisor, and its step counts.
+    A division's a and b are the division before's b and r, so each integer
+    is printed once and its digits slide along the window of rows.  If the
+    first divisor has more than SHADOW_BITS bits, every integer is printed
+    from an exact decimal shadow, r = eps*(a - q*b) from the shadows of a
+    and b: one linear multiply, subtract and str() per row, where str() of
+    an int is quadratic in the digit count.  Otherwise each is printed by
+    one str().  After the last row, `counts` holds the chain's gcd, its
+    last divisor, and its step counts.
     """
-    a, b = str(a), str(b)
+    from ._shadows import SHADOW_BITS, exact_context
+
     subtractions = 0
-    for done, (_, divisor, q, eps, r) in enumerate(divisions, 1):
-        subtractions += q
-        r = str(r)
-        yield row(a, b, q, eps, r)
-        a, b = b, r
+    if b.bit_length() > SHADOW_BITS:
+        context = exact_context()
+        multiply, subtract = context.multiply, context.subtract
+        a_shadow, b_shadow = context.create_decimal(a), context.create_decimal(b)
+        a, b = str(a_shadow), str(b_shadow)
+        for done, (_, divisor, q, eps, _) in enumerate(divisions, 1):
+            subtractions += q
+            qb = multiply(b_shadow, q)
+            r_shadow = subtract(a_shadow, qb) if eps > 0 else subtract(qb, a_shadow)
+            r = str(r_shadow)
+            yield row(a, b, q, eps, r)
+            a, b, a_shadow, b_shadow = b, r, b_shadow, r_shadow
+    else:
+        a, b = str(a), str(b)
+        for done, (_, divisor, q, eps, r) in enumerate(divisions, 1):
+            subtractions += q
+            r = str(r)
+            yield row(a, b, q, eps, r)
+            a, b = b, r
     counts.update(gcd=divisor, divisions=done, subtractions=subtractions, swaps=done - 1,
                   total_steps=subtractions + done - 1)
 

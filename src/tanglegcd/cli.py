@@ -36,11 +36,11 @@ from __future__ import annotations
 import os
 import re
 import sys
-from collections.abc import Iterator
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from importlib import import_module
 from types import SimpleNamespace
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     import argparse
 

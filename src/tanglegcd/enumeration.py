@@ -19,8 +19,8 @@ its rows, and walks the tree in its own flat loop (`cli._trace_rows`).
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable, Iterator
 from itertools import islice
-from typing import Callable, Iterable, Iterator
 
 from ._record import Record, set_field
 from .euclid import EuclidStep, EuclidTrace, Variant, _step, _trace, check_pair

@@ -29,9 +29,9 @@ consistent and chained by construction; they build through the unchecked
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterator
 from enum import Enum
 from itertools import starmap
-from typing import Callable, Iterator
 
 from ._record import Record, set_field
 

@@ -33,9 +33,10 @@ from __future__ import annotations
 
 import sys
 from collections import deque
+from collections.abc import Iterable, Iterator
 from enum import Enum
 from itertools import chain, repeat
-from typing import Iterable, Iterator, NamedTuple
+from typing import NamedTuple
 
 from ._record import Record, set_field
 from .euclid import CHOOSERS, Variant, _divisions

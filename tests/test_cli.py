@@ -20,11 +20,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tanglegcd import _tangle_commands, _trace_commands, cli
+from tanglegcd._shadows import SHADOW_BITS
 from tanglegcd.cli import main
 from tanglegcd.enumeration import EnumerationResult, enumerate_all, minimize
 from tanglegcd.euclid import (
+    CHOOSERS,
     Variant,
     _counts,
+    _divisions,
     division_count,
     run_lar,
     run_negative,
@@ -112,6 +115,50 @@ def test_gcd_prints_the_counts_of_the_library_sweep():
                 assert written == [
                     f"{gcd(a, b)}", f"{divisions}", f"{subtractions}", f"{divisions - 1}",
                     f"{subtractions + divisions - 1}"], (a, b, method)
+
+
+def numbers_of_up_to(max_digits):
+    """Positive integers of 1 to max_digits digits, the digit count drawn first."""
+    return st.integers(1, max_digits).flatmap(
+        lambda digits: st.integers(10 ** (digits - 1), 10**digits - 1))
+
+
+def fibonacci_pair(digits):
+    a, b = 1, 1
+    while len(str(a)) < digits:
+        a, b = a + b, a
+    return a, b
+
+
+# Ordered pairs of up to about 3,000 digits, on both sides of SHADOW_BITS:
+# of any sizes, within a factor of ten, or multiples of one planted common
+# factor.
+ordered_pairs = st.one_of(
+    st.tuples(numbers_of_up_to(3000), numbers_of_up_to(3000)),
+    numbers_of_up_to(3000).flatmap(lambda a: st.tuples(st.just(a), st.integers(a // 10 + 1, a))),
+    st.tuples(numbers_of_up_to(1500), numbers_of_up_to(1500), numbers_of_up_to(1500)).map(
+        lambda t: (t[0] * t[1], t[0] * t[2])),
+).map(lambda pair: tuple(sorted(pair, reverse=True)))
+
+
+@settings(max_examples=10, deadline=None)
+@given(ordered_pairs)
+# The first divisor just at and just past SHADOW_BITS bits.
+@example(((3 << SHADOW_BITS) + 1, (1 << SHADOW_BITS) - 1))
+@example(((3 << SHADOW_BITS) + 1, 1 << SHADOW_BITS))
+@example(tuple(7**1000 * x for x in fibonacci_pair(700)))
+def test_step_rows_print_what_str_prints(pair):
+    a, b = pair
+    for variant, chooser in CHOOSERS.items():
+        # A negative chain is as long as the regular quotients sum to.
+        if variant is Variant.NEGATIVE and _counts(a, b, variant)[0] > 20_000:
+            continue
+        counts = {}
+        rows = _trace_commands._step_rows(a, b, _divisions(a, b, chooser),
+                                          lambda *row: row, counts)
+        assert list(rows) == [(str(a), str(b), q, eps, str(r))
+                              for a, b, q, eps, r in _divisions(a, b, chooser)], variant
+        assert counts["gcd"] == gcd(a, b)
 
 
 def test_gcd_swaps_misordered_inputs_with_notice(capsys):

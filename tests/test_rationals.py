@@ -2,13 +2,14 @@ import copy
 import json
 import os
 import pickle
+import random
 import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tanglegcd
@@ -24,7 +25,8 @@ from tanglegcd.rationals import (
     rotate_value,
     twist_value,
 )
-from tanglegcd.euclid import Variant
+from tanglegcd._shadows import SHADOW_BITS
+from tanglegcd.euclid import CHOOSERS, Variant
 from tanglegcd.tangles import (
     Move,
     _fold,
@@ -355,3 +357,51 @@ def test_value_strings_reuse_only_what_a_pair_shares():
     numerators, denominators = map(list, zip(*pairs))
     assert _value_strings(numerators, denominators)[2:] == [
         "0", "inf", "0", "inf", "inf", "0", "-1", f"7/{10**25}", "-3/7", "-7/3", "3/7", "7/3"]
+
+
+walks = st.lists(st.sampled_from(list(Move)), max_size=300)
+# Values of up to 700-digit numerators and denominators, on both sides of SHADOW_BITS.
+sized_values = st.integers(1, 700).flatmap(
+    lambda digits: st.tuples(st.integers(-10**digits, 10**digits), st.integers(1, 10**digits))
+).map(lambda t: normalize(*t))
+
+
+def continued_fraction(quotients):
+    """The value [q0; q1, ...] as a canonical (numerator, denominator)."""
+    n, d = 1, 0
+    for q in reversed(quotients):
+        n, d = q * n + d, n
+    return n, d
+
+
+# Values whose plans are short for their size: up to 1,500 partial quotients
+# of at most 9, so up to about 3,000 bits.
+planned_values = st.tuples(st.integers(1, 1500), st.integers(0, 2**32), st.booleans()).map(
+    lambda t: continued_fraction(random.Random(t[1]).choices(range(1, 10), k=t[0])) + (t[2],)
+).map(lambda t: normalize(-t[0] if t[2] else t[0], t[1]))
+
+
+def assert_values_print_as_str(values):
+    strings = _value_strings([v.numerator for v in values], [v.denominator for v in values])
+    assert strings == [str(v) for v in values]
+    # A negative zero numerator would print "-0"; no value's str() starts so.
+    assert not any(text.startswith("-0") for text in strings)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sized_values, walks)
+@example(normalize(1, 1 << SHADOW_BITS), [Move.TWIST_NEGATIVE, Move.ROTATE, Move.TWIST_POSITIVE])
+@example(normalize(-(1 << SHADOW_BITS) + 1, 1), [Move.ROTATE, Move.TWIST_POSITIVE] * 3)
+def test_value_strings_print_random_walks_as_str_does(start, walk):
+    assert_values_print_as_str(replay(start, walk).values)
+
+
+@settings(max_examples=15, deadline=None)
+@given(planned_values, st.sampled_from(list(CHOOSERS)), walks)
+def test_value_strings_print_plan_runs_through_zero_and_infinity_as_str_does(start, policy, walk):
+    # The plan ends at 0; from there the fixed moves pass infinity twice
+    # and change sign, before a random walk.
+    tail = [Move.ROTATE, Move.TWIST_POSITIVE, Move.ROTATE, Move.TWIST_NEGATIVE,
+            Move.TWIST_POSITIVE, Move.TWIST_POSITIVE, Move.ROTATE, Move.ROTATE, *walk]
+    plan = plan_untangle(start, policy)
+    assert_values_print_as_str(replay(start, [*plan.iter_moves(), *tail]).values)

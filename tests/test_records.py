@@ -1,5 +1,6 @@
 """The frozen records behind every value and result type, and the cold import."""
 
+import importlib
 import os
 import pickle
 import subprocess
@@ -123,12 +124,12 @@ def test_records_construct_print_refuse_changes_and_pickle_as_before():
     )
 
 
-def run_fresh(code, stdin=b""):
+def run_fresh(code, stdin=b"", flags=()):
     """Run code in a fresh interpreter that imports tanglegcd from this checkout."""
     env = dict(os.environ)
     src = str(Path(tanglegcd.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", code], input=stdin, env=env,
+    proc = subprocess.run([sys.executable, *flags, "-c", code], input=stdin, env=env,
                           capture_output=True, timeout=60)
     assert proc.returncode == 0, proc.stderr.decode()
     return proc
@@ -151,7 +152,7 @@ TRACE_COMMANDS, TANGLE_COMMANDS = "tanglegcd._trace_commands", "tanglegcd._tangl
 def modules_loaded_by(code):
     """The modules of interest a fresh interpreter holds after running code."""
     proc = run_fresh(f"{code}\nimport sys\nprint(*sys.modules, file=sys.stderr)")
-    watched = {"json", *LAYERS, *PARSER_MODULES, TRACE_COMMANDS, TANGLE_COMMANDS}
+    watched = {"json", "decimal", *LAYERS, *PARSER_MODULES, TRACE_COMMANDS, TANGLE_COMMANDS}
     return watched & set(proc.stderr.decode().splitlines()[-1].split())
 
 
@@ -160,8 +161,9 @@ def main_call(*argv):
 
 
 # Each cold call loads only its subcommand's handler module and the layers it
-# runs, no argparse, and json only where a JSON value is not a bool, an int or
-# a plain ASCII string: of the payloads, only the rows of `steps`.
+# runs, no argparse, json only where a JSON value is not a bool, an int or a
+# plain ASCII string: of the payloads, only the rows of `steps`, and decimal
+# only to print integers past SHADOW_BITS bits.
 @pytest.mark.parametrize("code,loaded", [
     ("import tanglegcd", set()),
     ("import tanglegcd.cli", set()),
@@ -182,6 +184,19 @@ def test_a_cold_call_loads_only_what_its_subcommand_runs(code, loaded):
         json_call = code.replace("main([", "main(['--json', ")
         json_loaded = loaded | {"json"} if "'steps'" in code else loaded
         assert modules_loaded_by(json_call) == json_loaded
+
+
+def test_the_benchmark_bigint_cold_call_prints_its_rows_through_decimal(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    argv = importlib.import_module("workloads").WORKLOADS["bigint"].cold_argv
+    assert modules_loaded_by(main_call(*argv)) == {TRACE_COMMANDS, "tanglegcd.euclid", "decimal"}
+
+
+def test_trace_calls_load_no_typing_where_start_up_does_not():
+    # Under -S no site module runs, so start-up itself does not load typing.
+    code = f"import sys\n{main_call('gcd', '807', '673')}\nmain(['enumerate', '8', '5'])\n"
+    proc = run_fresh(code + "print('typing' in sys.modules, file=sys.stderr)", flags=["-S"])
+    assert proc.stderr.decode().split() == ["False"]
 
 
 def test_a_cli_run_as_a_module_is_not_imported_again_by_its_handler_module():
