@@ -1,9 +1,12 @@
 """Frozen records: the base of the package's value and result types.
 
 A record class names its fields in `_fields`, holds them in `__slots__` and
-writes its own `__init__`, which sets each field through the slot and ends in
-the class's checks, if it has any.  The base adds what the class would
-otherwise get from a frozen dataclass, without importing `dataclasses`:
+writes its own `__init__`, which sets each field through its slot's setter
+and ends in the class's checks, if it has any.  `setters(cls)` gives the
+setters, which write past `Record.__setattr__`; the class's module binds
+them once, after the class, for its `__init__` and any unchecked builder.
+The base adds what the class would otherwise get from a frozen dataclass,
+without importing `dataclasses`:
 
 * equality between records of the same class, field by field, and a hash
   over the fields (a class compared often may override both with code that
@@ -19,8 +22,10 @@ from __future__ import annotations
 
 from operator import attrgetter
 
-# Writes one field past Record.__setattr__; for a class's own __init__.
-set_field = object.__setattr__
+
+def setters(cls: type) -> tuple:
+    """The `__set__` of each field's slot descriptor, in the order of `_fields`."""
+    return tuple(getattr(cls, name).__set__ for name in cls._fields)
 
 
 class Record:

@@ -18,8 +18,10 @@ builds argparse from it, and `main` builds that only for a command line the
 reader leaves to it: an error, help, or a form such as `--method=lar`.
 
 A cold call loads, and without a bytecode cache compiles, only what its
-subcommand runs.  This module imports no layer of the package and not
-argparse, which loads only to report an error or print help.  The handlers
+subcommand runs.  This module imports no layer of the package, not
+argparse, which loads only to report an error or print help, and not `re`,
+which loads only to read an argument other than a plain number, fraction
+or `inf`.  The handlers
 live in `_trace_commands` (`gcd`, `steps`, `enumerate`) and
 `_tangle_commands` (`untangle`, `construct`, `verify`), and a command line
 imports its own; each handler, and each helper that words an error or a
@@ -34,7 +36,6 @@ the rows of `steps`.
 from __future__ import annotations
 
 import os
-import re
 import sys
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from importlib import import_module
@@ -115,11 +116,22 @@ def _digits_within_limit(text: str) -> str:
     """Refuse a number over the int/str limit by its digit count, without echoing it.
 
     int() reads single underscores between digits, so a number is a digit run
-    with such underscores, and only its digits count.
+    with such underscores, and only its digits count.  The plain forms, an
+    optional "-", digits and an optional "/digits", or "inf", are read with
+    `str.isdecimal` (Unicode's Nd digits, as \\d matches); `re` loads only
+    to read any other text.
     """
     limit = sys.get_int_max_str_digits()
-    longest = max((len(run) - run.count("_") for run in re.findall(r"\d+(?:_\d+)*", text)),
-                  default=0)
+    num, slash, den = text.removeprefix("-").partition("/")
+    if num.isdecimal() and (den.isdecimal() or not slash):
+        longest = max(len(num), len(den))
+    elif text == "inf":
+        longest = 0
+    else:
+        import re
+
+        longest = max((len(run) - run.count("_") for run in re.findall(r"\d+(?:_\d+)*", text)),
+                      default=0)
     if 0 < limit < longest:
         raise _type_error(f"{longest} digits, limit {limit}")
     return text
@@ -179,6 +191,7 @@ def _handler(name: str) -> Callable[[argparse.Namespace], Result]:
 def build_parser() -> argparse.ArgumentParser:
     """The argparse parser of _SUBCOMMANDS; `main` builds it only to report an error or help."""
     import argparse
+    import re
 
     common = argparse.ArgumentParser(add_help=False)
     # SUPPRESS keeps the subparser from clobbering a --json given before the

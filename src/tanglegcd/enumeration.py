@@ -22,7 +22,7 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable, Iterator
 from itertools import islice
 
-from ._record import Record, set_field
+from ._record import Record, setters
 from .euclid import EuclidStep, EuclidTrace, Variant, _step, _trace, check_pair
 
 MAX_WITNESSES = 16
@@ -35,11 +35,15 @@ class EnumerationResult(Record):
 
     def __init__(self, pair: tuple[int, int], traces_examined: int, min_total_steps: int,
                  min_divisions: int, witnesses_min_steps: tuple[EuclidTrace, ...]) -> None:
-        set_field(self, "pair", pair)
-        set_field(self, "traces_examined", traces_examined)
-        set_field(self, "min_total_steps", min_total_steps)
-        set_field(self, "min_divisions", min_divisions)
-        set_field(self, "witnesses_min_steps", witnesses_min_steps)
+        _set_pair(self, pair)
+        _set_traces_examined(self, traces_examined)
+        _set_min_total_steps(self, min_total_steps)
+        _set_min_divisions(self, min_divisions)
+        _set_witnesses_min_steps(self, witnesses_min_steps)
+
+
+(_set_pair, _set_traces_examined, _set_min_total_steps, _set_min_divisions,
+ _set_witnesses_min_steps) = setters(EnumerationResult)
 
 
 # The children of a pair as (a, b, step): the next pair and the step that

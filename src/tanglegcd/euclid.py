@@ -33,7 +33,7 @@ from collections.abc import Callable, Iterator
 from enum import Enum
 from itertools import starmap
 
-from ._record import Record, set_field
+from ._record import Record, setters
 
 
 class Variant(str, Enum):
@@ -108,11 +108,8 @@ class EuclidTrace(Record):
 
 
 _new = object.__new__
-_set_a, _set_b, _set_quotient, _set_epsilon, _set_remainder = (
-    EuclidStep.a.__set__, EuclidStep.b.__set__, EuclidStep.quotient.__set__,
-    EuclidStep.epsilon.__set__, EuclidStep.remainder.__set__,
-)
-_set_steps, _set_variant = EuclidTrace.steps.__set__, EuclidTrace.variant.__set__
+_set_a, _set_b, _set_quotient, _set_epsilon, _set_remainder = setters(EuclidStep)
+_set_steps, _set_variant = setters(EuclidTrace)
 
 
 def _step(a: int, b: int, quotient: int, epsilon: int, remainder: int) -> EuclidStep:
@@ -138,9 +135,12 @@ class StepCount(Record):
     __slots__ = _fields = ("subtractions", "swaps", "total")
 
     def __init__(self, subtractions: int, swaps: int, total: int) -> None:
-        set_field(self, "subtractions", subtractions)
-        set_field(self, "swaps", swaps)
-        set_field(self, "total", total)
+        _set_subtractions(self, subtractions)
+        _set_swaps(self, swaps)
+        _set_total(self, total)
+
+
+_set_subtractions, _set_swaps, _set_total = setters(StepCount)
 
 
 def always_positive(a: int, b: int) -> int:
@@ -173,15 +173,18 @@ def _divisions(x0: int, x1: int, chooser: SignChooser) -> Iterator[tuple[int, in
 
     The package's one division loop; the caller checks the pair.  Forced
     divisions (b divides a) bypass the chooser and close the chain with
-    eps +1 and remainder 0.
+    eps +1 and remainder 0.  `least_absolute` is not called: the loop signs
+    its divisions from the remainder it holds, as that chooser would from
+    a second `a % b`.
     """
     a, b = x0, x1
+    lar = chooser is least_absolute
     while True:
         q, r = divmod(a, b)
         if r == 0:
             yield a, b, q, 1, 0
             return
-        eps = chooser(a, b)
+        eps = (1 if 2 * r <= b else -1) if lar else chooser(a, b)
         if eps == -1:
             q, r = q + 1, b - r
         elif eps != 1:

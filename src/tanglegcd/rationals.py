@@ -13,25 +13,27 @@ under any interpreter flags, `-O` included.  Twists, rotations and negation
 produce canonical pairs by construction (a twist keeps gcd, since
 gcd(n + k*d, d) = gcd(n, d); a rotation or negation only swaps or negates the
 pair), so they take the unchecked `_canonical` path and pay no gcd per value.
-`_canonical_values` is the same path in bulk, for the move kernel in
-`tangles`, and `_value_strings` renders such pairs as their values print,
-without building the values and reusing the digits consecutive pairs share,
-for the CLI's streamed listings.  Past SHADOW_BITS bits it prints them from
-exact decimal shadows (see `_shadows`): a twist's numerator is the shadow
-before plus or minus the denominator's, a rotation swaps the two shadows,
-so each new integer costs one linear operation and one linear str().  Only
-the exact context's methods, copy_abs() and copy_negate() touch a shadow.
+`_canonical_values` is the same path in bulk, for the move kernels in
+`tangles`: one `starmap` of object.__new__ allocates the values and one
+`starmap` of each slot's setter over a `zip` fills them, so no pass builds
+an argument tuple per value.  `_value_strings` renders such pairs as their
+values print, without building the values and reusing the digits
+consecutive pairs share, for the CLI's streamed listings.  Past SHADOW_BITS
+bits it prints them from exact decimal shadows (see `_shadows`): a twist's
+numerator is the shadow before plus or minus the denominator's, a rotation
+swaps the two shadows, so each new integer costs one linear operation and
+one linear str().  Only the exact context's methods, copy_abs() and
+copy_negate() touch a shadow.
 """
 
 from __future__ import annotations
 
-import re
 from collections import deque
 from collections.abc import Iterable, Sequence
-from itertools import repeat
+from itertools import repeat, starmap
 from math import gcd
 
-from ._record import Record
+from ._record import Record, setters
 from ._shadows import SHADOW_BITS, exact_context
 
 
@@ -94,16 +96,14 @@ class ExtendedRational(Record):
         return _canonical(-self.numerator, self.denominator)
 
     def __str__(self) -> str:
-        if self.denominator == 0:
-            return "inf"
-        if self.denominator == 1:
+        denominator = self.denominator
+        if denominator == 1:
             return str(self.numerator)
-        return f"{self.numerator}/{self.denominator}"
+        return f"{self.numerator}/{denominator}" if denominator else "inf"
 
 
 _new = object.__new__
-_set_numerator = ExtendedRational.numerator.__set__
-_set_denominator = ExtendedRational.denominator.__set__
+_set_numerator, _set_denominator = setters(ExtendedRational)
 
 
 def _canonical(numerator: int, denominator: int) -> ExtendedRational:
@@ -117,10 +117,15 @@ def _canonical(numerator: int, denominator: int) -> ExtendedRational:
 def _canonical_values(
     numerators: Sequence[int], denominators: Iterable[int]
 ) -> tuple[ExtendedRational, ...]:
-    """Build one value per canonical pair, unchecked, with no Python-level loop."""
-    values = tuple(map(_new, repeat(ExtendedRational, len(numerators))))
-    deque(map(_set_numerator, values, numerators), maxlen=0)
-    deque(map(_set_denominator, values, denominators), maxlen=0)
+    """Build one value per canonical pair, unchecked, with no Python-level loop.
+
+    No pass builds an argument tuple per value: `starmap` calls with the
+    tuple its iterator yields, `repeat` yields one tuple throughout, and
+    `zip` yields the same tuple again once the call has let go of it.
+    """
+    values = tuple(starmap(_new, repeat((ExtendedRational,), len(numerators))))
+    deque(starmap(_set_numerator, zip(values, numerators)), maxlen=0)
+    deque(starmap(_set_denominator, zip(values, denominators)), maxlen=0)
     return values
 
 
@@ -229,7 +234,6 @@ def rotate_value(f: ExtendedRational) -> ExtendedRational:
     return _canonical(f.denominator, -f.numerator)
 
 
-_FRACTION_RE = re.compile(r"-?\d+(?:/\d+)?")
 EXCERPT_CHARS = 40
 
 
@@ -243,14 +247,16 @@ def excerpt(text: str) -> str:
 def parse_fraction(text: str) -> ExtendedRational:
     """Parse the CLI fraction grammar: `p/q`, `p` (meaning p/1), or `inf`.
 
-    An optional leading `-` is allowed on the numeric forms only.
+    An optional leading `-` is allowed on the numeric forms only.  p and q
+    are runs of decimal digits, any of Unicode's Nd characters, which is
+    what both `str.isdecimal` and a regular expression's \\d accept.
     """
     s = text.strip()
     if s == "inf":
         return INFINITY
-    if not _FRACTION_RE.fullmatch(s):
-        raise FractionParseError(f"not a valid fraction: {excerpt(text)}")
     num, slash, den = s.partition("/")
+    if not num.removeprefix("-").isdecimal() or slash and not den.isdecimal():
+        raise FractionParseError(f"not a valid fraction: {excerpt(text)}")
     if not slash:
         return normalize(int(num), 1)
     return normalize(int(num), int(den))

@@ -32,13 +32,12 @@ one direction for start values of magnitude at least one.
 from __future__ import annotations
 
 import sys
-from collections import deque
+from collections import deque, namedtuple
 from collections.abc import Iterable, Iterator
 from enum import Enum
 from itertools import chain, repeat
-from typing import NamedTuple
 
-from ._record import Record, set_field
+from ._record import Record, setters
 from .euclid import CHOOSERS, Variant, _divisions
 from .rationals import (
     ZERO,
@@ -87,25 +86,25 @@ def format_moves(moves: Iterable[Move]) -> str:
     return ",".join(moves)
 
 
-class Stage(NamedTuple):
-    """A run of same-direction twists: stage i comes from trace equation i."""
-
-    twist_count: int
-    twist_direction: int
+# A plain namedtuple: `typing.NamedTuple` would build the same class, and
+# load `typing` with it.
+Stage = namedtuple("Stage", ("twist_count", "twist_direction"), module=__name__)
+Stage.__doc__ = "A run of same-direction twists: stage i comes from trace equation i."
 
 
 def _opens_with_rotation(f: ExtendedRational) -> bool:
     """Infinity and nonzero magnitudes below one rotate before the first stage."""
-    return f.is_infinite or 0 < abs(f.numerator) < f.denominator
+    d = f.denominator
+    return not d or 0 < abs(f.numerator) < d
 
 
 class UntanglePlan(Record):
     __slots__ = _fields = ("start", "stages", "policy")
 
     def __init__(self, start: ExtendedRational, stages: tuple[Stage, ...], policy: Variant) -> None:
-        set_field(self, "start", start)
-        set_field(self, "stages", stages)
-        set_field(self, "policy", policy)
+        _set_start(self, start)
+        _set_stages(self, stages)
+        _set_policy(self, policy)
 
     @property
     def moves(self) -> tuple[Move, ...]:
@@ -116,9 +115,9 @@ class UntanglePlan(Record):
         """The single moves, expanded lazily: one `repeat` per stage."""
         rotation = (Move.ROTATE,)
         runs = [rotation] if _opens_with_rotation(self.start) else []
-        for stage in self.stages:
-            twist = Move.TWIST_POSITIVE if stage.twist_direction > 0 else Move.TWIST_NEGATIVE
-            runs += (repeat(twist, stage.twist_count), rotation)
+        for count, direction in self.stages:
+            twist = Move.TWIST_POSITIVE if direction > 0 else Move.TWIST_NEGATIVE
+            runs += (repeat(twist, count), rotation)
         # A rotation follows every stage but the last.
         return chain.from_iterable(runs[:-1] if self.stages else runs)
 
@@ -127,9 +126,9 @@ class PlanMetrics(Record):
     __slots__ = _fields = ("twists", "rotations", "total")
 
     def __init__(self, twists: int, rotations: int, total: int) -> None:
-        set_field(self, "twists", twists)
-        set_field(self, "rotations", rotations)
-        set_field(self, "total", total)
+        _set_twists(self, twists)
+        _set_rotations(self, rotations)
+        _set_total(self, total)
 
 
 class ReplayReport(Record):
@@ -138,7 +137,7 @@ class ReplayReport(Record):
     __slots__ = _fields = ("values",)
 
     def __init__(self, values: tuple[ExtendedRational, ...]) -> None:
-        set_field(self, "values", values)
+        _set_values(self, values)
 
     @property
     def final(self) -> ExtendedRational:
@@ -147,6 +146,11 @@ class ReplayReport(Record):
     @property
     def passed(self) -> bool:
         return self.final.is_zero
+
+
+_set_start, _set_stages, _set_policy = setters(UntanglePlan)
+_set_twists, _set_rotations, _set_total = setters(PlanMetrics)
+(_set_values,) = setters(ReplayReport)
 
 
 def apply_move(value: ExtendedRational, move: Move) -> ExtendedRational:
@@ -208,15 +212,19 @@ def plan_untangle(f: ExtendedRational, policy: Variant) -> UntanglePlan:
     chooser = CHOOSERS.get(policy)
     if chooser is None:
         raise ValueError(f"unsupported planning policy: {policy!r}")
-    stages: list[Stage] = []
-    value = rotate_value(f) if _opens_with_rotation(f) else f
-    if not value.is_zero:
-        direction = -value.sign()
-        # |numerator| >= denominator >= 1 here, so the pair needs no check.
-        for _, _, q, eps, _ in _divisions(abs(value.numerator), value.denominator, chooser):
-            stages.append(Stage(q, direction))
+    stages = []
+    n, d = f.numerator, f.denominator
+    if _opens_with_rotation(f):
+        # `_fold`'s rotation rule; infinity, (1, 0), goes to (0, 1).
+        n, d = (-d, n) if n > 0 else (d, -n)
+    if n:
+        direction = -1 if n > 0 else 1
+        new = tuple.__new__
+        # |n| >= d >= 1 here, so the pair needs no check.
+        for _, _, q, eps, _ in _divisions(abs(n), d, chooser):
+            stages.append(new(Stage, (q, direction)))
             direction *= -eps
-    return UntanglePlan(start=f, stages=tuple(stages), policy=policy)
+    return UntanglePlan(f, tuple(stages), policy)
 
 
 def replay(start: ExtendedRational, moves: Iterable[Move]) -> ReplayReport:
@@ -264,7 +272,7 @@ def _stage_runs(start: ExtendedRational, stages: tuple[Stage, ...]) -> Iterator[
 
 def verify_plan(f: ExtendedRational, plan: UntanglePlan) -> ReplayReport:
     """Replay a plan from f by its stages; the plan must have been built for f."""
-    if plan.start != f:
+    if plan.start is not f and plan.start != f:
         # No digits in the message: str() of a huge int can itself raise.
         raise ValueError("the plan was built for another start value")
     numerators, denominators = [], []
@@ -281,4 +289,4 @@ def plan_metrics(plan: UntanglePlan) -> PlanMetrics:
     """
     twists = sum(count for count, _ in plan.stages if count > 0)
     rotations = _opens_with_rotation(plan.start) + max(len(plan.stages) - 1, 0)
-    return PlanMetrics(twists=twists, rotations=rotations, total=twists + rotations)
+    return PlanMetrics(twists, rotations, twists + rotations)

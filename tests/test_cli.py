@@ -5,6 +5,7 @@ import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -14,6 +15,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from math import gcd
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -35,6 +37,7 @@ from tanglegcd.euclid import (
     step_count,
     trace_to_dict,
 )
+from tanglegcd.rationals import INFINITY, FractionParseError, excerpt, normalize, parse_fraction
 from tanglegcd.tangles import Move, Stage, UntanglePlan
 from test_golden import GOLDEN
 
@@ -458,6 +461,60 @@ def test_a_number_with_underscores_under_the_limit_is_read(capsys):
     code, out, _ = run_cli(capsys, "gcd", "1_000", "7")
     assert code == 0
     assert out.splitlines()[0] == "1000 = 7(142)+6"
+
+
+# The token readers as they were, by regular expression: the oracle for the
+# plain-form readers that replaced them.
+OLD_FRACTION_RE = re.compile(r"-?\d+(?:/\d+)?")
+
+
+def old_parse_fraction(text):
+    s = text.strip()
+    if s == "inf":
+        return INFINITY
+    if not OLD_FRACTION_RE.fullmatch(s):
+        raise FractionParseError(f"not a valid fraction: {excerpt(text)}")
+    num, slash, den = s.partition("/")
+    if not slash:
+        return normalize(int(num), 1)
+    return normalize(int(num), int(den))
+
+
+def old_longest_digit_run(text):
+    return max((len(run) - run.count("_") for run in re.findall(r"\d+(?:_\d+)*", text)),
+               default=0)
+
+
+def outcome(function, text):
+    try:
+        return "value", function(text)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
+# ASCII, Arabic-Indic, fullwidth, Devanagari and mathematical digits; a
+# superscript two, a vulgar half and a Roman numeral, which are not Nd and
+# so not \d; and the grammar's other characters.
+token_characters = st.sampled_from(
+    [*"0123456789", "\u0663", "\uff17", "\u096a", "\U0001d7d9", "\u00b2", "\u00bd", "\u2167",
+     *"-_/+ .inf", "\n", "\t"])
+tokens = st.one_of(
+    st.lists(token_characters, max_size=12).map("".join),
+    st.sampled_from(["inf", " inf ", "-inf", "inf/1", "1_000", "1__0", "_1", "1_", "-1_2/3_4",
+                     "0/0", "-0", "1/-2", "--1", "-", "/", "\u0663/\uff17", "-\U0001d7d9_2",
+                     "7/12", "-3/2024", "12/3", "-\u0663\u0663"]),
+)
+
+
+@given(tokens)
+def test_plain_token_readers_read_what_the_old_regular_expressions_read(text):
+    assert outcome(parse_fraction, text) == outcome(old_parse_fraction, text)
+    # With a limit of one digit, the error names the longest digit run.
+    with mock.patch.object(sys, "get_int_max_str_digits", return_value=1):
+        got = outcome(cli._digits_within_limit, text)
+    longest = old_longest_digit_run(text)
+    limited = ("ArgumentTypeError", f"{longest} digits, limit 1")
+    assert got == (limited if longest > 1 else ("value", text))
 
 
 @pytest.mark.parametrize("command", [["untangle"], ["verify", "--moves", "R"]])

@@ -35,7 +35,8 @@ from tanglegcd.tangles import (
     replay,
     tangle_number,
 )
-from tanglegcd.rationals import _value_strings
+from tanglegcd.rationals import _canonical, _canonical_values, _value_strings
+from itertools import repeat
 from math import gcd
 
 
@@ -405,3 +406,71 @@ def test_value_strings_print_plan_runs_through_zero_and_infinity_as_str_does(sta
             Move.TWIST_POSITIVE, Move.TWIST_POSITIVE, Move.ROTATE, Move.ROTATE, *walk]
     plan = plan_untangle(start, policy)
     assert_values_print_as_str(replay(start, [*plan.iter_moves(), *tail]).values)
+
+
+# Integers on both sides of the 4,300-digit int/str limit.  An example or a
+# filtered strategy past it cannot be printed, so no strategy filters them,
+# and the explicit examples past it are in the test below.
+bulk_integers = st.one_of(st.integers(-10**6, 10**6), st.integers(-10**4400, 10**4400))
+numerator_columns = st.one_of(
+    st.lists(bulk_integers, max_size=12),
+    st.builds(lambda start, step, k: range(start, start + k * step, step),
+              bulk_integers, bulk_integers.map(lambda n: n or 1), st.integers(0, 12)),
+)
+
+
+def assert_built_as_canonical_builds_them(numerators, denominators, repeated):
+    # The denominators may run longer than the numerators, or not end.
+    column = repeat(denominators[0]) if repeated else iter(denominators)
+    if repeated:
+        denominators = [denominators[0]] * len(denominators)
+    values = _canonical_values(numerators, column)
+    expected = [_canonical(n, d) for n, d in zip(numerators, denominators)]
+    assert type(values) is tuple
+    assert [type(value) for value in values] == [ExtendedRational] * len(numerators)
+    assert [pair(value) for value in values] == [pair(value) for value in expected]
+
+
+@settings(deadline=None)
+@given(numerator_columns, st.lists(bulk_integers, min_size=12, max_size=12), st.booleans())
+@example(range(0), [1] * 12, True)
+@example([], [1] * 12, False)
+@example([-3], [7] * 12, False)
+@example(range(5, -4, -3), [3] * 12, True)
+def test_canonical_values_builds_the_values_canonical_builds_pair_by_pair(
+    numerators, denominators, repeated
+):
+    assert_built_as_canonical_builds_them(numerators, denominators, repeated)
+
+
+def test_canonical_values_builds_values_past_the_int_str_limit():
+    big = 10**4400
+    assert_built_as_canonical_builds_them([-big], [big + 1], False)
+    assert_built_as_canonical_builds_them(range(big, big + 1), [1], True)
+    assert_built_as_canonical_builds_them(range(-big, big, big - 1), [big - 1] * 3, True)
+    assert_built_as_canonical_builds_them(range(3, 3 + 5 * big, big), [big, 1, 0, -1, 2], False)
+
+
+def reference_str(value):
+    """str() of a value from fractions.Fraction, which prints n/1 as n."""
+    if value.denominator == 0:
+        return "inf"
+    return str(Fraction(value.numerator, value.denominator))
+
+
+@settings(deadline=None)
+@given(st.one_of(fractions, big_fractions, st.just(INFINITY), st.just(ZERO),
+                 st.integers(-10**4400, 10**4400).map(lambda n: normalize(n, 1)),
+                 st.tuples(st.integers(-10**4400, 10**4400), st.integers(1, 10**4400))
+                 .map(lambda t: normalize(*t))))
+@example(normalize(1, 1))
+@example(normalize(-1, 1))
+@example(normalize(-7, 1))
+@example(normalize(-1, 2))
+def test_str_prints_what_a_reference_formatter_prints(value):
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        assert str(value) == reference_str(value)
+    finally:
+        sys.set_int_max_str_digits(limit)

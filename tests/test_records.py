@@ -192,11 +192,19 @@ def test_the_benchmark_bigint_cold_call_prints_its_rows_through_decimal(monkeypa
     assert modules_loaded_by(main_call(*argv)) == {TRACE_COMMANDS, "tanglegcd.euclid", "decimal"}
 
 
-def test_trace_calls_load_no_typing_where_start_up_does_not():
-    # Under -S no site module runs, so start-up itself does not load typing.
-    code = f"import sys\n{main_call('gcd', '807', '673')}\nmain(['enumerate', '8', '5'])\n"
-    proc = run_fresh(code + "print('typing' in sys.modules, file=sys.stderr)", flags=["-S"])
-    assert proc.stderr.decode().split() == ["False"]
+def test_cold_calls_load_neither_re_nor_typing_where_start_up_does_not():
+    # Under -S no site module runs, so start-up itself loads neither; the
+    # token readers read plain numbers and fractions without `re`.
+    calls = [["gcd", "807", "673"], ["steps", "807", "673"], ["enumerate", "8", "5"],
+             ["untangle", "-8/5"], ["construct", "--moves", "T,R"],
+             ["verify", "inf", "--moves", "-T,R,T,R,-T,R,T,T"]]
+    for argv in calls:
+        # Only `--json steps` loads json, whose decoder loads re.
+        for call in [argv] if argv[0] == "steps" else [argv, ["--json", *argv]]:
+            code = f"import sys\n{main_call(*call)}\n"
+            proc = run_fresh(code + "print(sorted({'re', 'typing'} & sys.modules.keys()), "
+                             "file=sys.stderr)", flags=["-S"])
+            assert proc.stderr.decode().split() == ["[]"], call
 
 
 def test_a_cli_run_as_a_module_is_not_imported_again_by_its_handler_module():

@@ -328,15 +328,22 @@ RUNNERS = {Variant.REGULAR: run_regular, Variant.LEAST_ABSOLUTE: run_lar,
 @given(st.one_of(plan_starts, canonical_fractions), st.sampled_from(POLICIES))
 def test_plan_stages_are_read_off_the_policy_trace(f, policy):
     # Planning reads the division loop, not a trace record; each stage must
-    # still be its trace step's quotient, twisting toward zero.
+    # still be its trace step's quotient, twisting toward zero.  It builds
+    # its stages with tuple.__new__, yet the plan must be the one the public
+    # constructors build.
     value = apply_move(f, R) if f.is_infinite or 0 < abs(f.numerator) < f.denominator else f
-    expected = []
+    stages = []
     if not value.is_zero:
         direction = -value.sign()
         for step in RUNNERS[policy](abs(value.numerator), value.denominator).steps:
-            expected.append((step.quotient, direction))
+            stages.append(Stage(twist_count=step.quotient, twist_direction=direction))
             direction *= -step.epsilon
-    assert plan_untangle(f, policy).stages == tuple(expected)
+    plan = plan_untangle(f, policy)
+    expected = UntanglePlan(start=f, stages=tuple(stages), policy=policy)
+    assert (plan, hash(plan), repr(plan)) == (expected, hash(expected), repr(expected))
+    assert pickle.dumps(plan) == pickle.dumps(expected)
+    assert plan.start is f and type(plan.stages) is tuple
+    assert all(type(stage) is Stage for stage in plan.stages)
 
 
 @given(canonical_fractions, st.sampled_from(POLICIES))
