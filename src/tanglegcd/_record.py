@@ -23,9 +23,9 @@ from __future__ import annotations
 from operator import attrgetter
 
 
-def setters(cls: type) -> tuple:
-    """The `__set__` of each field's slot descriptor, in the order of `_fields`."""
-    return tuple(getattr(cls, name).__set__ for name in cls._fields)
+def setters(cls: type, *slots: str) -> tuple:
+    """The `__set__` of each named slot's descriptor; by default, each field's in `_fields`."""
+    return tuple(getattr(cls, name).__set__ for name in slots or cls._fields)
 
 
 class Record:

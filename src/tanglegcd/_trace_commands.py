@@ -5,9 +5,10 @@ compiles it.  `gcd` renders and counts each division as euclid's division
 loop yields it, printing each integer once: past SHADOW_BITS bits from its
 exact decimal shadow (see `_shadows`), which only the exact context's
 methods touch, and below it by one str().  `steps` counts every method's
-row without a trace; `enumerate` renders each trace row during its own flat
-walk of the trace tree (`_trace_rows`).  Rows are joined into written pieces
-of about _PIECE characters, so memory stays flat in the number of rows.
+row without a trace, and writes its JSON rows without `json`; `enumerate`
+renders each trace row during its own flat walk of the trace tree
+(`_trace_rows`).  Rows are joined into written pieces of about _PIECE
+characters, so memory stays flat in the number of rows.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import sys
 from collections.abc import Callable, Iterable, Iterator
 from itertools import chain, count
 
-from .cli import _JSON_BOOLS, _METHODS, _shown
+from .cli import _JSON_BOOLS, _METHODS, _json_text, _shown
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -133,16 +134,17 @@ def cmd_steps(args: argparse.Namespace) -> Result:
     rows = []
     for name, value in _METHODS.items():
         divisions, subtractions = _counts(a, b, Variant(value))
-        rows.append(
-            {
-                "method": name,
-                "divisions": divisions,
-                "subtractions": subtractions,
-                "swaps": divisions - 1,
-                "total": subtractions + divisions - 1,
-            }
-        )
-    payload = {"x0": a, "x1": b, "rows": rows}
+        rows.append({"method": name, "divisions": divisions, "subtractions": subtractions,
+                     "swaps": divisions - 1, "total": subtractions + divisions - 1})
+
+    def json_rows() -> Iterator[str]:
+        # json.dumps(rows) from _json_text's scalar cases, so `json` stays
+        # unloaded; every key is a plain identifier.
+        fields = (", ".join(f'"{key}": {_json_text(value)}' for key, value in row.items())
+                  for row in rows)
+        yield "[{" + "}, {".join(fields) + "}]"
+
+    payload = {"x0": a, "x1": b, "rows": json_rows()}
 
     def text() -> Iterable[str]:
         columns = "{:<10}{:>10}{:>14}{:>7}{:>7}".format

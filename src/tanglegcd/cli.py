@@ -29,8 +29,9 @@ notice, imports the layer functions it calls.  So `gcd` and `steps` load
 `euclid` alone, `enumerate` `euclid` and `enumeration`, and `untangle`,
 `construct` and `verify` `rationals`, `euclid` and `tangles`.  JSON is
 written by `_json_text`, which renders bools, ints and plain ASCII strings
-itself and imports `json` only for any other value: of the payloads, only
-the rows of `steps`.
+itself and imports `json` only for any other value; no payload holds one,
+and a list such as the rows of `steps` is streamed as pieces built from
+those scalar cases, so no cold call loads `json`.
 """
 
 from __future__ import annotations

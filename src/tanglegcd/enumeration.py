@@ -13,8 +13,11 @@ here consults the named variants, so both are independent oracles for them.
 One walker, `_generate`, serves the whole tree (`enumerate_all`) and the
 witnesses' subtree (`minimize`): the caller's `branches` function gives
 the children of each pair, and each leaf is built into a trace from the
-steps on the path from the root.  The CLI's listing needs no trace, only
-its rows, and walks the tree in its own flat loop (`cli._trace_rows`).
+division rows (a, b, q, eps, r) on the path from the root, as the runners
+build theirs.  So the walk builds no step record: a trace builds its
+records on the first read of `.steps`, and the euclid counters read its
+rows.  The CLI's listing needs no trace, only its rows, and walks the tree
+in its own flat loop (`_trace_commands._trace_rows`).
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from collections.abc import Callable, Iterable, Iterator
 from itertools import islice
 
 from ._record import Record, setters
-from .euclid import EuclidStep, EuclidTrace, Variant, _step, _trace, check_pair
+from .euclid import Division, EuclidTrace, Variant, _trace, check_pair
 
 MAX_WITNESSES = 16
 
@@ -46,13 +49,13 @@ class EnumerationResult(Record):
  _set_witnesses_min_steps) = setters(EnumerationResult)
 
 
-# The children of a pair as (a, b, step): the next pair and the step that
-# enters it.
-Children = Iterable[tuple[int, int, EuclidStep]]
+# The children of a pair as (a, b, division): the next pair and the
+# division that enters it.
+Children = Iterable[tuple[int, int, Division]]
 
 
 def _every_branch(a: int, b: int, q: int, r: int) -> Children:
-    return (b, b - r, _step(a, b, q + 1, -1, b - r)), (b, r, _step(a, b, q, 1, r))
+    return (b, b - r, (a, b, q + 1, -1, b - r)), (b, r, (a, b, q, 1, r))
 
 
 def enumerate_all(x0: int, x1: int) -> Iterator[EuclidTrace]:
@@ -68,27 +71,27 @@ def enumerate_all(x0: int, x1: int) -> Iterator[EuclidTrace]:
 def _generate(
     x0: int, x1: int, branches: Callable[[int, int, int, int], Children]
 ) -> Iterator[EuclidTrace]:
-    # Explicit stack: entries are (a, b, step) and a None sentinel that pops
-    # the shared path when a subtree is done.  Recursion would overflow on
-    # staircase pairs such as (10000, 9999).  At a pair (a, b) entered by
-    # `step`, with q, r = divmod(a, b) and r > 0, `branches(a, b, q, r)`
+    # Explicit stack: entries are (a, b, division) and a None sentinel that
+    # pops the shared path when a subtree is done.  Recursion would overflow
+    # on staircase pairs such as (10000, 9999).  At a pair (a, b) entered by
+    # `division`, with q, r = divmod(a, b) and r > 0, `branches(a, b, q, r)`
     # gives the children, the -1 branch first, so that the +1 branch is
     # walked first; they are pushed as given, so a node allocates nothing
-    # here.  At r == 0 the walk yields the trace of the steps on the path
-    # from the root.  The root is entered by no step.
-    path: list[EuclidStep] = []
-    stack: list[tuple[int, int, EuclidStep | None] | None] = [(x0, x1, None)]
+    # here.  At r == 0 the walk yields the trace of the divisions on the
+    # path from the root.  The root is entered by no division.
+    path: list[Division] = []
+    stack: list[tuple[int, int, Division | None] | None] = [(x0, x1, None)]
     while stack:
         entry = stack.pop()
         if entry is None:
             path.pop()
             continue
-        a, b, step = entry
-        if step is not None:
-            path.append(step)
+        a, b, division = entry
+        if division is not None:
+            path.append(division)
         q, r = divmod(a, b)
         if r == 0:
-            yield _trace((*path, _step(a, b, q, 1, 0)), Variant.CUSTOM)
+            yield _trace((*path, (a, b, q, 1, 0)), Variant.CUSTOM)
             continue
         for child in branches(a, b, q, r):
             stack.append(None)
@@ -199,9 +202,9 @@ def minimize(x0: int, x1: int) -> EnumerationResult:
             minus = 3 if k == 2 and not s else 2 + _closed(k - 1, s, x, w)[0]
         branches = memo[a, b] = []
         if minus <= plus:
-            branches.append((b, b - r, _step(a, b, q + 1, -1, b - r)))
+            branches.append((b, b - r, (a, b, q + 1, -1, b - r)))
         if plus <= minus:
-            branches.append((b, r, _step(a, b, q, 1, r)))
+            branches.append((b, r, (a, b, q, 1, r)))
         return branches
 
     return EnumerationResult(

@@ -14,17 +14,24 @@ Step accounting counts every subtraction (the quotients summed) plus every
 switch to the next working pair (equations minus one).
 
 One division loop, `_divisions`, yields each division of a chain as the
-chooser signs it.  The runners build their traces from it; `_counts`, the
-CLI's `gcd` and `steps` and `tangles.plan_untangle` read it with no trace
-record, so a chain costs memory for its rendering at most, not for its steps.
+chooser signs it, as a row (a, b, q, eps, r).  The runners keep its rows as
+their traces; `_counts`, the CLI's `gcd` and `steps` and
+`tangles.plan_untangle` read it with no trace at all, so a chain costs
+memory for its rendering at most, not for its steps.
+
+A trace holds its division rows.  Its EuclidStep records are built on the
+first read of `.steps` and kept; the counters here (`gcd_of`,
+`division_count`, `step_count`, `goodman_zaring_defect`, `trace_to_dict`)
+and a trace's equality and hash read the rows, so counting a trace builds
+no record.
 
 The raw constructors of EuclidStep and EuclidTrace are checked doors: an
 inconsistent step, or steps that do not chain into one trace ending in
 remainder 0, raise ValueError under any interpreter flags, `-O` included, and
 unpickling goes through the same checks.  The runners here and the
-enumeration walk take each step straight from divmod, so every step is
+enumeration walk take each row straight from divmod, so every division is
 consistent and chained by construction; they build through the unchecked
-`_step` and `_trace` and pay for no check.
+`_trace`, and `.steps` through the unchecked `_step`, and pay for no check.
 """
 
 from __future__ import annotations
@@ -93,23 +100,51 @@ class EuclidStep(Record):
         return hash((self.a, self.b, self.quotient, self.epsilon, self.remainder))
 
 
-class EuclidTrace(Record):
-    """An ordered, chained list of steps ending in the zero remainder."""
+# A division a = b*q + eps*r as the row (a, b, q, eps, r).
+Division = tuple[int, int, int, int, int]
 
-    __slots__ = _fields = ("steps", "variant")
+
+class EuclidTrace(Record):
+    """An ordered, chained list of steps ending in the zero remainder.
+
+    It holds the steps as division rows, `_rows`, and builds their records
+    on the first read of `steps`, kept in `_steps` (None until then).
+    Equality and hash compare the rows and the variant; repr and pickle read
+    `steps`, so they are the same before and after that first read.
+    """
+
+    __slots__ = ("_steps", "variant", "_rows")
+    _fields = ("steps", "variant")
 
     def __init__(self, steps: tuple[EuclidStep, ...], variant: Variant) -> None:
         _set_steps(self, steps)
         _set_variant(self, variant)
+        _set_rows(self, tuple((s.a, s.b, s.quotient, s.epsilon, s.remainder) for s in steps))
         if not steps or steps[-1].remainder != 0 or any(
             (cur.a, cur.b) != (prev.b, prev.remainder) for prev, cur in zip(steps, steps[1:])
         ):
             raise ValueError("steps do not chain into one trace ending in remainder 0")
 
+    @property
+    def steps(self) -> tuple[EuclidStep, ...]:
+        steps = self._steps
+        if steps is None:
+            steps = tuple(starmap(_step, self._rows))
+            _set_steps(self, steps)
+        return steps
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._rows == other._rows and self.variant == other.variant
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self._rows, self.variant))
+
 
 _new = object.__new__
 _set_a, _set_b, _set_quotient, _set_epsilon, _set_remainder = setters(EuclidStep)
-_set_steps, _set_variant = setters(EuclidTrace)
+_set_steps, _set_variant, _set_rows = setters(EuclidTrace, "_steps", "variant", "_rows")
 
 
 def _step(a: int, b: int, quotient: int, epsilon: int, remainder: int) -> EuclidStep:
@@ -123,11 +158,12 @@ def _step(a: int, b: int, quotient: int, epsilon: int, remainder: int) -> Euclid
     return step
 
 
-def _trace(steps: tuple[EuclidStep, ...], variant: Variant) -> EuclidTrace:
-    """Build a trace from steps the caller chained to remainder 0, unchecked."""
+def _trace(rows: tuple[Division, ...], variant: Variant) -> EuclidTrace:
+    """Build a trace from divisions the caller chained to remainder 0, unchecked."""
     trace = _new(EuclidTrace)
-    _set_steps(trace, steps)
+    _set_rows(trace, rows)
     _set_variant(trace, variant)
+    _set_steps(trace, None)
     return trace
 
 
@@ -168,7 +204,7 @@ def check_pair(x0: int, x1: int) -> None:
         raise InvalidInputError(f"need x0 >= x1 >= 1, got {'x1 < 1' if x1 < 1 else 'x0 < x1'}")
 
 
-def _divisions(x0: int, x1: int, chooser: SignChooser) -> Iterator[tuple[int, int, int, int, int]]:
+def _divisions(x0: int, x1: int, chooser: SignChooser) -> Iterator[Division]:
     """Each division (a, b, q, eps, r) of the chain from (x0, x1) under a sign chooser.
 
     The package's one division loop; the caller checks the pair.  Forced
@@ -202,7 +238,7 @@ def run_general(
     chooser and always close the trace with epsilon +1 and remainder 0.
     """
     check_pair(x0, x1)
-    return _trace(tuple(starmap(_step, _divisions(x0, x1, chooser))), variant)
+    return _trace(tuple(_divisions(x0, x1, chooser)), variant)
 
 
 def run_regular(x0: int, x1: int) -> EuclidTrace:
@@ -261,18 +297,18 @@ def _counts(x0: int, x1: int, variant: Variant) -> tuple[int, int]:
 
 def gcd_of(trace: EuclidTrace) -> int:
     """The divisor of the final, exact step: the gcd of the original pair."""
-    return trace.steps[-1].b
+    return trace._rows[-1][1]
 
 
 def division_count(trace: EuclidTrace) -> int:
     """Number of division equations in the trace."""
-    return len(trace.steps)
+    return len(trace._rows)
 
 
 def step_count(trace: EuclidTrace) -> StepCount:
     """Subtraction/swap accounting: sum of quotients plus equations minus one."""
-    subtractions = sum(step.quotient for step in trace.steps)
-    swaps = len(trace.steps) - 1
+    subtractions = sum([q for _, _, q, _, _ in trace._rows])
+    swaps = len(trace._rows) - 1
     return StepCount(subtractions, swaps, subtractions + swaps)
 
 
@@ -286,7 +322,7 @@ def goodman_zaring_defect(lar_trace: EuclidTrace) -> int:
         raise WrongVariantError(
             f"expected a {Variant.LEAST_ABSOLUTE.value} trace, got {lar_trace.variant.value}"
         )
-    return sum(1 for step in lar_trace.steps if step.epsilon == -1)
+    return [eps for _, _, _, eps, _ in lar_trace._rows].count(-1)
 
 
 def trace_to_dict(trace: EuclidTrace) -> dict:
@@ -294,7 +330,6 @@ def trace_to_dict(trace: EuclidTrace) -> dict:
     return {
         "variant": trace.variant.value,
         "steps": [
-            {"a": s.a, "b": s.b, "q": s.quotient, "eps": s.epsilon, "r": s.remainder}
-            for s in trace.steps
+            {"a": a, "b": b, "q": q, "eps": eps, "r": r} for a, b, q, eps, r in trace._rows
         ],
     }

@@ -216,6 +216,14 @@ def test_steps_counts_a_billion_step_negative_trace_without_running_it(capsys):
                                 "total": 3 * 10**9 - 1}
 
 
+def test_steps_json_is_what_json_dumps_writes(capsys):
+    # The rows are written without `json`, byte for byte as json.dumps writes them.
+    pairs = [(a, b) for a in range(1, 41) for b in range(1, a + 1)]
+    for a, b in [*pairs, (10**9 + 1, 10**9), (3**200, 2**300)]:
+        code, out, _ = run_cli(capsys, "--json", "steps", str(a), str(b))
+        assert (code, out) == (0, json.dumps(json.loads(out)) + "\n"), (a, b)
+
+
 def test_enumerate_4_3(capsys):
     code, out, _ = run_cli(capsys, "enumerate", "4", "3")
     assert code == 0

@@ -336,3 +336,13 @@ def test_minimize_matches_the_per_pair_recurrence_on_deep_pairs():
     pairs += [(fib[n + 1], fib[n]) for n in range(29, 40)]
     for x0, x1 in pairs:
         assert minimize(x0, x1) == per_pair_minimize(x0, x1), (x0, x1)
+
+
+def test_every_listed_trace_and_witness_passes_the_checked_constructor():
+    # The walk builds its traces from division rows, unchecked; each must be
+    # the trace the checked constructor builds from its steps.
+    for x0 in range(1, 61):
+        for x1 in range(1, x0 + 1):
+            for trace in [*enumerate_all(x0, x1), *minimize(x0, x1).witnesses_min_steps]:
+                checked = EuclidTrace(trace.steps, trace.variant)
+                assert (checked, hash(checked)) == (trace, hash(trace)), (x0, x1)

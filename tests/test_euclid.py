@@ -351,6 +351,57 @@ def test_traces_round_trip_through_pickle_and_deepcopy(value):
     assert not hasattr(value, "__dict__")
 
 
+def counters(trace):
+    counts = [step_count(trace), division_count(trace), gcd_of(trace), trace_to_dict(trace)]
+    if trace.variant is Variant.LEAST_ABSOLUTE:
+        counts.append(goodman_zaring_defect(trace))
+    return counts
+
+
+def folded(quotients):
+    """The pair (p, q) whose regular partial quotients are the given ones, the last at least 2."""
+    p, q = quotients[-1] + 1, 1
+    for quotient in reversed(quotients[:-1]):
+        p, q = quotient * p + q, p
+    return p, q
+
+
+# Pairs up to about 10**30: any, or from at most ten partial quotients up to
+# 1,000, whose negative traces are short enough to run.
+big_pairs = st.one_of(
+    st.tuples(st.integers(1, 10**30), st.integers(1, 10**30)).map(lambda t: (max(t), min(t))),
+    st.lists(st.integers(1, 1000), min_size=1, max_size=10).map(folded),
+)
+
+
+@given(big_pairs)
+def test_a_trace_is_the_same_before_and_after_its_steps_are_read(pair):
+    # The negative trace is as long as the regular quotients sum to.
+    short = _counts(*pair, Variant.NEGATIVE)[0] <= 2000
+    for runner in (run_regular, run_lar, run_negative) if short else (run_regular, run_lar):
+        read = runner(*pair)
+        steps = read.steps
+        # Unread traces: a runner's, a pickled one's and a deep copy's.
+        others = [runner(*pair), pickle.loads(pickle.dumps(runner(*pair), 2)),
+                  copy.deepcopy(runner(*pair)), EuclidTrace(steps, read.variant)]
+        for other in others:
+            assert other == read and read == other
+            assert hash(other) == hash(read)
+            assert counters(other) == counters(read)
+            assert repr(other) == repr(read)
+        # Pickling reads the steps: the bytes match those of a trace read before.
+        assert pickle.dumps(runner(*pair), 2) == pickle.dumps(read, 2)
+        assert read.steps is steps
+
+
+def test_counting_a_trace_builds_no_step_record():
+    for runner in RUNNERS.values():
+        trace = runner(807, 673)
+        counters(trace)
+        assert trace == runner(807, 673) and hash(trace) == hash(runner(807, 673))
+        assert trace._steps is None
+
+
 # run_lar(8, 5) pickled with protocol 2 at 3418dee, before steps and traces
 # were slotted: each state is a dict.
 DICT_STATE_PICKLE = (

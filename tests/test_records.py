@@ -161,9 +161,9 @@ def main_call(*argv):
 
 
 # Each cold call loads only its subcommand's handler module and the layers it
-# runs, no argparse, json only where a JSON value is not a bool, an int or a
-# plain ASCII string: of the payloads, only the rows of `steps`, and decimal
-# only to print integers past SHADOW_BITS bits.
+# runs, no argparse, no json (every payload is written from bools, ints and
+# plain ASCII strings, the rows of `steps` included), and decimal only to
+# print integers past SHADOW_BITS bits.
 @pytest.mark.parametrize("code,loaded", [
     ("import tanglegcd", set()),
     ("import tanglegcd.cli", set()),
@@ -182,8 +182,7 @@ def test_a_cold_call_loads_only_what_its_subcommand_runs(code, loaded):
     assert modules_loaded_by(code) == loaded
     if code.startswith("from tanglegcd.cli"):
         json_call = code.replace("main([", "main(['--json', ")
-        json_loaded = loaded | {"json"} if "'steps'" in code else loaded
-        assert modules_loaded_by(json_call) == json_loaded
+        assert modules_loaded_by(json_call) == loaded
 
 
 def test_the_benchmark_bigint_cold_call_prints_its_rows_through_decimal(monkeypatch):
@@ -199,8 +198,7 @@ def test_cold_calls_load_neither_re_nor_typing_where_start_up_does_not():
              ["untangle", "-8/5"], ["construct", "--moves", "T,R"],
              ["verify", "inf", "--moves", "-T,R,T,R,-T,R,T,T"]]
     for argv in calls:
-        # Only `--json steps` loads json, whose decoder loads re.
-        for call in [argv] if argv[0] == "steps" else [argv, ["--json", *argv]]:
+        for call in [argv, ["--json", *argv]]:
             code = f"import sys\n{main_call(*call)}\n"
             proc = run_fresh(code + "print(sorted({'re', 'typing'} & sys.modules.keys()), "
                              "file=sys.stderr)", flags=["-S"])
