@@ -15,7 +15,7 @@ from .cli import _METHODS
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
-    import argparse
+    from types import SimpleNamespace
 
     from .cli import Result
     from .rationals import ExtendedRational
@@ -80,7 +80,7 @@ def _value_list(chunks: Iterable, opening: str, separator: str, closing: str) ->
     yield closing
 
 
-def cmd_untangle(args: argparse.Namespace) -> Result:
+def cmd_untangle(args: SimpleNamespace) -> Result:
     from .euclid import Variant
     from .rationals import ExtendedRational, parse_fraction
     from .tangles import _stage_runs, plan_metrics, plan_untangle
@@ -116,7 +116,7 @@ def cmd_untangle(args: argparse.Namespace) -> Result:
     return payload, text, 0
 
 
-def cmd_construct(args: argparse.Namespace) -> Result:
+def cmd_construct(args: SimpleNamespace) -> Result:
     from .tangles import format_moves, parse_moves, tangle_number
 
     moves = parse_moves(args.moves)
@@ -128,7 +128,7 @@ def cmd_construct(args: argparse.Namespace) -> Result:
     return payload, text, 0
 
 
-def cmd_verify(args: argparse.Namespace) -> Result:
+def cmd_verify(args: SimpleNamespace) -> Result:
     from .rationals import parse_fraction
     from .tangles import _final, format_moves, parse_moves
 

@@ -21,7 +21,7 @@ from .cli import _JSON_BOOLS, _METHODS, _json_text, _shown
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
-    import argparse
+    from types import SimpleNamespace
 
     from .cli import Result
 
@@ -97,7 +97,7 @@ def _text_step(a: str, b: str, q: int, eps: int, r: str) -> str:
     return f"{a} = {b}({q}){'+' if eps > 0 else '-'}{r}"
 
 
-def cmd_gcd(args: argparse.Namespace) -> Result:
+def cmd_gcd(args: SimpleNamespace) -> Result:
     from .euclid import CHOOSERS, Variant, _divisions
 
     a, b = _ordered_pair(args.a, args.b)
@@ -127,7 +127,7 @@ def cmd_gcd(args: argparse.Namespace) -> Result:
     return payload, text, 0
 
 
-def cmd_steps(args: argparse.Namespace) -> Result:
+def cmd_steps(args: SimpleNamespace) -> Result:
     from .euclid import Variant, _counts
 
     a, b = _ordered_pair(args.a, args.b)
@@ -187,7 +187,7 @@ def _trace_rows(a: int, b: int, separator: str, plus: str, minus: str,
         push((b, r, f"{quotients}{q}{separator}", epsilons + plus_prefix, subtractions + q, depth))
 
 
-def cmd_enumerate(args: argparse.Namespace) -> Result:
+def cmd_enumerate(args: SimpleNamespace) -> Result:
     from .enumeration import minimize
 
     a, b = _ordered_pair(args.a, args.b)

@@ -12,22 +12,27 @@ traces and of divisions: a handler returns a long field or line as an
 iterator over its pieces, and `main` writes them as they come.
 
 One table, `_SUBCOMMANDS`, names each subcommand's arguments, types,
-defaults and choices, and its handler's module.  `_plain_args` reads a
-well-formed command line from it exactly as argparse would; `build_parser`
-builds argparse from it, and `main` builds that only for a command line the
-reader leaves to it: an error, help, or a form such as `--method=lar`.
+defaults and choices, and its handler's module, and one reader,
+`build_parser().parse_args`, reads every command line from it.  It takes
+exact words only: `--json`, `-h` / `--help`, the subcommand's name and its
+options, given as `--opt value` or `--opt=value`; every other token is a
+value, so -8/5 and -T,R need no quoting.  A prefix such as `--meth`, a bare
+`--` and `-hX` are read as values too, and no argument accepts one.
+An error prints a usage line and `tanglegcd <cmd>: error: <message>` to
+stderr, the message naming the argument at fault as `argument <name>: ...`
+where there is one, and exits 2; help prints to stdout and exits 0.
 
 A cold call loads, and without a bytecode cache compiles, only what its
-subcommand runs.  This module imports no layer of the package, not
-argparse, which loads only to report an error or print help, and not `re`,
+subcommand runs.  This module imports no layer of the package, no
+argument-parsing library, not even for an error or help, and not `re`,
 which loads only to read an argument other than a plain number, fraction
-or `inf`.  The handlers
-live in `_trace_commands` (`gcd`, `steps`, `enumerate`) and
-`_tangle_commands` (`untangle`, `construct`, `verify`), and a command line
-imports its own; each handler, and each helper that words an error or a
-notice, imports the layer functions it calls.  So `gcd` and `steps` load
-`euclid` alone, `enumerate` `euclid` and `enumeration`, and `untangle`,
-`construct` and `verify` `rationals`, `euclid` and `tangles`.  JSON is
+or `inf`.  The handlers live in `_trace_commands` (`gcd`, `steps`,
+`enumerate`) and `_tangle_commands` (`untangle`, `construct`, `verify`),
+and a command line imports its own; each handler, and each helper that
+words an error or a notice, imports the layer functions it calls.  So `gcd`
+and `steps` load `euclid` alone, `enumerate` `euclid` and `enumeration`,
+and `untangle`, `construct` and `verify` `rationals`, `euclid` and
+`tangles`.  JSON is
 written by `_json_text`, which renders bools, ints and plain ASCII strings
 itself and imports `json` only for any other value; no payload holds one,
 and a list such as the rows of `steps` is streamed as pieces built from
@@ -39,12 +44,7 @@ from __future__ import annotations
 import os
 import sys
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from importlib import import_module
 from types import SimpleNamespace
-
-TYPE_CHECKING = False
-if TYPE_CHECKING:
-    import argparse
 
 # Each --method by the value of its euclid.Variant, in the row order of
 # `steps`; a handler builds the Variant, so parsing imports no layer.
@@ -106,13 +106,6 @@ def _text_pieces(lines: Iterable[str | Iterator[str]]) -> Iterator[str]:
             yield "\n"
 
 
-def _type_error(message: str) -> Exception:
-    """argparse's error for a refused value; argparse loads only to report one."""
-    import argparse
-
-    return argparse.ArgumentTypeError(message)
-
-
 def _digits_within_limit(text: str) -> str:
     """Refuse a number over the int/str limit by its digit count, without echoing it.
 
@@ -134,7 +127,7 @@ def _digits_within_limit(text: str) -> str:
         longest = max((len(run) - run.count("_") for run in re.findall(r"\d+(?:_\d+)*", text)),
                       default=0)
     if 0 < limit < longest:
-        raise _type_error(f"{longest} digits, limit {limit}")
+        raise ValueError(f"{longest} digits, limit {limit}")
     return text
 
 
@@ -147,150 +140,152 @@ def _shown(value: int) -> str:
 
 
 def _positive_int(text: str) -> int:
+    _digits_within_limit(text)
     try:
-        value = int(_digits_within_limit(text))
+        value = int(text)
     except ValueError:
         from .rationals import excerpt
 
-        raise _type_error(f"not an integer: {excerpt(text)}") from None
+        raise ValueError(f"not an integer: {excerpt(text)}") from None
     if value < 1:
-        raise _type_error(f"must be a positive integer, got {_shown(value)}")
+        raise ValueError(f"must be a positive integer, got {_shown(value)}")
     return value
 
 
+def _method(text: str) -> str:
+    if text not in _METHODS:
+        raise ValueError(f"invalid choice: {text!r} (choose from 'lar', 'negative', 'regular')")
+    return text
+
+
 # Each subcommand: its help; its positionals, each (name, type function,
-# help); its options, each flag -> (default, type function or list of
-# choices, help), where no default makes the option required; and whether it
-# reads a token that starts with a single "-", such as the fraction -8/5 or
-# the moves in `--moves -T,R`, as a value; and the module of its handler,
-# the function cmd_<name>, which `main` imports only to run it.
-_PAIR = (("a", _positive_int, None), ("b", _positive_int, None))
+# help); its options, each flag -> (default, type function, help), where no
+# default makes the option required; and the module of its handler, the
+# function cmd_<name>, which `main` imports only to run it.  A type function
+# refuses a value by raising ValueError.
+_PAIR = (("a", _positive_int, "a positive integer"), ("b", _positive_int, "a positive integer"))
 _FRACTION = (("fraction", _digits_within_limit, "p/q, p, or inf; may be negative"),)
-_MOVES = (None, str, "comma-separated tokens from T, -T, R")
+_MOVES = {"--moves": (None, str, "comma-separated tokens from T, -T, R")}
 _SUBCOMMANDS = {
     "gcd": ("run one variant and show its trace", _PAIR,
-            {"--method": ("regular", sorted(_METHODS), None)}, False, "_trace_commands"),
-    "steps": ("compare step counts across variants", _PAIR, {}, False, "_trace_commands"),
+            {"--method": ("regular", _method, "lar, negative or regular")}, "_trace_commands"),
+    "steps": ("compare step counts across variants", _PAIR, {}, "_trace_commands"),
     "enumerate": ("list every possible algorithm", _PAIR,
-                  {"--limit": (10_000, _positive_int,
-                               "enumeration input ceiling (default %(default)s)")},
-                  False, "_trace_commands"),
+                  {"--limit": (10_000, _positive_int, "enumeration input ceiling")},
+                  "_trace_commands"),
     "untangle": ("plan moves driving a tangle number to 0", _FRACTION,
-                 {"--method": ("lar", sorted(_METHODS), None)}, True, "_tangle_commands"),
-    "construct": ("fold a move sequence from 0", (), {"--moves": _MOVES}, True,
-                  "_tangle_commands"),
-    "verify": ("replay moves from a value, expect 0", _FRACTION, {"--moves": _MOVES}, True,
-               "_tangle_commands"),
+                 {"--method": ("lar", _method, "lar, negative or regular")}, "_tangle_commands"),
+    "construct": ("fold a move sequence from 0", (), _MOVES, "_tangle_commands"),
+    "verify": ("replay moves from a value, expect 0", _FRACTION, _MOVES, "_tangle_commands"),
 }
+_HELP = ("-h", "--help")
 
 
-def _handler(name: str) -> Callable[[argparse.Namespace], Result]:
+def _handler(name: str) -> Callable[[SimpleNamespace], Result]:
     """The handler of a subcommand, from its module, imported now if not before."""
-    return getattr(import_module(f".{_SUBCOMMANDS[name][4]}", __package__), f"cmd_{name}")
+    # __import__ takes the import path that `-X importtime` reports, and with
+    # a fromlist returns the module itself.
+    module = __import__(f"{__package__}.{_SUBCOMMANDS[name][3]}", fromlist=["_"])
+    return getattr(module, f"cmd_{name}")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The argparse parser of _SUBCOMMANDS; `main` builds it only to report an error or help."""
-    import argparse
-    import re
-
-    common = argparse.ArgumentParser(add_help=False)
-    # SUPPRESS keeps the subparser from clobbering a --json given before the
-    # subcommand with its own False default.
-    common.add_argument(
-        "--json", action="store_true", default=argparse.SUPPRESS,
-        help="emit a single JSON object",
-    )
-
-    parser = argparse.ArgumentParser(
-        prog="tanglegcd",
-        description="Euclidean algorithm variants, step minimality, and tangle untangling",
-        parents=[common],
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (summary, positionals, options, dashed, _) in _SUBCOMMANDS.items():
-        p = sub.add_parser(name, parents=[common], help=summary)
-        if dashed:
-            # argparse reads a token that matches a parser's (private)
-            # negative-number matcher as a value, not an option.
-            p._negative_number_matcher = re.compile(r"^-[^-]")
-        for dest, kind, text in positionals:
-            p.add_argument(dest, type=kind, help=text)
-        for flag, (default, check, text) in options.items():
-            kind = {"type": check} if callable(check) else {"choices": check}
-            p.add_argument(flag, default=default, required=default is None, help=text, **kind)
-    return parser
+def _usage(name: str | None) -> str:
+    """The usage line of a subcommand, or of the program where name is None."""
+    if name is None:
+        return f"usage: tanglegcd [-h] [--json] {{{','.join(_SUBCOMMANDS)}}} ..."
+    _, positionals, options, _ = _SUBCOMMANDS[name]
+    words = [f"{flag} {flag[2:].upper()}" if default is None else f"[{flag} {flag[2:].upper()}]"
+             for flag, (default, _, _) in options.items()]
+    return " ".join([f"usage: tanglegcd {name} [-h] [--json]", *words,
+                     *(dest for dest, _, _ in positionals)])
 
 
-def _plain(token: str, dashed: bool) -> bool:
-    """Whether argparse reads token as a value, not as an option or help.
-
-    It does for a token that does not start with "-".  Where the subcommand
-    reads dashed values, it also does for "-" and a character other than "-"
-    and "h" (`-hX` asks for help); a token holding "=" is left to argparse,
-    since newer versions split it there to look for an option.
-    """
-    return token[:1] != "-" or dashed and token[1:2] not in ("", "-", "h") and "=" not in token
+def _error(name: str | None, message: str) -> SystemExit:
+    """Write the usage line and the error to stderr; raise the result to exit 2."""
+    prog = f"tanglegcd {name}" if name else "tanglegcd"
+    print(_usage(name), f"{prog}: error: {message}", sep="\n", file=sys.stderr)
+    return SystemExit(2)
 
 
-def _plain_args(argv: Sequence[str]) -> SimpleNamespace | None:
-    """argv as build_parser().parse_args reads it, if it is plainly well formed; else None.
-
-    Reads any `--json`s, an exact subcommand name, then exact `--json`s,
-    exact options of that subcommand each followed by its value, and its
-    positionals.  Anything else gives None, and so does a wrong number of
-    positionals, a missing required option, or a value that its type
-    function or choices refuse: argparse then reads argv again and reports
-    the error, or prints help.
-    """
-    args = SimpleNamespace()
-    tokens = iter(argv)
-    for name in tokens:
-        if name != "--json":
-            break
-        args.json = True
+def _help(name: str | None) -> SystemExit:
+    """Write the help of a subcommand, or of the program, to stdout; raise the result to exit 0."""
+    if name is None:
+        summary = "Euclidean algorithm variants, step minimality, and tangle untangling"
+        rows = [(command, entry[0]) for command, entry in _SUBCOMMANDS.items()]
     else:
-        return None
-    if name not in _SUBCOMMANDS:
-        return None
-    _, positionals, options, dashed, _ = _SUBCOMMANDS[name]
-    values, given = [], {}
+        summary, positionals, options, _ = _SUBCOMMANDS[name]
+        rows = [(dest, text) for dest, _, text in positionals]
+        rows += [(f"{flag} {flag[2:].upper()}", f"{text} (default {default})" if default else text)
+                 for flag, (default, _, text) in options.items()]
+    rows += [("-h, --help", "show this help and exit"), ("--json", "emit a single JSON object")]
+    print(_usage(name), "", summary, "", *(f"  {left:15}  {text}" for left, text in rows),
+          sep="\n")
+    return SystemExit(0)
+
+
+def _value(name: str, argument: str, check: Callable[[str], object], text: str) -> object:
+    """text read by an argument's type function; a refused value exits 2."""
     try:
-        for token in tokens:
-            if token == "--json":
-                args.json = True
-            elif token in options:
-                # argparse checks each value given, the last one counts.  A
-                # missing value reads as "-", which is refused.
-                value, check = next(tokens, "-"), options[token][1]
-                if not _plain(value, dashed) or not callable(check) and value not in check:
-                    return None
-                given[token] = check(value) if callable(check) else value
-            elif _plain(token, dashed):
-                values.append(token)
-            else:
-                return None
-        if len(values) != len(positionals):
-            return None
-        for (dest, kind, _), value in zip(positionals, values):
-            setattr(args, dest, kind(value))
-    except Exception:
-        # A type function refused a value: argparse reads argv again and
-        # reports it, or raises what it does not catch itself.
-        return None
-    for flag, (default, _, _) in options.items():
-        value = given.get(flag, default)
-        if value is None:  # a required option missing
-            return None
-        setattr(args, flag[2:], value)
+        return check(text)
+    except ValueError as exc:
+        raise _error(name, f"argument {argument}: {exc}") from None
+
+
+def _parse_args(argv: Sequence[str]) -> SimpleNamespace:
+    """argv read by _SUBCOMMANDS, left to right; an error exits 2, help exits 0.
+
+    Before the subcommand come any `--json`s and help; after it, `--json`,
+    help, the subcommand's options, each as `--opt value` or `--opt=value`,
+    and its positionals, in any order.  Every other token is a value.  An
+    option's value is the next token unless that is missing, starts with
+    "--" or asks for help.  Each value is read as it comes.
+    """
+    args, name, extras = SimpleNamespace(json=False), None, []
+    tokens = iter(argv)
+    for token in tokens:
+        flag, equals, value = token.partition("=")
+        if token == "--json":
+            args.json = True
+        elif token in _HELP:
+            raise _help(name)
+        elif name is None:
+            if token not in _SUBCOMMANDS:
+                raise _error(None, f"argument command: invalid choice: {token!r} "
+                                   f"(choose from {', '.join(map(repr, _SUBCOMMANDS))})")
+            name, (_, positionals, options, _) = token, _SUBCOMMANDS[token]
+            dests = iter(positionals)
+            for option, (default, _, _) in options.items():
+                setattr(args, option[2:], default)
+        elif flag in options:
+            if not equals:
+                value = next(tokens, "--")  # a missing value reads as an option
+                if value.startswith("--") or value in _HELP:
+                    raise _error(name, f"argument {flag}: expected one argument")
+            setattr(args, flag[2:], _value(name, flag, options[flag][1], value))
+        elif (positional := next(dests, None)) is not None:
+            setattr(args, positional[0], _value(name, *positional[:2], token))
+        else:
+            extras.append(token)
+    if name is None:
+        raise _error(None, "the following arguments are required: command")
+    missing = [dest for dest, _, _ in dests] + [f for f in options if getattr(args, f[2:]) is None]
+    if missing:
+        raise _error(name, f"the following arguments are required: {', '.join(missing)}")
+    if extras:
+        raise _error(name, f"unrecognized arguments: {' '.join(extras)}")
     args.command = name
     return args
+
+
+def build_parser() -> SimpleNamespace:
+    """The command-line reader of _SUBCOMMANDS, called as build_parser().parse_args(argv)."""
+    return SimpleNamespace(parse_args=_parse_args)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = _plain_args(argv) or build_parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
     # The parser capped every input digit run at the int/str limit; values
     # computed from the inputs can be far longer and always print in full.
     limit = sys.get_int_max_str_digits()
@@ -305,7 +300,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 1
     else:
         # The pieces are written while the digit limit is still lifted.
-        pieces = _json_pieces(payload) if getattr(args, "json", False) else _text_pieces(text())
+        pieces = _json_pieces(payload) if args.json else _text_pieces(text())
         for piece in pieces:
             print(piece, end="")
         return code

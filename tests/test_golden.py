@@ -4,9 +4,9 @@ Each case runs `main(argv)` in-process, and all of them run once more in one
 `python -O` subprocess, where every assert is stripped, so no output may
 depend on an assert.  The digests were recorded from the implementation
 these cases guard; a change that alters any byte of stdout or stderr, or an
-exit code, fails here.  argparse usage errors are pinned by their exit code
-and last stderr line only, since the usage text it prints varies across
-Python versions.
+exit code, fails here.  Help is pinned whole; the command-line reader's usage
+errors are pinned by their exit code and last stderr line, the error itself,
+below the usage line.
 """
 
 import hashlib
@@ -123,12 +123,34 @@ GOLDEN = {
         0, (89716, "1350534d55bb7152bcc747687df962ff73ec3c723f50096e742fe82725885361"), EMPTY),
     f"gcd {POWERS} --method negative": (
         0, (637545, "752c2783bce0f3774cb3d50f42f6038a7921df228d9cff75631d028e048ee95c"), EMPTY),
+    # help, printed from the subcommand table, and an option given as --opt=value
+    "--help": (
+        0, (561, "e6e5e62a733957e4959734d05a2be4d3b0849f5f6f422dbe18dbff180efb9084"), EMPTY),
+    "gcd --help": (
+        0, (320, "a5ce7651d30bad58a3f0317fc3ffd014ea48a0e3fc333653cb7941a153d86653"), EMPTY),
+    "gcd 8 5 --method=lar": (
+        0, (94, "974857381f33a07134b41703739a8c1e88af61a20fcb2566b31fef18296ebb2b"), EMPTY),
 }
 
 # command line -> (exit code, last stderr line)
 USAGE_ERRORS = {
     "enumerate 4 3 --limit 0": (
         2, "tanglegcd enumerate: error: argument --limit: must be a positive integer, got 0"),
+    "frob 8 5": (
+        2, "tanglegcd: error: argument command: invalid choice: 'frob' (choose from 'gcd', "
+           "'steps', 'enumerate', 'untangle', 'construct', 'verify')"),
+    "gcd 8": (2, "tanglegcd gcd: error: the following arguments are required: b"),
+    "verify 8/5": (2, "tanglegcd verify: error: the following arguments are required: --moves"),
+    "gcd 8 5 --method bad": (
+        2, "tanglegcd gcd: error: argument --method: invalid choice: 'bad' "
+           "(choose from 'lar', 'negative', 'regular')"),
+    "gcd 8 5 --frob": (2, "tanglegcd gcd: error: unrecognized arguments: --frob"),
+    # a prefix of an option, a bare "--" and help spelled -hX are values
+    "gcd 8 5 --meth lar": (2, "tanglegcd gcd: error: unrecognized arguments: --meth lar"),
+    "gcd 8 5 --": (2, "tanglegcd gcd: error: unrecognized arguments: --"),
+    "gcd -hX 5": (2, "tanglegcd gcd: error: argument a: not an integer: '-hX'"),
+    "gcd 8 5 6": (2, "tanglegcd gcd: error: unrecognized arguments: 6"),
+    "gcd -x 5": (2, "tanglegcd gcd: error: argument a: not an integer: '-x'"),
 }
 
 

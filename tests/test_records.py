@@ -144,7 +144,7 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
 LAYERS = {"tanglegcd.enumeration", "tanglegcd.euclid", "tanglegcd.rationals", "tanglegcd.tangles"}
 
 
-# argparse, and gettext and locale with it, load only to report an error or print help.
+# argparse, and gettext and locale with it: no call loads them, an error or help included.
 PARSER_MODULES = {"argparse", "gettext", "locale"}
 TRACE_COMMANDS, TANGLE_COMMANDS = "tanglegcd._trace_commands", "tanglegcd._tangle_commands"
 
@@ -185,6 +185,13 @@ def test_a_cold_call_loads_only_what_its_subcommand_runs(code, loaded):
         assert modules_loaded_by(json_call) == loaded
 
 
+def test_help_loads_no_argument_parser():
+    for argv in (["--help"], ["verify", "--help"]):
+        code = ("from tanglegcd.cli import main\n"
+                f"try:\n    main({argv!r})\nexcept SystemExit as exc:\n    assert exc.code == 0")
+        assert modules_loaded_by(code) == set()
+
+
 def test_the_benchmark_bigint_cold_call_prints_its_rows_through_decimal(monkeypatch):
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
     argv = importlib.import_module("workloads").WORKLOADS["bigint"].cold_argv
@@ -207,16 +214,19 @@ def test_cold_calls_load_neither_re_nor_typing_where_start_up_does_not():
 
 def test_a_cli_run_as_a_module_is_not_imported_again_by_its_handler_module():
     # `python -m tanglegcd.cli` runs cli as __main__, and the handler modules
-    # import cli by name; -X importtime lists every module imported by name.
+    # import cli by name; -X importtime lists every module imported by name,
+    # the handler module among them.
     env = dict(os.environ)
     src = str(Path(tanglegcd.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    for argv in (["untangle", "8/5", "--json"], ["gcd", "807", "673"]):
+    for argv, handler_module in ((["untangle", "8/5", "--json"], TANGLE_COMMANDS),
+                           (["gcd", "807", "673"], TRACE_COMMANDS)):
         proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "tanglegcd.cli", *argv],
                               env=env, capture_output=True, timeout=60)
         assert proc.returncode == 0, proc.stderr.decode()
         imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.decode().splitlines()]
         assert "tanglegcd.euclid" in imported
+        assert handler_module in imported
         assert "tanglegcd.cli" not in imported
 
 
@@ -225,10 +235,10 @@ X0_45 = "123456789012345678901234567890123456789012345"
 
 # The messages of these errors quote an argument by `rationals.excerpt`, which
 # a cold `gcd` or `enumerate` first imports in the error branch; pytest's own
-# process already holds `rationals`, so they run in a fresh interpreter.  The
-# usage error is argparse's, which loads for it; the handler's error is not.
+# process already holds `rationals`, so they run in a fresh interpreter.
+# Neither loads argparse.
 @pytest.mark.parametrize("argv,message,argparse_loaded", [
-    (["gcd", "12x", "3"], "error: argument a: not an integer: '12x'\n", True),
+    (["gcd", "12x", "3"], "error: argument a: not an integer: '12x'\n", False),
     (["enumerate", X0_45, "3"],
      f"error: x0 = {X0_45[:40]!r}... (45 characters) exceeds the enumeration bound 10000; ",
      False),

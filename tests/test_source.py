@@ -20,3 +20,17 @@ def test_no_module_checks_an_invariant_with_assert():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_no_module_imports_or_names_argparse():
+    # The CLI reads its command line from its own table, so argparse never
+    # loads, not even for an error or help.
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+        if isinstance(node, ast.Import) and any(a.name == "argparse" for a in node.names)
+        or isinstance(node, ast.ImportFrom) and node.module == "argparse"
+        or isinstance(node, ast.Name) and node.id == "argparse"
+    ]
+    assert found == []
