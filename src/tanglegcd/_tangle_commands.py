@@ -1,25 +1,25 @@
 """The `untangle`, `construct` and `verify` handlers: tangle plans and move replays.
 
 `cli` imports this module for these subcommands only, so no other cold call
-compiles it.  `untangle` replays its plan by stages (`tangles._stage_runs`),
-`verify` and `construct` the user's moves one by one (`tangles._fold`), and
-values are rendered a chunk at a time.
+compiles it.  All three run `tangles`, and with it `rationals` and `euclid`,
+so the layers are imported here once.  `untangle` replays its plan by stages
+(`tangles._stage_runs`), `verify` and `construct` the user's moves one by
+one (`tangles._fold`), and values are rendered a chunk at a time.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 from itertools import chain, islice, tee
+from types import SimpleNamespace
 
-from .cli import _METHODS
-
-TYPE_CHECKING = False
-if TYPE_CHECKING:
-    from types import SimpleNamespace
-
-    from .cli import Result
-    from .rationals import ExtendedRational
-    from .tangles import Move, Stage
+from .cli import _METHODS, Result
+from .euclid import Variant
+from .rationals import ExtendedRational, _value_strings, parse_fraction
+from .tangles import (
+    Move, Stage, _final, _fold, _stage_runs, format_moves, parse_moves, plan_metrics,
+    plan_untangle, tangle_number,
+)
 
 # Values are rendered, and moves joined into one written piece, _CHUNK at a
 # time, and a chunk holds at most about _CHUNK_BITS bits of values, so
@@ -28,6 +28,8 @@ _CHUNK = 8192
 _CHUNK_BITS = 1 << 22
 
 
+# Counted, not sized by characters: a move is at most two characters, so a
+# count bounds a piece, and islice batches cost less than summing lengths.
 def _joined(separator: str, items: Iterable[str], size: int = _CHUNK) -> Iterator[str]:
     """separator.join(items), in pieces: one join per `size` items."""
     items = iter(items)
@@ -49,9 +51,6 @@ def _replayed(start: ExtendedRational, moves: Iterable[Move]) -> Iterator[tuple[
     Yields each chunk's moves and the str() of the values they reach.  No
     value record is built, and only one chunk of pairs is held.
     """
-    from .rationals import _value_strings
-    from .tangles import _fold
-
     n, d = start.numerator, start.denominator
     moves = iter(moves)
     while chunk := list(islice(moves, _chunk_size(n, d))):
@@ -62,9 +61,6 @@ def _replayed(start: ExtendedRational, moves: Iterable[Move]) -> Iterator[tuple[
 
 def _planned(start: ExtendedRational, stages: tuple[Stage, ...]) -> Iterator[list[str]]:
     """str() of start and the values its plan reaches, by the stage kernel, a chunk at a time."""
-    from .rationals import _value_strings
-    from .tangles import _stage_runs
-
     runs_n, runs_d = tee(_stage_runs(start, stages))
     numerators = chain.from_iterable(run[0] for run in runs_n)
     denominators = chain.from_iterable(run[1] for run in runs_d)
@@ -81,10 +77,6 @@ def _value_list(chunks: Iterable, opening: str, separator: str, closing: str) ->
 
 
 def cmd_untangle(args: SimpleNamespace) -> Result:
-    from .euclid import Variant
-    from .rationals import ExtendedRational, parse_fraction
-    from .tangles import _stage_runs, plan_metrics, plan_untangle
-
     f = parse_fraction(args.fraction)
     plan = plan_untangle(f, Variant(_METHODS[args.method]))
     # The stage kernel's last pair first, in O(stages), so a failing plan writes nothing.
@@ -117,8 +109,6 @@ def cmd_untangle(args: SimpleNamespace) -> Result:
 
 
 def cmd_construct(args: SimpleNamespace) -> Result:
-    from .tangles import format_moves, parse_moves, tangle_number
-
     moves = parse_moves(args.moves)
     payload = {"moves": format_moves(moves), "tangle_number": str(tangle_number(moves))}
 
@@ -129,9 +119,6 @@ def cmd_construct(args: SimpleNamespace) -> Result:
 
 
 def cmd_verify(args: SimpleNamespace) -> Result:
-    from .rationals import parse_fraction
-    from .tangles import _final, format_moves, parse_moves
-
     f = parse_fraction(args.fraction)
     moves = parse_moves(args.moves)
     start, final = str(f), _final(f, moves)

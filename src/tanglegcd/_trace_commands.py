@@ -1,11 +1,12 @@
 """The `gcd`, `steps` and `enumerate` handlers: Euclid traces, step counts and trace listings.
 
 `cli` imports this module for these subcommands only, so no other cold call
-compiles it.  `gcd` renders and counts each division as euclid's division
-loop yields it, printing each integer once: past SHADOW_BITS bits from its
-exact decimal shadow (see `_shadows`), which only the exact context's
-methods touch, and below it by one str().  `steps` counts every method's
-row without a trace, and writes its JSON rows without `json`; `enumerate`
+compiles it.  All three run `euclid`, imported here once; `enumerate` alone
+imports `enumeration`, and `gcd`'s rows alone `_shadows`.  `gcd` renders
+and counts each division as euclid's division loop yields it, printing each
+integer once: past SHADOW_BITS bits from its exact decimal shadow (see
+`_shadows`), and below it by one str().  `steps` counts every method's row
+without a trace, and writes its JSON rows without `json`; `enumerate`
 renders each trace row during its own flat walk of the trace tree
 (`_trace_rows`).  Rows are joined into written pieces of about _PIECE
 characters, so memory stays flat in the number of rows.
@@ -16,15 +17,13 @@ from __future__ import annotations
 import sys
 from collections.abc import Callable, Iterable, Iterator
 from itertools import chain, count
+from types import SimpleNamespace
 
-from .cli import _JSON_BOOLS, _METHODS, _json_text, _shown
+from .cli import _JSON_BOOLS, _METHODS, Result, _json_text, _shown
+from .euclid import CHOOSERS, Variant, _counts, _divisions
 
-TYPE_CHECKING = False
-if TYPE_CHECKING:
-    from types import SimpleNamespace
-
-    from .cli import Result
-
+# Sized by characters, not rows: a trace row can run from a few characters
+# to tens of KB, so a fixed number of rows could make a piece of several MB.
 _PIECE = 1 << 19
 
 
@@ -63,28 +62,22 @@ def _step_rows(a: int, b: int, divisions: Iterable[tuple[int, int, int, int, int
     one str().  After the last row, `counts` holds the chain's gcd, its
     last divisor, and its step counts.
     """
-    from ._shadows import SHADOW_BITS, exact_context
+    from ._shadows import shadow_context
 
-    subtractions = 0
-    if b.bit_length() > SHADOW_BITS:
-        context = exact_context()
+    context = shadow_context(b.bit_length())
+    if context is not None:
         multiply, subtract = context.multiply, context.subtract
-        a_shadow, b_shadow = context.create_decimal(a), context.create_decimal(b)
-        a, b = str(a_shadow), str(b_shadow)
-        for done, (_, divisor, q, eps, _) in enumerate(divisions, 1):
-            subtractions += q
-            qb = multiply(b_shadow, q)
-            r_shadow = subtract(a_shadow, qb) if eps > 0 else subtract(qb, a_shadow)
-            r = str(r_shadow)
-            yield row(a, b, q, eps, r)
-            a, b, a_shadow, b_shadow = b, r, b_shadow, r_shadow
-    else:
-        a, b = str(a), str(b)
-        for done, (_, divisor, q, eps, r) in enumerate(divisions, 1):
-            subtractions += q
-            r = str(r)
-            yield row(a, b, q, eps, r)
+        a, b = context.create_decimal(a), context.create_decimal(b)
+    a_text, b_text, subtractions = str(a), str(b), 0
+    for done, (_, divisor, q, eps, r) in enumerate(divisions, 1):
+        subtractions += q
+        if context is not None:
+            qb = multiply(b, q)
+            r = subtract(a, qb) if eps > 0 else subtract(qb, a)
             a, b = b, r
+        r = str(r)
+        yield row(a_text, b_text, q, eps, r)
+        a_text, b_text = b_text, r
     counts.update(gcd=divisor, divisions=done, subtractions=subtractions, swaps=done - 1,
                   total_steps=subtractions + done - 1)
 
@@ -98,8 +91,6 @@ def _text_step(a: str, b: str, q: int, eps: int, r: str) -> str:
 
 
 def cmd_gcd(args: SimpleNamespace) -> Result:
-    from .euclid import CHOOSERS, Variant, _divisions
-
     a, b = _ordered_pair(args.a, args.b)
     variant = Variant(_METHODS[args.method])
     chooser = CHOOSERS[variant]
@@ -128,8 +119,6 @@ def cmd_gcd(args: SimpleNamespace) -> Result:
 
 
 def cmd_steps(args: SimpleNamespace) -> Result:
-    from .euclid import Variant, _counts
-
     a, b = _ordered_pair(args.a, args.b)
     rows = []
     for name, value in _METHODS.items():

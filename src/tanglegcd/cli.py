@@ -27,15 +27,14 @@ subcommand runs.  This module imports no layer of the package, no
 argument-parsing library, not even for an error or help, and not `re`,
 which loads only to read an argument other than a plain number, fraction
 or `inf`.  The handlers live in `_trace_commands` (`gcd`, `steps`,
-`enumerate`) and `_tangle_commands` (`untangle`, `construct`, `verify`),
-and a command line imports its own; each handler, and each helper that
-words an error or a notice, imports the layer functions it calls.  So `gcd`
-and `steps` load `euclid` alone, `enumerate` `euclid` and `enumeration`,
-and `untangle`, `construct` and `verify` `rationals`, `euclid` and
-`tangles`.  JSON is
-written by `_json_text`, which renders bools, ints and plain ASCII strings
-itself and imports `json` only for any other value; no payload holds one,
-and a list such as the rows of `steps` is streamed as pieces built from
+`enumerate`) and `_tangle_commands` (`untangle`, `construct`, `verify`).
+A command line imports its own, which imports its family's layers once:
+`euclid` for the first three, and `enumeration` only in `enumerate`;
+`tangles`, and with it `rationals` and `euclid`, for the other three.  A
+helper here that words an error or a notice imports `rationals` only then.
+JSON is written by `_json_text`, which renders bools, ints and plain ASCII
+strings itself and imports `json` only for any other value; no payload holds
+one, and a list such as the rows of `steps` is streamed as pieces built from
 those scalar cases, so no cold call loads `json`.
 """
 

@@ -18,12 +18,9 @@ pair), so they take the unchecked `_canonical` path and pay no gcd per value.
 `starmap` of each slot's setter over a `zip` fills them, so no pass builds
 an argument tuple per value.  `_value_strings` renders such pairs as their
 values print, without building the values and reusing the digits
-consecutive pairs share, for the CLI's streamed listings.  Past SHADOW_BITS
-bits it prints them from exact decimal shadows (see `_shadows`): a twist's
-numerator is the shadow before plus or minus the denominator's, a rotation
-swaps the two shadows, so each new integer costs one linear operation and
-one linear str().  Only the exact context's methods, copy_abs() and
-copy_negate() touch a shadow.
+consecutive pairs share, for the CLI's streamed listings; past SHADOW_BITS
+bits, the same loop prints each new integer from an exact decimal shadow
+(see `_shadows`) by one linear operation and one linear str().
 """
 
 from __future__ import annotations
@@ -34,7 +31,7 @@ from itertools import repeat, starmap
 from math import gcd
 
 from ._record import Record, setters
-from ._shadows import SHADOW_BITS, exact_context
+from ._shadows import shadow_context
 
 
 class IndeterminateFormError(ValueError):
@@ -134,62 +131,41 @@ def _value_strings(numerators: Sequence[int], denominators: Sequence[int]) -> li
 
     A pair reuses the digits it shares with the pair before, as a twist keeps
     the denominator and a rotation swaps |n| and d: int == is linear in the
-    digit count, str() quadratic.  Past SHADOW_BITS bits, `_shadow_strings`
-    prints every integer in linear time.
+    digit count, str() quadratic.  Past SHADOW_BITS bits, each integer prints
+    from an exact decimal shadow: a twist, n = n0 + d or n0 - d, adds or
+    subtracts the denominator's shadow, a rotation swaps the shadows, the
+    sign following n, and any other pair is converted anew.  A sign is only
+    copied onto a nonzero shadow, so no -0 is printed.
     """
     largest = max(max(denominators, default=0), max(numerators, default=0),
                   -min(numerators, default=0))
-    if largest.bit_length() > SHADOW_BITS:
-        return _shadow_strings(numerators, denominators)
-    if max(denominators, default=0).bit_length() <= 64:
+    context = shadow_context(largest.bit_length())
+    if context is not None:
+        add, subtract, shadow = context.add, context.subtract, context.create_decimal
+    elif max(denominators, default=0).bit_length() <= 64:
         # No digits worth reusing: a twist changes the numerator, and a
         # rotation turns a small denominator into the numerator.
         return [str(n) if d == 1 else f"{n}/{d}" if d else "inf"
                 for n, d in zip(numerators, denominators)]
-    strings, n0, d0 = [], 0, -1  # the pair before, whose str()s are n_text and d_text
+    # The pair before, its shadows, and their str()s n_text and d_text; below
+    # SHADOW_BITS a new pair's integers stand in for its shadows.
+    strings, n0, d0 = [], 0, -1
     for n, d in zip(numerators, denominators):
         if d != d0:
             if d == abs(n0) and abs(n) == d0:
                 n_text, d_text = "-" + d_text if n < 0 else d_text, n_text.lstrip("-")
+                if context is not None:
+                    n_shadow, d_shadow = (d_shadow.copy_negate() if n < 0 else d_shadow,
+                                          n_shadow.copy_abs())
             else:
-                n_text, d_text = str(n), str(d)
+                n_shadow, d_shadow = (shadow(n), shadow(d)) if context is not None else (n, d)
+                n_text, d_text = str(n_shadow), str(d_shadow)
+        elif context is not None:
+            n_shadow = (add(n_shadow, d_shadow) if n == n0 + d else
+                        subtract(n_shadow, d_shadow) if n == n0 - d else shadow(n))
+            n_text = str(n_shadow)
         else:
             n_text = str(n)
-        strings.append(n_text if d == 1 else f"{n_text}/{d_text}" if d else "inf")
-        n0, d0 = n, d
-    return strings
-
-
-def _shadow_strings(numerators: Sequence[int], denominators: Sequence[int]) -> list[str]:
-    """_value_strings, each integer printed from an exact decimal shadow.
-
-    The pairs decide which operation builds a pair's shadows from the ones
-    before: a twist, n = n0 + d or n0 - d over the same d, adds or subtracts
-    the denominator's shadow; a rotation, d = |n0| and |n| = d0, swaps the
-    shadows and their digits, the sign following n; any other pair is
-    converted anew.  A sign is only ever copied onto a nonzero shadow, so
-    no -0 is printed.
-    """
-    context = exact_context()
-    add, subtract, shadow = context.add, context.subtract, context.create_decimal
-    # The pair before, its shadows, and their str()s n_text and d_text.
-    strings, n0, d0 = [], 0, -1
-    for n, d in zip(numerators, denominators):
-        if d == d0:
-            if n == n0 + d:
-                n_shadow = add(n_shadow, d_shadow)
-            elif n == n0 - d:
-                n_shadow = subtract(n_shadow, d_shadow)
-            else:
-                n_shadow = shadow(n)
-            n_text = str(n_shadow)
-        elif d == abs(n0) and abs(n) == d0:
-            n_shadow, d_shadow = (d_shadow.copy_negate() if n < 0 else d_shadow,
-                                  n_shadow.copy_abs())
-            n_text, d_text = "-" + d_text if n < 0 else d_text, n_text.lstrip("-")
-        else:
-            n_shadow, d_shadow = shadow(n), shadow(d)
-            n_text, d_text = str(n_shadow), str(d_shadow)
         strings.append(n_text if d == 1 else f"{n_text}/{d_text}" if d else "inf")
         n0, d0 = n, d
     return strings

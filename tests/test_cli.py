@@ -97,7 +97,9 @@ def test_gcd_counts_its_rows_as_they_render(capsys, monkeypatch):
     def refuse(*args):
         raise AssertionError("gcd divided the chain a second time to count it")
 
-    monkeypatch.setattr("tanglegcd.euclid._counts", refuse)
+    # The handler module binds the layer's name at import; patch both.
+    for module in ("tanglegcd.euclid", "tanglegcd._trace_commands"):
+        monkeypatch.setattr(f"{module}._counts", refuse)
     for argv in (["gcd", "807", "673", "--method", "lar"], ["--json", "gcd", "807", "673"]):
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
@@ -966,7 +968,8 @@ def test_untangle_never_replays_move_by_move(capsys, monkeypatch):
     for argv in (["untangle", "8/5"], ["--json", "untangle", "8/5"],
                  ["--json", "untangle", "-1/1003"], ["untangle", "inf", "--method", "negative"]):
         expected[tuple(argv)] = run_cli(capsys, *argv)
-    monkeypatch.setattr("tanglegcd.tangles._fold", refuse)
+    for module in ("tanglegcd.tangles", "tanglegcd._tangle_commands"):
+        monkeypatch.setattr(f"{module}._fold", refuse)
     for argv, result in expected.items():
         assert run_cli(capsys, *argv) == result
         assert result[0] == 0
@@ -976,7 +979,8 @@ def test_an_untangle_plan_that_misses_zero_writes_nothing(capsys, monkeypatch):
     def short_plan(f, policy):
         return UntanglePlan(f, (Stage(1, -1),), policy)
 
-    monkeypatch.setattr("tanglegcd.tangles.plan_untangle", short_plan)
+    for module in ("tanglegcd.tangles", "tanglegcd._tangle_commands"):
+        monkeypatch.setattr(f"{module}.plan_untangle", short_plan)
     for argv in (["untangle", "8/5"], ["--json", "untangle", "8/5"]):
         assert run_cli(capsys, *argv) == (
             1, "", "error: internal error: plan for 8/5 replayed to 3/5\n")

@@ -22,6 +22,7 @@ from tanglegcd.euclid import (
     division_count,
     gcd_of,
     goodman_zaring_defect,
+    least_absolute,
     run_general,
     run_lar,
     run_negative,
@@ -83,6 +84,22 @@ def test_general_equal_inputs_forced():
 def test_general_rejects_bad_chooser_value():
     with pytest.raises(ValueError):
         run_general(3, 2, lambda a, b: 0)
+
+
+def test_least_absolute_as_a_general_chooser_gives_the_rows_of_run_lar():
+    # run_lar's division loop signs each division inline and never calls
+    # least_absolute; wrapped, the documented chooser is called on every
+    # division, so the inline rule is checked against it.
+    def chooser(a, b):
+        return least_absolute(a, b)
+
+    ties = 0
+    for x0 in range(1, 301):
+        for x1 in range(1, x0 + 1):
+            rows = as_tuples(run_general(x0, x1, chooser))
+            assert rows == as_tuples(run_lar(x0, x1)), (x0, x1)
+            ties += sum(2 * r == b for _, b, _, _, r in rows)
+    assert ties > 0
 
 
 @pytest.mark.parametrize("x0,x1", [(0, 1), (1, 0), (3, 5), (5, -1)])

@@ -34,3 +34,25 @@ def test_no_module_imports_or_names_argparse():
         or isinstance(node, ast.Name) and node.id == "argparse"
     ]
     assert found == []
+
+
+def test_handler_modules_import_their_layers_once():
+    # Every subcommand of a handler module runs its family's layers, so the
+    # module imports them once, at module scope.  At call time it imports
+    # only what a sibling subcommand must not pay for: `enumeration`, which
+    # only `enumerate` runs, and `_shadows`, which only `gcd`'s rows use.
+    found = set()
+    for name in ("_trace_commands", "_tangle_commands"):
+        path = PACKAGE / f"{name}.py"
+        for function in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found |= {
+                    (function.name, alias.name if isinstance(node, ast.Import) else node.module)
+                    for node in ast.walk(function)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    for alias in node.names
+                }
+    assert found == {("cmd_enumerate", "enumeration"), ("_step_rows", "_shadows")}
+    # No import is hidden behind a TYPE_CHECKING flag either.
+    assert not [path.name for path in PACKAGE.glob("*.py")
+                if "TYPE_CHECKING" in path.read_text(encoding="utf-8")]
