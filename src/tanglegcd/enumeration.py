@@ -144,9 +144,11 @@ def minimize(x0: int, x1: int) -> EnumerationResult:
         divisions = min(1 + X.divisions, n + W.divisions)
         count = n * X.count + W.count.
 
-    Every state of a chain is read from the chain's (X, W), and each chain
-    is solved once, from the chain below it in the regular remainder
-    sequence, so the certificate costs O(divisions) big-integer operations
+    Every state of a chain is read from the chain's (X, W).  A trace only
+    reaches the chains (r, s) of consecutive regular remainders after x1,
+    and one table holds them, solved bottom up, each from the one below it,
+    from chain (g, 0), g the last nonzero remainder, whose X is the end
+    state.  So the certificate costs O(divisions) big-integer operations
     and holds O(divisions) entries: (10**5, 10**5 - 1) and
     (10**100, 10**100 - 1) are a single chain each.
 
@@ -156,31 +158,28 @@ def minimize(x0: int, x1: int) -> EnumerationResult:
     reads both branches of a pair off the solved chains in O(1) per pair.
     """
     check_pair(x0, x1)
-    # (X, W) of the chain of states (k*r + s, r), keyed by (r, s) with s > 0.
+    # The regular remainders of (x1, x0 % x1), bottom first: 0, g, ..., x1.
+    remainders = [x1, x0 % x1]
+    while remainders[-1]:
+        remainders.append(remainders[-2] % remainders[-1])
+    remainders.reverse()
+    # (X, W) of the chain of states (k*r + s, r), keyed by (r, s).
     chains: dict[tuple[int, int], tuple[Values, Values]] = {}
+    below = chains[remainders[1], 0] = (_END, _EXACT_BASE)
+    for t, s, r in zip(remainders, remainders[1:], remainders[2:-1]):
+        k = r // s
+        x = _closed(k, t, *below)
+        # Base state (r + s, r): +1 gives pair (r + s, r), quotient 1 into
+        # state (r, s); -1 gives pair (r + s, s), quotient k + 1 into state
+        # (s, t), the X of the chain below.
+        y = below[0]
+        w = (2 + min(x[0], k + 1 + y[0]), 1 + min(x[1], y[1]), x[2] + y[2])
+        below = chains[r, s] = (x, w)
 
-    def chain(r: int, s: int) -> tuple[Values, Values]:
-        # Walk the regular remainder sequence down to a solved chain or to
-        # remainder 0, then solve the chains on the way back up.
-        path = []
-        while s and (r, s) not in chains:
-            path.append((r, s))
-            r, s = s, r % s
-        below = chains[r, s] if s else (_END, _EXACT_BASE)
-        for r, s in reversed(path):
-            k, t = divmod(r, s)
-            x = _closed(k, t, *below)
-            # Base state (r + s, r): +1 gives pair (r + s, r), quotient 1 into
-            # state (r, s); -1 gives pair (r + s, s), quotient k + 1 into
-            # state (s, t), the X of the chain below.
-            y = below[0]
-            w = (2 + min(x[0], k + 1 + y[0]), 1 + min(x[1], y[1]), x[2] + y[2])
-            below = chains[r, s] = (x, w)
-        return below
-
-    # Pair (x0, x1) has the values of state (x1, r), plus q subtractions.
+    # Pair (x0, x1): q subtractions, then state (x1, r), on chain (r, x1 % r),
+    # the last solved.
     q, r = divmod(x0, x1)
-    total, divisions, count = _closed(*divmod(x1, r), *chain(r, x1 % r)) if r else _END
+    total, divisions, count = _closed(*divmod(x1, r), *below) if r else _END
     total += q
     memo: dict[tuple[int, int], list] = {}  # the branches of each entered pair
 
@@ -188,16 +187,15 @@ def minimize(x0: int, x1: int) -> EnumerationResult:
         # The branches from which the minimum of pair (a, b) stays reachable,
         # read off chain (r, s), b = k*r + s, as in state (b, r): +1 goes on
         # to X in k subtractions, -1 one link lower, or at the base to pair
-        # (r + s, s) if k = 1 and to the leaf (2r, r) if k = 2, s = 0.  A
-        # solved chain is read from the table without a call.
+        # (r + s, s) if k = 1 and to the leaf (2r, r) if k = 2, s = 0.
         if (branches := memo.get((a, b))) is not None:
             return branches
         k, s = divmod(b, r)
-        x, w = chains.get((r, s)) or chain(r, s)
+        x, w = chains[r, s]
         plus = k + x[0]
         if k == 1:
             k, t = divmod(r, s)
-            minus = k + 2 + (chains.get((s, t)) or chain(s, t))[0][0]
+            minus = k + 2 + chains[s, t][0][0]
         else:
             minus = 3 if k == 2 and not s else 2 + _closed(k - 1, s, x, w)[0]
         branches = memo[a, b] = []

@@ -31,7 +31,8 @@ remainder 0, raise ValueError under any interpreter flags, `-O` included, and
 unpickling goes through the same checks.  The runners here and the
 enumeration walk take each row straight from divmod, so every division is
 consistent and chained by construction; they build through the unchecked
-`_trace`, and `.steps` through the unchecked `_step`, and pay for no check.
+`_trace` and pay for no chain check.  `.steps` builds each record through
+the checked EuclidStep, so every step record has passed its check.
 """
 
 from __future__ import annotations
@@ -87,18 +88,6 @@ class EuclidStep(Record):
                 "with 0 <= remainder < b and epsilon +1 or -1 (+1 at remainder 0)"
             )
 
-    # Field by field: faster than Record's attrgetter for a type compared per step.
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return (
-                self.a == other.a and self.b == other.b and self.quotient == other.quotient
-                and self.epsilon == other.epsilon and self.remainder == other.remainder
-            )
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.a, self.b, self.quotient, self.epsilon, self.remainder))
-
 
 # A division a = b*q + eps*r as the row (a, b, q, eps, r).
 Division = tuple[int, int, int, int, int]
@@ -108,7 +97,8 @@ class EuclidTrace(Record):
     """An ordered, chained list of steps ending in the zero remainder.
 
     It holds the steps as division rows, `_rows`, and builds their records
-    on the first read of `steps`, kept in `_steps` (None until then).
+    through the checked EuclidStep on the first read of `steps`, kept in
+    `_steps` (None until then).
     Equality and hash compare the rows and the variant; repr and pickle read
     `steps`, so they are the same before and after that first read.
     """
@@ -129,7 +119,7 @@ class EuclidTrace(Record):
     def steps(self) -> tuple[EuclidStep, ...]:
         steps = self._steps
         if steps is None:
-            steps = tuple(starmap(_step, self._rows))
+            steps = tuple(starmap(EuclidStep, self._rows))
             _set_steps(self, steps)
         return steps
 
@@ -145,17 +135,6 @@ class EuclidTrace(Record):
 _new = object.__new__
 _set_a, _set_b, _set_quotient, _set_epsilon, _set_remainder = setters(EuclidStep)
 _set_steps, _set_variant, _set_rows = setters(EuclidTrace, "_steps", "variant", "_rows")
-
-
-def _step(a: int, b: int, quotient: int, epsilon: int, remainder: int) -> EuclidStep:
-    """Build a step the caller took from divmod, unchecked."""
-    step = _new(EuclidStep)
-    _set_a(step, a)
-    _set_b(step, b)
-    _set_quotient(step, quotient)
-    _set_epsilon(step, epsilon)
-    _set_remainder(step, remainder)
-    return step
 
 
 def _trace(rows: tuple[Division, ...], variant: Variant) -> EuclidTrace:

@@ -199,15 +199,14 @@ def twist_value(f: ExtendedRational, direction: int) -> ExtendedRational:
     return _canonical(f.numerator + direction * f.denominator, f.denominator)
 
 
+def _rotated(n: int, d: int) -> tuple[int, int]:
+    """The pair of -1/(n/d), sign in the numerator: zero goes to (1, 0), infinity to (0, 1)."""
+    return (-d, n) if n > 0 else (d, -n) if n else (1, 0)
+
+
 def rotate_value(f: ExtendedRational) -> ExtendedRational:
     """Return -1/f, with rotate(0) = infinity and rotate(infinity) = 0."""
-    if f.is_infinite:
-        return ZERO
-    if f.is_zero:
-        return INFINITY
-    if f.numerator > 0:
-        return _canonical(-f.denominator, f.numerator)
-    return _canonical(f.denominator, -f.numerator)
+    return _canonical(*_rotated(f.numerator, f.denominator))
 
 
 EXCERPT_CHARS = 40

@@ -44,6 +44,7 @@ from .rationals import (
     ExtendedRational,
     _canonical,
     _canonical_values,
+    _rotated,
     excerpt,
     rotate_value,
     twist_value,
@@ -164,14 +165,14 @@ def apply_move(value: ExtendedRational, move: Move) -> ExtendedRational:
 def _fold(n: int, d: int, moves: Iterable[Move], numerators, denominators) -> tuple[int, int]:
     """Apply moves to the pair (n, d), appending each new pair; return the last.
 
-    A twist adds +d or -d to n (infinity, d = 0, stays fixed).  A rotation is
-    the negative reciprocal with the sign kept in the numerator; it sends
-    zero to infinity, (1, 0), and infinity to (0, 1).
+    A twist adds +d or -d to n (infinity, d = 0, stays fixed); a rotation
+    sends zero to infinity, (1, 0), and infinity to (0, 1).
     """
     rotate, twist = Move.ROTATE, Move.TWIST_POSITIVE
     append_numerator, append_denominator = numerators.append, denominators.append
     for move in moves:
         if move is rotate:
+            # `rationals._rotated`, inline: no call per move.
             if n > 0:
                 n, d = -d, n
             elif n < 0:
@@ -215,8 +216,7 @@ def plan_untangle(f: ExtendedRational, policy: Variant) -> UntanglePlan:
     stages = []
     n, d = f.numerator, f.denominator
     if _opens_with_rotation(f):
-        # `_fold`'s rotation rule; infinity, (1, 0), goes to (0, 1).
-        n, d = (-d, n) if n > 0 else (d, -n)
+        n, d = _rotated(n, d)
     if n:
         direction = -1 if n > 0 else 1
         new = tuple.__new__
@@ -255,8 +255,7 @@ def _stage_runs(start: ExtendedRational, stages: tuple[Stage, ...]) -> Iterator[
     # No stages: the opening rotation, if any, as for one stage of no twists.
     for count, direction in stages or (Stage(0, 1),):
         if rotate:
-            # `_fold`'s rotation rule.
-            n, d = (-d, n) if n > 0 else (d, -n) if n else (1, 0)
+            n, d = _rotated(n, d)
         # As in `iter_moves`, a rotation comes between a stage and the next.
         rotate = True
         twists = count if count > 0 else 0

@@ -19,6 +19,7 @@ from tanglegcd.euclid import (
     Variant,
     WrongVariantError,
     _counts,
+    _trace,
     division_count,
     gcd_of,
     goodman_zaring_defect,
@@ -417,6 +418,15 @@ def test_counting_a_trace_builds_no_step_record():
         counters(trace)
         assert trace == runner(807, 673) and hash(trace) == hash(runner(807, 673))
         assert trace._steps is None
+
+
+def test_reading_steps_checks_each_row():
+    # `_trace` checks nothing, but `.steps` builds through the checked door:
+    # 8 = 5*1 + 1*2 is not a division, so no record of it is built.
+    trace = _trace(((8, 5, 1, 1, 2), (5, 2, 2, 1, 1), (2, 1, 2, 1, 0)), Variant.CUSTOM)
+    with pytest.raises(ValueError):
+        trace.steps
+    assert trace._steps is None
 
 
 # run_lar(8, 5) pickled with protocol 2 at 3418dee, before steps and traces

@@ -18,13 +18,14 @@ from tanglegcd.euclid import (
     step_count,
 )
 from tanglegcd.enumeration import minimize
-from tanglegcd.rationals import INFINITY, ZERO, ExtendedRational, normalize
+from tanglegcd.rationals import INFINITY, ZERO, ExtendedRational, _rotated, normalize
 from tanglegcd.tangles import (
     Move,
     MoveParseError,
     PlanMetrics,
     Stage,
     UntanglePlan,
+    _fold,
     _stage_runs,
     apply_move,
     format_moves,
@@ -107,6 +108,24 @@ def test_apply_move_rotation_of_minus_three():
 
 def test_apply_move_rotation_of_zero():
     assert apply_move(ZERO, R) == INFINITY
+
+
+# Magnitudes of up to 20 digits and past the 4,300-digit int/str limit.
+magnitudes = st.one_of(
+    st.integers(1, 10**20), st.integers(0, 10**6).map(lambda k: 10**4400 + k)
+)
+
+
+@given(st.one_of(
+    st.just((0, 1)),
+    st.just((1, 0)),
+    st.tuples(st.sampled_from([1, -1]), magnitudes, magnitudes).map(
+        lambda t: (t[0] * t[1], t[2])
+    ),
+))
+def test_fold_rotates_as_rotated(pair):
+    # `_fold` inlines the rotation rule that `_rotated` owns.
+    assert _fold(*pair, (R,), [], []) == _rotated(*pair)
 
 
 def test_tangle_number_seven_halves():
