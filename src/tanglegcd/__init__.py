@@ -5,7 +5,7 @@ Modules:
 * rationals: canonical exact fractions with a point at infinity.
 * euclid: trace runners for the regular, least-absolute-remainders and
   negative-remainders variants, a registry mapping each named variant to
-  its runner, plus subtraction/swap step accounting.
+  its sign chooser, plus subtraction/swap step accounting.
 * enumeration: every sign-choice trace of any ordered pair, listed one by
   one, and the minimality certificate over all of them, in O(divisions).
 * tangles: the twist/rotate move calculus on extended-rational values and

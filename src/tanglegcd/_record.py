@@ -1,10 +1,13 @@
 """Frozen records: the base of the package's value and result types.
 
-A record class names its fields in `_fields`, holds them in `__slots__` and
-writes its own `__init__`, which sets each field through its slot's setter
-and ends in the class's checks, if it has any.  `setters(cls)` gives the
-setters, which write past `Record.__setattr__`; the class's module binds
-them once, after the class, for its `__init__` and any unchecked builder.
+A record class names its fields in `_fields` and holds them in `__slots__`.
+Its `__init__` sets each field through its slot's setter, which writes past
+`Record.__setattr__`.  A record with checks writes its own `__init__`,
+ending in the checks, and its module binds the setters from `setters(cls)`
+once, after the class, for that `__init__` and any unchecked builder.  Any
+other record gets an `__init__` generated from `_fields`, compiled once per
+class as `collections.namedtuple` compiles its `__new__`, which makes the
+same setter calls a written one would.
 The base adds what the class would otherwise get from a frozen dataclass,
 without importing `dataclasses`:
 
@@ -14,8 +17,8 @@ without importing `dataclasses`:
 * a `Name(field=value, ...)` repr;
 * no assignment or deletion of attributes (AttributeError);
 * pickling and copying as the list of field values, read back through the
-  class's own checked `__init__`, which also reads the dict state of pickles
-  written before the records were slotted.
+  class's `__init__`, with its checks if it has any, which also reads the
+  dict state of pickles written before the records were slotted.
 """
 
 from __future__ import annotations
@@ -33,12 +36,19 @@ class Record:
     _fields: tuple[str, ...]
 
     def __init_subclass__(cls) -> None:
-        cls.__match_args__ = cls._fields
-        values = attrgetter(*cls._fields)
+        fields = cls.__match_args__ = cls._fields
+        values = attrgetter(*fields)
         # attrgetter of a single name returns the value, not a 1-tuple.
-        cls._values = (
-            values if len(cls._fields) > 1 else staticmethod(lambda record: (values(record),))
-        )
+        cls._values = values if len(fields) > 1 else staticmethod(lambda record: (values(record),))
+        if "__init__" not in vars(cls):
+            # Each setter is a global of the generated code, as a written
+            # __init__ finds its module's setters.
+            namespace = {f"_set_{name}": setter for name, setter in zip(fields, setters(cls))}
+            namespace["__name__"] = cls.__module__
+            exec(f"def __init__(self, {', '.join(fields)}):"
+                 + "".join(f"\n    _set_{name}(self, {name})" for name in fields), namespace)
+            cls.__init__ = namespace["__init__"]
+            cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:

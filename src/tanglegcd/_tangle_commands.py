@@ -69,6 +69,10 @@ def _planned(start: ExtendedRational, stages: tuple[Stage, ...]) -> Iterator[lis
         yield _value_strings(chunk, list(islice(denominators, len(chunk))))
 
 
+# A listing of values' opening, separator and closing, by whether it is JSON.
+_DELIMITERS = {True: ('["', '", "', '"]'), False: ("values: ", " -> ", "")}
+
+
 def _value_list(chunks: Iterable, opening: str, separator: str, closing: str) -> Iterator[str]:
     """The values of the chunks, listed in pieces."""
     yield opening
@@ -85,57 +89,46 @@ def cmd_untangle(args: SimpleNamespace) -> Result:
     if (n, d) != (0, 1):
         raise RuntimeError(f"internal error: plan for {f} replayed to {ExtendedRational(n, d)}")
     metrics = plan_metrics(plan)
-
-    payload = {
+    counts = {name: getattr(metrics, name) for name in metrics._fields}
+    moves = _joined(",", plan.iter_moves())
+    values = _value_list(_planned(f, plan.stages), *_DELIMITERS[args.json])
+    if not args.json:
+        return [chain(["moves: "], moves), *(f"{key}: {value}" for key, value in counts.items()),
+                values, "verified: pass"], 0
+    return {
         "fraction": str(f),
         "method": args.method,
-        "moves": chain(['"'], _joined(",", plan.iter_moves()), ['"']),
-        "twists": metrics.twists,
-        "rotations": metrics.rotations,
-        "total": metrics.total,
-        "values": _value_list(_planned(f, plan.stages), '["', '", "', '"]'),
+        "moves": chain(['"'], moves, ['"']),
+        **counts,
+        "values": values,
         "verified": True,
-    }
-
-    def text() -> Iterable[str | Iterator[str]]:
-        yield chain(["moves: "], _joined(",", plan.iter_moves()))
-        yield f"twists: {metrics.twists}"
-        yield f"rotations: {metrics.rotations}"
-        yield f"total: {metrics.total}"
-        yield _value_list(_planned(f, plan.stages), "values: ", " -> ", "")
-        yield "verified: pass"
-
-    return payload, text, 0
+    }, 0
 
 
 def cmd_construct(args: SimpleNamespace) -> Result:
     moves = parse_moves(args.moves)
-    payload = {"moves": format_moves(moves), "tangle_number": str(tangle_number(moves))}
-
-    def text() -> Iterable[str]:
-        yield payload["tangle_number"]
-
-    return payload, text, 0
+    number = str(tangle_number(moves))
+    return ({"moves": format_moves(moves), "tangle_number": number} if args.json else [number]), 0
 
 
 def cmd_verify(args: SimpleNamespace) -> Result:
     f = parse_fraction(args.fraction)
     moves = parse_moves(args.moves)
     start, final = str(f), _final(f, moves)
-    payload = {
+    code = 0 if final.is_zero else 1
+    replayed = _replayed(f, moves)
+    if not args.json:
+        return chain(
+            [f"start: {start}"],
+            ("\n".join([f"{move.value} -> {value}" for move, value in zip(chunk, values)])
+             for chunk, values in replayed),
+            [f"final: {final}", f"result: {'pass' if final.is_zero else 'fail'}"],
+        ), code
+    return {
         "fraction": start,
         "moves": format_moves(moves),
-        "values": _value_list(chain([[start]], (values for _, values in _replayed(f, moves))),
-                              '["', '", "', '"]'),
+        "values": _value_list(chain([[start]], (values for _, values in replayed)),
+                              *_DELIMITERS[True]),
         "final": str(final),
         "pass": final.is_zero,
-    }
-
-    def text() -> Iterable[str]:
-        yield f"start: {start}"
-        for chunk, values in _replayed(f, moves):
-            yield "\n".join([f"{move.value} -> {value}" for move, value in zip(chunk, values)])
-        yield f"final: {payload['final']}"
-        yield f"result: {'pass' if final.is_zero else 'fail'}"
-
-    return payload, text, 0 if final.is_zero else 1
+    }, code

@@ -93,29 +93,24 @@ def _text_step(a: str, b: str, q: int, eps: int, r: str) -> str:
 def cmd_gcd(args: SimpleNamespace) -> Result:
     a, b = _ordered_pair(args.a, args.b)
     variant = Variant(_METHODS[args.method])
-    chooser = CHOOSERS[variant]
     counts = dict.fromkeys(("gcd", "divisions", "subtractions", "swaps", "total_steps"), 0)
-    payload = {
+    separator, step = (", ", _json_step) if args.json else ("\n", _text_step)
+    rows = _joined_rows(separator, _step_rows(a, b, _divisions(a, b, CHOOSERS[variant]), step,
+                                              counts))
+    if not args.json:
+        # The count lines read `counts` only once the rows are written.
+        return chain([rows, ""], (f"{key.replace('_', ' ')}: {value}"
+                                  for key, value in counts.items())), 0
+    return {
         "x0": a,
         "x1": b,
         "method": args.method,
         # trace_to_dict(trace), rendered in pieces; a Variant's value is an
         # identifier, so it is its own JSON string body
-        "trace": chain([f'{{"variant": "{variant.value}", "steps": ['],
-                       _joined_rows(", ", _step_rows(a, b, _divisions(a, b, chooser), _json_step,
-                                                     counts)),
-                       ["]}"]),
+        "trace": chain([f'{{"variant": "{variant.value}", "steps": ['], rows, ["]}"]),
         # Generators, so each is read only when written, after the trace.
         **{key: (str(counts[k]) for k in [key]) for key in counts},
-    }
-
-    def text() -> Iterable[str | Iterator[str]]:
-        yield _joined_rows("\n", _step_rows(a, b, _divisions(a, b, chooser), _text_step, counts))
-        yield ""
-        for key, value in counts.items():
-            yield f"{key.replace('_', ' ')}: {value}"
-
-    return payload, text, 0
+    }, 0
 
 
 def cmd_steps(args: SimpleNamespace) -> Result:
@@ -125,23 +120,15 @@ def cmd_steps(args: SimpleNamespace) -> Result:
         divisions, subtractions = _counts(a, b, Variant(value))
         rows.append({"method": name, "divisions": divisions, "subtractions": subtractions,
                      "swaps": divisions - 1, "total": subtractions + divisions - 1})
-
-    def json_rows() -> Iterator[str]:
-        # json.dumps(rows) from _json_text's scalar cases, so `json` stays
-        # unloaded; every key is a plain identifier.
-        fields = (", ".join(f'"{key}": {_json_text(value)}' for key, value in row.items())
-                  for row in rows)
-        yield "[{" + "}, {".join(fields) + "}]"
-
-    payload = {"x0": a, "x1": b, "rows": json_rows()}
-
-    def text() -> Iterable[str]:
+    if not args.json:
         columns = "{:<10}{:>10}{:>14}{:>7}{:>7}".format
-        yield columns(*rows[0])  # the header is the row keys
-        for row in rows:
-            yield columns(*row.values())
-
-    return payload, text, 0
+        # The header is the row keys.
+        return [columns(*rows[0]), *(columns(*row.values()) for row in rows)], 0
+    # json.dumps(rows) from _json_text's scalar cases, so `json` stays
+    # unloaded; every key is a plain identifier.  The text is one piece.
+    fields = [", ".join(f'"{key}": {_json_text(value)}' for key, value in row.items())
+              for row in rows]
+    return {"x0": a, "x1": b, "rows": iter(["[{" + "}, {".join(fields) + "}]"])}, 0
 
 
 def _trace_rows(a: int, b: int, separator: str, plus: str, minus: str,
@@ -188,41 +175,34 @@ def cmd_enumerate(args: SimpleNamespace) -> Result:
     certificate = minimize(a, b)
     least_total, least_divisions = certificate.min_total_steps, certificate.min_divisions
 
-    def json_row(quotients: str, epsilons: str, divisions: int, total: int) -> str:
-        return (
-            f'{{"quotients": [{quotients}], "epsilons": [{epsilons}], '
-            f'"divisions": {divisions}, "total": {total}, '
-            f'"min_steps": {_JSON_BOOLS[total == least_total]}, '
-            f'"min_divisions": {_JSON_BOOLS[divisions == least_divisions]}}}'
-        )
+    if args.json:
+        def json_row(quotients: str, epsilons: str, divisions: int, total: int) -> str:
+            return (
+                f'{{"quotients": [{quotients}], "epsilons": [{epsilons}], '
+                f'"divisions": {divisions}, "total": {total}, '
+                f'"min_steps": {_JSON_BOOLS[total == least_total]}, '
+                f'"min_divisions": {_JSON_BOOLS[divisions == least_divisions]}}}'
+            )
 
-    def json_rows() -> Iterator[str]:
-        yield "["
-        yield from _joined_rows(", ", _trace_rows(a, b, ", ", "1", "-1", json_row))
-        yield "]"
+        rows = _trace_rows(a, b, ", ", "1", "-1", json_row)
+        return {
+            "x0": a,
+            "x1": b,
+            "traces": chain(["["], _joined_rows(", ", rows), ["]"]),
+            "traces_examined": certificate.traces_examined,
+            "min_total_steps": least_total,
+            "min_divisions": least_divisions,
+        }, 0
+    numbers = count(1)
 
-    payload = {
-        "x0": a,
-        "x1": b,
-        "traces": json_rows(),
-        "traces_examined": certificate.traces_examined,
-        "min_total_steps": least_total,
-        "min_divisions": least_divisions,
-    }
+    def text_row(quotients: str, epsilons: str, divisions: int, total: int) -> str:
+        flags = " *min-steps" if total == least_total else ""
+        flags += " *min-divisions" if divisions == least_divisions else ""
+        return (f"#{next(numbers)} quotients=[{quotients}] epsilons=[{epsilons}] "
+                f"total={total}{flags}")
 
-    def text() -> Iterable[str | Iterator[str]]:
-        numbers = count(1)
-
-        def text_row(quotients: str, epsilons: str, divisions: int, total: int) -> str:
-            flags = " *min-steps" if total == least_total else ""
-            flags += " *min-divisions" if divisions == least_divisions else ""
-            return (f"#{next(numbers)} quotients=[{quotients}] epsilons=[{epsilons}] "
-                    f"total={total}{flags}")
-
-        yield _joined_rows("\n", _trace_rows(a, b, ",", "+", "-", text_row))
-        yield (
-            f"summary: {certificate.traces_examined} traces, min total steps "
-            f"{least_total}, min divisions {least_divisions}"
-        )
-
-    return payload, text, 0
+    return [
+        _joined_rows("\n", _trace_rows(a, b, ",", "+", "-", text_row)),
+        f"summary: {certificate.traces_examined} traces, min total steps {least_total}, "
+        f"min divisions {least_divisions}",
+    ], 0

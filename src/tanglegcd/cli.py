@@ -1,10 +1,11 @@
 """Command-line front-end: traces, step accounting, enumeration, tangle plans.
 
 Each subcommand renders plain text by default or a single JSON object with
-`--json` (accepted before or after the subcommand).  A handler computes the
-JSON payload and defers its text lines, so text is formatted only in text
-mode.  Exit status is 0 only when the command completed and any verification
-passed.
+`--json` (accepted before or after the subcommand).  A handler builds only
+the form asked for: it builds each row or value stream once, and `--json`
+picks the stream's row formatter or delimiters, so no text is formatted in
+JSON mode and no JSON in text mode.  Exit status is 0 only when the command
+completed and any verification passed.
 
 Long outputs are streamed, byte for byte as one `json.dumps` or one joined
 text would print them, so memory stays flat in the number of moves, of
@@ -54,12 +55,12 @@ _METHODS = {
 }
 
 
-# A handler returns its JSON payload, a zero-argument function producing the
-# text-mode lines (called only without --json) and the exit code.  A long
-# payload field is an iterator over the pieces of its JSON text, and a long
-# text line an iterator over the pieces of the line; `main` writes the
-# pieces as they come.  A text "line" may also be a block of lines.
-Result = tuple[dict, Callable[[], Iterable[str | Iterator[str]]], int]
+# A handler returns its output and the exit code: with --json the JSON
+# payload, otherwise the text lines.  A long payload field is an iterator
+# over the pieces of its JSON text, and a long text line an iterator over the
+# pieces of the line; `main` writes the pieces as they come.  A text "line"
+# may also be a block of lines.
+Result = tuple[dict | Iterable[str | Iterator[str]], int]
 
 
 _JSON_BOOLS = ("false", "true")
@@ -290,7 +291,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        payload, text, code = _handler(args.command)(args)
+        output, code = _handler(args.command)(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -299,7 +300,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 1
     else:
         # The pieces are written while the digit limit is still lifted.
-        pieces = _json_pieces(payload) if args.json else _text_pieces(text())
+        pieces = _json_pieces(output) if args.json else _text_pieces(output)
         for piece in pieces:
             print(piece, end="")
         return code

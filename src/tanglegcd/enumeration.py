@@ -25,7 +25,7 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable, Iterator
 from itertools import islice
 
-from ._record import Record, setters
+from ._record import Record
 from .euclid import Division, EuclidTrace, Variant, _trace, check_pair
 
 MAX_WITNESSES = 16
@@ -35,18 +35,6 @@ class EnumerationResult(Record):
     __slots__ = _fields = (
         "pair", "traces_examined", "min_total_steps", "min_divisions", "witnesses_min_steps"
     )
-
-    def __init__(self, pair: tuple[int, int], traces_examined: int, min_total_steps: int,
-                 min_divisions: int, witnesses_min_steps: tuple[EuclidTrace, ...]) -> None:
-        _set_pair(self, pair)
-        _set_traces_examined(self, traces_examined)
-        _set_min_total_steps(self, min_total_steps)
-        _set_min_divisions(self, min_divisions)
-        _set_witnesses_min_steps(self, witnesses_min_steps)
-
-
-(_set_pair, _set_traces_examined, _set_min_total_steps, _set_min_divisions,
- _set_witnesses_min_steps) = setters(EnumerationResult)
 
 
 # The children of a pair as (a, b, division): the next pair and the

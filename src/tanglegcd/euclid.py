@@ -149,14 +149,6 @@ def _trace(rows: tuple[Division, ...], variant: Variant) -> EuclidTrace:
 class StepCount(Record):
     __slots__ = _fields = ("subtractions", "swaps", "total")
 
-    def __init__(self, subtractions: int, swaps: int, total: int) -> None:
-        _set_subtractions(self, subtractions)
-        _set_swaps(self, swaps)
-        _set_total(self, total)
-
-
-_set_subtractions, _set_swaps, _set_total = setters(StepCount)
-
 
 def always_positive(a: int, b: int) -> int:
     return 1

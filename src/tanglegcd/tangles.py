@@ -37,7 +37,7 @@ from collections.abc import Iterable, Iterator
 from enum import Enum
 from itertools import chain, repeat
 
-from ._record import Record, setters
+from ._record import Record
 from .euclid import CHOOSERS, Variant, _divisions
 from .rationals import (
     ZERO,
@@ -102,11 +102,6 @@ def _opens_with_rotation(f: ExtendedRational) -> bool:
 class UntanglePlan(Record):
     __slots__ = _fields = ("start", "stages", "policy")
 
-    def __init__(self, start: ExtendedRational, stages: tuple[Stage, ...], policy: Variant) -> None:
-        _set_start(self, start)
-        _set_stages(self, stages)
-        _set_policy(self, policy)
-
     @property
     def moves(self) -> tuple[Move, ...]:
         """The single moves, expanded from the stages on each read."""
@@ -126,19 +121,11 @@ class UntanglePlan(Record):
 class PlanMetrics(Record):
     __slots__ = _fields = ("twists", "rotations", "total")
 
-    def __init__(self, twists: int, rotations: int, total: int) -> None:
-        _set_twists(self, twists)
-        _set_rotations(self, rotations)
-        _set_total(self, total)
-
 
 class ReplayReport(Record):
     """Replay of a move sequence: the start value, then one value per move."""
 
     __slots__ = _fields = ("values",)
-
-    def __init__(self, values: tuple[ExtendedRational, ...]) -> None:
-        _set_values(self, values)
 
     @property
     def final(self) -> ExtendedRational:
@@ -147,11 +134,6 @@ class ReplayReport(Record):
     @property
     def passed(self) -> bool:
         return self.final.is_zero
-
-
-_set_start, _set_stages, _set_policy = setters(UntanglePlan)
-_set_twists, _set_rotations, _set_total = setters(PlanMetrics)
-(_set_values,) = setters(ReplayReport)
 
 
 def apply_move(value: ExtendedRational, move: Move) -> ExtendedRational:

@@ -22,7 +22,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tanglegcd import _tangle_commands, _trace_commands, cli
+from tanglegcd import _trace_commands, cli
 from tanglegcd._shadows import SHADOW_BITS
 from tanglegcd.cli import main
 from tanglegcd.enumeration import EnumerationResult, enumerate_all, minimize
@@ -113,7 +113,8 @@ def test_gcd_prints_the_counts_of_the_library_sweep():
         variant = Variant(value)
         for a in range(1, 301):
             for b in range(1, a + 1):
-                payload, _, _ = _trace_commands.cmd_gcd(SimpleNamespace(a=a, b=b, method=method))
+                payload, _ = _trace_commands.cmd_gcd(
+                    SimpleNamespace(a=a, b=b, method=method, json=True))
                 deque(payload["trace"], maxlen=0)
                 divisions, subtractions = _counts(a, b, variant)
                 written = ["".join(payload[key]) for key in
@@ -571,27 +572,43 @@ def test_json_mode_formats_no_trace_equation(capsys, monkeypatch):
     assert json.loads(out)["total_steps"] == 57
 
 
+HANDLER_COMMANDS = ["gcd 807 673", "steps 807 673", "enumerate 4 3", "untangle 8/5",
+                    "construct --moves -T,R", "verify 1 --moves R"]
+
+
+# Each form's formatters are named for it: a JSON formatter starts with
+# "_json" or "json" (and `json` itself is one), a text formatter with "_text"
+# or "text".  JSON-mode cases keep the command as their id.
 @pytest.mark.parametrize(
-    "command",
-    ["gcd 807 673", "steps 807 673", "enumerate 4 3", "untangle 8/5",
-     "construct --moves -T,R", "verify 1 --moves R"],
+    "command, json_mode",
+    [pytest.param(command, True, id=command) for command in HANDLER_COMMANDS]
+    + [pytest.param(command, False, id=f"text {command}") for command in HANDLER_COMMANDS],
 )
-def test_json_mode_never_asks_a_handler_for_text(capsys, monkeypatch, command):
-    argv = command.split()
-    commands = _trace_commands if hasattr(_trace_commands, f"cmd_{argv[0]}") else _tangle_commands
-    handler = getattr(commands, f"cmd_{argv[0]}")
+def test_json_mode_never_asks_a_handler_for_text(capsys, command, json_mode):
+    called = set()
 
-    def no_text():
-        raise AssertionError("text requested in JSON mode")
+    def record(frame, event, arg):
+        module = frame.f_globals.get("__name__") or ""
+        if event == "call" and module.partition(".")[0] in ("tanglegcd", "json"):
+            called.add((module, frame.f_code.co_name))
 
-    def without_text(args):
-        payload, _, code = handler(args)
-        return payload, no_text, code
-
-    monkeypatch.setattr(commands, f"cmd_{argv[0]}", without_text)
-    code, out, _ = run_cli(capsys, "--json", *argv)
+    sys.setprofile(record)
+    try:
+        code, out, _ = run_cli(capsys, *(["--json"] if json_mode else []), *command.split())
+    finally:
+        sys.setprofile(None)
     assert code in (0, 1)
-    assert isinstance(json.loads(out), dict)
+    json_formatters = {(module, name) for module, name in called
+                       if module.startswith("json") or name.lstrip("_").startswith("json")}
+    text_formatters = {(module, name) for module, name in called
+                       if name.lstrip("_").startswith("text")}
+    if json_mode:
+        assert isinstance(json.loads(out), dict)
+        assert ("tanglegcd.cli", "_json_pieces") in json_formatters
+        assert text_formatters == set(), "a text line was formatted in JSON mode"
+    else:
+        assert ("tanglegcd.cli", "_text_pieces") in text_formatters
+        assert json_formatters == set(), "a JSON formatter ran in text mode"
 
 
 def test_enumerate_summary_and_flags_come_from_the_certificate(capsys, monkeypatch):

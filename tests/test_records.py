@@ -1,6 +1,7 @@
 """The frozen records behind every value and result type, and the cold import."""
 
 import importlib
+import inspect
 import os
 import pickle
 import subprocess
@@ -102,6 +103,10 @@ def test_records_construct_print_refuse_changes_and_pickle_as_before():
         assert cls(*fields.values()) == record, cls
         assert repr(record) == literal
         assert cls.__match_args__ == tuple(fields)
+        assert tuple(inspect.signature(cls).parameters) == cls._fields == tuple(fields)
+        for arguments in ([*fields.values()][:-1], [*fields.values(), 0]):
+            with pytest.raises(TypeError):
+                cls(*arguments)
         for name in [*fields, "other"]:
             with pytest.raises(AttributeError):
                 setattr(record, name, 0)

@@ -56,3 +56,20 @@ def test_handler_modules_import_their_layers_once():
     # No import is hidden behind a TYPE_CHECKING flag either.
     assert not [path.name for path in PACKAGE.glob("*.py")
                 if "TYPE_CHECKING" in path.read_text(encoding="utf-8")]
+
+
+def test_only_the_checked_records_write_an_init_and_only_record_calls_exec():
+    # A record without checks gets its __init__ generated from `_fields` by
+    # `_record`, the one module that compiles code at run time.
+    inits, execs = set(), set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.ClassDef) and any(
+                    isinstance(base, ast.Name) and base.id == "Record" for base in node.bases):
+                inits |= {node.name for item in node.body
+                          if isinstance(item, ast.FunctionDef) and item.name == "__init__"}
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "exec"):
+                execs.add(path.name)
+    assert inits == {"ExtendedRational", "EuclidStep", "EuclidTrace"}
+    assert execs == {"_record.py"}
