@@ -17,9 +17,12 @@ a twist stage reaches form one arithmetic run, n + j*s*d over a fixed d, so
 the kernel does O(stages) work and each run expands in C; `verify_plan`
 and the CLI's `untangle` read it.  Moves a user supplies are replayed one
 by one (`_fold`): `replay` builds all of their values at once,
-`tangle_number` only the last.  Every pair is canonical by construction,
-since gcd(n + k*d, d) = gcd(n, d) and a rotation only swaps and negates, so
-no value pays the raw constructor's gcd check.
+`tangle_number` only the last.  Moves are told apart by identity, so
+`replay`, `tangle_number` and `apply_move` take `Move` members, as
+`parse_moves` returns them, and refuse any other item, a plain string
+such as "T" included, with a TypeError.  Every pair is canonical by
+construction, since gcd(n + k*d, d) = gcd(n, d) and a rotation only swaps
+and negates, so no value pays the raw constructor's gcd check.
 
 Which Euclidean variant runs underneath is the planning policy.  Least
 absolute remainders gives the same total as the regular variant and the
@@ -136,21 +139,32 @@ class ReplayReport(Record):
         return self.final.is_zero
 
 
+def _not_a_move(item: object) -> TypeError:
+    """The error for a move that is not a `Move` member, such as the string "T"."""
+    # No repr() of other items: that of a huge int can itself raise.
+    name = excerpt(item) if isinstance(item, str) else f"an object of type {type(item).__name__}"
+    return TypeError(f"a move must be a Move member, as parse_moves returns, not {name}")
+
+
 def apply_move(value: ExtendedRational, move: Move) -> ExtendedRational:
     if move is Move.TWIST_POSITIVE:
         return twist_value(value, 1)
     if move is Move.TWIST_NEGATIVE:
         return twist_value(value, -1)
-    return rotate_value(value)
+    if move is Move.ROTATE:
+        return rotate_value(value)
+    raise _not_a_move(move)
 
 
 def _fold(n: int, d: int, moves: Iterable[Move], numerators, denominators) -> tuple[int, int]:
     """Apply moves to the pair (n, d), appending each new pair; return the last.
 
     A twist adds +d or -d to n (infinity, d = 0, stays fixed); a rotation
-    sends zero to infinity, (1, 0), and infinity to (0, 1).
+    sends zero to infinity, (1, 0), and infinity to (0, 1).  Moves are
+    told apart by identity, so an item that is not a `Move` member, the
+    plain string "T" included, raises TypeError.
     """
-    rotate, twist = Move.ROTATE, Move.TWIST_POSITIVE
+    rotate, twist, untwist = Move.ROTATE, Move.TWIST_POSITIVE, Move.TWIST_NEGATIVE
     append_numerator, append_denominator = numerators.append, denominators.append
     for move in moves:
         if move is rotate:
@@ -163,8 +177,10 @@ def _fold(n: int, d: int, moves: Iterable[Move], numerators, denominators) -> tu
                 n, d = 1, 0
         elif move is twist:
             n += d
-        else:
+        elif move is untwist:
             n -= d
+        else:
+            raise _not_a_move(move)
         append_numerator(n)
         append_denominator(d)
     return n, d

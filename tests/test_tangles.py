@@ -1,6 +1,7 @@
 import pickle
 import sys
 from fractions import Fraction
+from functools import reduce
 from itertools import accumulate, groupby
 from operator import length_hint
 
@@ -108,6 +109,25 @@ def test_apply_move_rotation_of_minus_three():
 
 def test_apply_move_rotation_of_zero():
     assert apply_move(ZERO, R) == INFINITY
+
+
+# `Move` is a str enum, so "T" == Move.TWIST_POSITIVE, but the kernels tell
+# moves apart by identity: a plain string would be read as another move.
+FOLDS = {
+    "replay": lambda moves: replay(ZERO, moves).final,
+    "tangle_number": tangle_number,
+    "apply_move": lambda moves: reduce(apply_move, moves, ZERO),
+}
+
+
+@pytest.mark.parametrize("entry_point", FOLDS)
+def test_a_move_that_is_not_a_move_member_is_refused(entry_point):
+    fold = FOLDS[entry_point]
+    assert fold([T, R, T]) == ZERO
+    for item, named in (("T", "'T'"), ("-T", "'-T'"), ("R", "'R'"),
+                        (10**5000, "an object of type int"), (None, "an object of type NoneType")):
+        with pytest.raises(TypeError, match=f"^a move must be a Move member, .* not {named}$"):
+            fold([T, R, item])
 
 
 # Magnitudes of up to 20 digits and past the 4,300-digit int/str limit.
