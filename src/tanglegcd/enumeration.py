@@ -10,20 +10,20 @@ taken with a -1 remainder into a closed form, so its cost grows with the
 number of divisions, not with the partial quotients or with x0.  Nothing
 here consults the named variants, so both are independent oracles for them.
 
-One walker, `_generate`, serves the whole tree (`enumerate_all`) and the
-witnesses' subtree (`minimize`): the caller's `branches` function gives
-the children of each pair, and each leaf is built into a trace from the
-division rows (a, b, q, eps, r) on the path from the root, as the runners
-build theirs.  So the walk builds no step record: a trace builds its
-records on the first read of `.steps`, and the euclid counters read its
-rows.  The CLI's listing needs no trace, only its rows, and walks the tree
-in its own flat loop (`_trace_commands._trace_rows`).
+Two walkers build traces: `_generate` walks the whole tree for
+`enumerate_all`, and `_witnesses` only the witnesses' subtree for
+`minimize`, reading each branch off the solved chains, so it divides no
+pair.  Each builds a leaf's trace from the division rows (a, b, q, eps, r)
+on the path from the root, as the runners build theirs, so no walk builds a
+step record: a trace builds its records on the first read of `.steps`, and
+the euclid counters read its rows.  The CLI's listing needs no trace, only
+its rows, and walks the tree in its own flat loop
+(`_trace_commands._trace_rows`).
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Iterator
-from itertools import islice
+from collections.abc import Iterator
 
 from ._record import Record
 from .euclid import Division, EuclidTrace, Variant, _trace, check_pair
@@ -37,15 +37,6 @@ class EnumerationResult(Record):
     )
 
 
-# The children of a pair as (a, b, division): the next pair and the
-# division that enters it.
-Children = Iterable[tuple[int, int, Division]]
-
-
-def _every_branch(a: int, b: int, q: int, r: int) -> Children:
-    return (b, b - r, (a, b, q + 1, -1, b - r)), (b, r, (a, b, q, 1, r))
-
-
 def enumerate_all(x0: int, x1: int) -> Iterator[EuclidTrace]:
     """Yield every distinct valid trace for (x0, x1) exactly once.
 
@@ -53,20 +44,17 @@ def enumerate_all(x0: int, x1: int) -> Iterator[EuclidTrace]:
     the order is reproducible.
     """
     check_pair(x0, x1)
-    return _generate(x0, x1, _every_branch)
+    return _generate(x0, x1)
 
 
-def _generate(
-    x0: int, x1: int, branches: Callable[[int, int, int, int], Children]
-) -> Iterator[EuclidTrace]:
+def _generate(x0: int, x1: int) -> Iterator[EuclidTrace]:
     # Explicit stack: entries are (a, b, division) and a None sentinel that
     # pops the shared path when a subtree is done.  Recursion would overflow
     # on staircase pairs such as (10000, 9999).  At a pair (a, b) entered by
-    # `division`, with q, r = divmod(a, b) and r > 0, `branches(a, b, q, r)`
-    # gives the children, the -1 branch first, so that the +1 branch is
-    # walked first; they are pushed as given, so a node allocates nothing
-    # here.  At r == 0 the walk yields the trace of the divisions on the
-    # path from the root.  The root is entered by no division.
+    # `division`, with q, r = divmod(a, b) and r > 0, the -1 child is pushed
+    # first, so that the +1 child is walked first.  At r == 0 the walk
+    # yields the trace of the divisions on the path from the root.  The root
+    # is entered by no division.
     path: list[Division] = []
     stack: list[tuple[int, int, Division | None] | None] = [(x0, x1, None)]
     while stack:
@@ -81,28 +69,30 @@ def _generate(
         if r == 0:
             yield _trace((*path, (a, b, q, 1, 0)), Variant.CUSTOM)
             continue
-        for child in branches(a, b, q, r):
-            stack.append(None)
-            stack.append(child)
+        stack += None, (b, b - r, (a, b, q + 1, -1, b - r)), None, (b, r, (a, b, q, 1, r))
 
 
 # Values of a state: (min total, min divisions, trace count).
 Values = tuple[int, int, int]
+# A chain's values, flat: those of its state X, then those of its base W.
+Chain = tuple[int, int, int, int, int, int]
 
-# State (r, 0): the trace has ended.
-_END: Values = (0, 1, 1)
-# Base state (2r, r): either sign leaves remainder r, and (2r, r) ends at once.
-_EXACT_BASE: Values = (3, 2, 2)
+# Chain (g, 0), g the last nonzero remainder: X is state (g, 0), where the
+# trace has ended, and the base (2g, g) ends at once with either sign.
+_LAST: Chain = (0, 1, 1, 3, 2, 2)
 
 
-def _closed(k: int, s: int, x: Values, w: Values) -> Values:
-    # State (k*r + s, r), from the values x of (r, s) and w of the chain's
-    # base state; n is the number of quotient-1 divisions down to the base.
-    # The chain's total never beats 1 + k + x[0]: that is the theorem this
-    # certifies (the regular run's total is minimal), so it is computed
-    # here, not assumed.
+def _closed(k: int, s: int, chain: Chain) -> Values:
+    # State (k*r + s, r) on the chain of (r, s); n is the number of
+    # quotient-1 divisions down to the base.  The chain's total never beats
+    # 1 + k + X.total: that is the theorem this certifies (the regular run's
+    # total is minimal), so it is computed here, not assumed.
     n = k - (1 if s else 2)
-    return (min(1 + k + x[0], 3 * n + w[0]), min(1 + x[1], n + w[1]), n * x[2] + w[2])
+    total, base_total = 1 + k + chain[0], 3 * n + chain[3]
+    divisions, base_divisions = 1 + chain[1], n + chain[4]
+    return (total if total <= base_total else base_total,
+            divisions if divisions <= base_divisions else base_divisions,
+            n * chain[2] + chain[5])
 
 
 def minimize(x0: int, x1: int) -> EnumerationResult:
@@ -134,69 +124,108 @@ def minimize(x0: int, x1: int) -> EnumerationResult:
 
     Every state of a chain is read from the chain's (X, W).  A trace only
     reaches the chains (r, s) of consecutive regular remainders after x1,
-    and one table holds them, solved bottom up, each from the one below it,
-    from chain (g, 0), g the last nonzero remainder, whose X is the end
-    state.  So the certificate costs O(divisions) big-integer operations
-    and holds O(divisions) entries: (10**5, 10**5 - 1) and
+    and one table holds them by position, solved bottom up, each from the
+    one below it, from chain (g, 0), g the last nonzero remainder, whose X
+    is the end state.  So the certificate costs O(divisions) big-integer
+    operations and holds O(divisions) entries: (10**5, 10**5 - 1) and
     (10**100, 10**100 - 1) are a single chain each.
 
     Witness policy: the first MAX_WITNESSES traces attaining the minimal
     step total, in the depth-first order enumerate_all uses, rebuilt by
     taking only the steps from which the minimum stays reachable.  The walk
-    reads both branches of a pair off the solved chains in O(1) per pair.
+    carries each pair's place on the chains, so it reads both branches of a
+    pair in O(1), with no division and no lookup by value.
     """
     check_pair(x0, x1)
-    # The regular remainders of (x1, x0 % x1), bottom first: 0, g, ..., x1.
-    remainders = [x1, x0 % x1]
-    while remainders[-1]:
-        remainders.append(remainders[-2] % remainders[-1])
-    remainders.reverse()
-    # (X, W) of the chain of states (k*r + s, r), keyed by (r, s).
-    chains: dict[tuple[int, int], tuple[Values, Values]] = {}
-    below = chains[remainders[1], 0] = (_END, _EXACT_BASE)
-    for t, s, r in zip(remainders, remainders[1:], remainders[2:-1]):
-        k = r // s
-        x = _closed(k, t, *below)
-        # Base state (r + s, r): +1 gives pair (r + s, r), quotient 1 into
-        # state (r, s); -1 gives pair (r + s, s), quotient k + 1 into state
-        # (s, t), the X of the chain below.
-        y = below[0]
-        w = (2 + min(x[0], k + 1 + y[0]), 1 + min(x[1], y[1]), x[2] + y[2])
-        below = chains[r, s] = (x, w)
+    # The regular division of (x0, x1): remainders x0, x1, ..., g, 0, and
+    # quotients[i] = remainders[i] // remainders[i + 1], with a 0 for g,
+    # which is read only where a child ends the trace.
+    remainders, quotients = [x0, x1], []
+    a, b = x0, x1
+    while b:
+        q, r = divmod(a, b)
+        remainders.append(r)
+        quotients.append(q)
+        a, b = b, r
+    quotients.append(0)
+    # chains[i] is the chain of (r, s) = (remainders[i], remainders[i + 1])
+    # for i >= 1; chains[0] is never read.
+    # Its X, state (r, s) with r = k*s + t, lies on the chain below; its base
+    # (r + s, r) goes by +1 to pair (r + s, r), quotient 1 into state (r, s),
+    # and by -1 to pair (r + s, s), quotient k + 1 into state (s, t), the X
+    # of the chain below.
+    chains = [_LAST] * (len(remainders) - 1)
+    below = _LAST
+    for i in range(len(remainders) - 3, 0, -1):
+        k = quotients[i]
+        total, divisions, count = _closed(k, remainders[i + 2], below)
+        minus = k + 1 + below[0]
+        below = chains[i] = (
+            total, divisions, count,
+            2 + (total if total <= minus else minus),
+            1 + (divisions if divisions <= below[1] else below[1]),
+            count + below[2],
+        )
 
-    # Pair (x0, x1): q subtractions, then state (x1, r), on chain (r, x1 % r),
-    # the last solved.
-    q, r = divmod(x0, x1)
-    total, divisions, count = _closed(*divmod(x1, r), *below) if r else _END
-    total += q
-    memo: dict[tuple[int, int], list] = {}  # the branches of each entered pair
-
-    def optimal(a: int, b: int, q: int, r: int) -> Children:
-        # The branches from which the minimum of pair (a, b) stays reachable,
-        # read off chain (r, s), b = k*r + s, as in state (b, r): +1 goes on
-        # to X in k subtractions, -1 one link lower, or at the base to pair
-        # (r + s, s) if k = 1 and to the leaf (2r, r) if k = 2, s = 0.
-        if (branches := memo.get((a, b))) is not None:
-            return branches
-        k, s = divmod(b, r)
-        x, w = chains[r, s]
-        plus = k + x[0]
-        if k == 1:
-            k, t = divmod(r, s)
-            minus = k + 2 + chains[s, t][0][0]
-        else:
-            minus = 3 if k == 2 and not s else 2 + _closed(k - 1, s, x, w)[0]
-        branches = memo[a, b] = []
-        if minus <= plus:
-            branches.append((b, b - r, (a, b, q + 1, -1, b - r)))
-        if plus <= minus:
-            branches.append((b, r, (a, b, q, 1, r)))
-        return branches
-
+    # Pair (x0, x1): q subtractions, then state (x1, r), the X of chain 1.
+    total, divisions, count = chains[1][:3]
     return EnumerationResult(
         pair=(x0, x1),
         traces_examined=count,
-        min_total_steps=total,
+        min_total_steps=quotients[0] + total,
         min_divisions=divisions,
-        witnesses_min_steps=tuple(islice(_generate(x0, x1, optimal), MAX_WITNESSES)),
+        witnesses_min_steps=_witnesses(remainders, quotients, chains),
     )
+
+
+def _witnesses(
+    remainders: list[int], quotients: list[int], chains: list[Chain]
+) -> tuple[EuclidTrace, ...]:
+    # The first MAX_WITNESSES step-minimal traces, depth-first, +1 first.  A
+    # pair (a, b) is entered with its quotient q, the position i of its
+    # remainder r = remainders[i] and the link k of b = k*r + s on chain i,
+    # s = remainders[i + 1], so the walk divides no pair.  Its +1 child
+    # (b, r) goes on to X in k subtractions; its -1 child goes one link
+    # lower, or at the base to pair (r + s, s) if k = 1 and to the leaf
+    # (2r, r) if k = 2, s = 0.  A pair with one optimal child enters it at
+    # once; at a tie the -1 child waits on the stack as (division, q, i, k,
+    # depth), depth the length of the shared path above it.
+    a, b, q, i, k = remainders[0], remainders[1], quotients[0], 2, quotients[1]
+    path: list[Division] = []
+    stack: list[tuple[Division, int, int, int, int]] = []
+    witnesses: list[EuclidTrace] = []
+    while True:
+        r = remainders[i]
+        if r:
+            s = remainders[i + 1]
+            chain = chains[i]
+            plus = k + chain[0]
+            if k == 1:
+                minus = quotients[i] + 2 + chains[i + 1][0]
+            elif k == 2 and not s:
+                minus = 3
+            else:
+                minus = 2 + _closed(k - 1, s, chain)[0]
+            if minus <= plus:
+                if k == 1:
+                    child = (a, b, q + 1, -1, s), quotients[i] + 1, i + 2, quotients[i + 1]
+                elif k == 2 and not s:
+                    child = (a, b, q + 1, -1, r), 2, i + 1, 0
+                else:
+                    child = (a, b, q + 1, -1, b - r), 1, i, k - 1
+                if minus < plus:
+                    division, q, i, k = child
+                    path.append(division)
+                    a, b = b, division[4]
+                    continue
+                stack.append((*child, len(path)))
+            path.append((a, b, q, 1, r))
+            a, b, q, i, k = b, r, k, i + 1, quotients[i]
+            continue
+        witnesses.append(_trace((*path, (a, b, q, 1, 0)), Variant.CUSTOM))
+        if len(witnesses) == MAX_WITNESSES or not stack:
+            return tuple(witnesses)
+        division, q, i, k, depth = stack.pop()
+        del path[depth:]
+        path.append(division)
+        a, b = division[1], division[4]

@@ -16,8 +16,9 @@ pair), so they take the unchecked `_canonical` path and pay no gcd per value.
 `_canonical_values` is the same path in bulk, for the move kernels in
 `tangles`: one `starmap` of object.__new__ allocates the values and one
 `starmap` of each slot's setter over a `zip` fills them, so no pass builds
-an argument tuple per value.  It pauses the cyclic garbage collector's
-automatic runs for the allocating call alone: a value holds two ints and
+an argument tuple per value.  A build of at least the collector's first
+threshold of values pauses the cyclic garbage collector's automatic runs
+for the allocating call alone: a value holds two ints and
 can never be in a cycle, and all the pause can defer is another thread's
 automatic collection, for about one switch interval.  `_value_strings`
 renders such pairs as their values print, without building the values and
@@ -126,7 +127,9 @@ def _canonical_values(
 
     The cyclic garbage collector's automatic runs are paused for the one
     statement that allocates, and switched back on only if they were on.
-    Each new value counts toward the collector's thresholds, so under
+    A build of fewer values than the collector's first threshold
+    (`gc.get_threshold()[0]`) can set off at most one collection, which a
+    pause would only defer, so it is not paused.  Each new value counts toward the collector's thresholds, so under
     Python 3.10 and 3.11 it ran 142 times on 100,001 values, about 40% of
     the build, rescanning values that hold two ints and so can never be in
     a cycle.  (From 3.12 it runs only between bytecodes, so once, after
@@ -141,12 +144,13 @@ def _canonical_values(
     # Imported here: no cold CLI call builds values in bulk.
     import gc
 
-    collecting = gc.isenabled()
-    gc.disable()
+    pause = len(numerators) >= gc.get_threshold()[0] and gc.isenabled()
+    if pause:
+        gc.disable()
     try:
         values = tuple(starmap(_new, repeat((ExtendedRational,), len(numerators))))
     finally:
-        if collecting:
+        if pause:
             gc.enable()
     deque(starmap(_set_numerator, zip(values, numerators)), maxlen=0)
     deque(starmap(_set_denominator, zip(values, denominators)), maxlen=0)

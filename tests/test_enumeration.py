@@ -1,9 +1,10 @@
 import math
 import random
+import time
 from itertools import islice
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tanglegcd.enumeration import (
@@ -336,6 +337,66 @@ def test_minimize_matches_the_per_pair_recurrence_on_deep_pairs():
     pairs += [(fib[n + 1], fib[n]) for n in range(29, 40)]
     for x0, x1 in pairs:
         assert minimize(x0, x1) == per_pair_minimize(x0, x1), (x0, x1)
+
+
+# Pairs whose witness walk meets each branch of the -1 child's cost: k = 1
+# (a chain's base), k = 2 with s = 0 (the leaf (2r, r)), and the closed form
+# one link lower, here at k = 3 with s = 0, where that link is the base W
+# itself (n = 0) and the 3n + W side ties with the regular one.  Higher up a
+# chain the 3n + W side costs more.
+WALK_BRANCH_PAIRS = {"k = 1": (21, 13), "k = 2, s = 0": (5, 2), "k = 3, s = 0": (4, 3)}
+
+
+def walk_branches(result):
+    """The kinds of pair, as WALK_BRANCH_PAIRS names them, on the witnesses' paths."""
+    kinds = set()
+    for witness in result.witnesses_min_steps:
+        for step in witness.steps[:-1]:
+            k, s = divmod(step.b, step.a % step.b)
+            kinds.add("k = 1" if k == 1 else f"k = {k}, s = 0" if not s else "k >= 2, s > 0")
+    return kinds
+
+
+def test_the_branch_pairs_meet_the_branches_they_name():
+    for name, pair in WALK_BRANCH_PAIRS.items():
+        assert name in walk_branches(minimize(*pair)), name
+
+
+# Partial quotients that mix 1, 2 and 3 with large values: up to 10**6 for
+# the first, which starts no chain, and up to 1,000 after it, since the
+# oracle visits every link of every chain.
+mixed_quotients = st.tuples(
+    st.integers(1, 10**6),
+    st.lists(st.one_of(st.sampled_from((1, 2, 3)), st.integers(1, 1000)), max_size=12),
+).map(lambda t: [t[0], *t[1]])
+
+
+@settings(deadline=None)
+@given(mixed_quotients.map(continued_fraction))
+@example(WALK_BRANCH_PAIRS["k = 1"])
+@example(WALK_BRANCH_PAIRS["k = 2, s = 0"])
+@example(WALK_BRANCH_PAIRS["k = 3, s = 0"])
+@example(continued_fraction([10**6, 3, 1, 1, 2, 1000, 1, 3]))
+def test_minimize_matches_the_per_pair_recurrence_on_mixed_partial_quotients(pair):
+    assert minimize(*pair) == per_pair_minimize(*pair)
+
+
+def test_minimize_walks_the_witnesses_of_a_thousand_digit_fibonacci_pair():
+    # F(4788)/F(4787), the benchmark's bigint cold pair: every witness is
+    # 4,783 to 4,786 divisions deep, past the default recursion limit, so
+    # only a walk that does not recurse finishes.  The gate is generous: this
+    # takes about 0.02 s on a 2-vCPU machine.
+    x1, x0 = 0, 1
+    for _ in range(4787):
+        x1, x0 = x0, x0 + x1
+    start = time.perf_counter()
+    result = minimize(x0, x1)
+    elapsed = time.perf_counter() - start
+    assert len(result.witnesses_min_steps) == MAX_WITNESSES
+    assert result.witnesses_min_steps[0].steps == run_regular(x0, x1).steps
+    for witness in result.witnesses_min_steps:
+        assert step_count(witness).total == result.min_total_steps
+    assert elapsed < 5
 
 
 def test_every_listed_trace_and_witness_passes_the_checked_constructor():

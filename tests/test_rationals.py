@@ -476,8 +476,9 @@ def test_canonical_values_switches_the_collector_back_on_when_allocation_fails(
 
     monkeypatch.setattr("tanglegcd.rationals._new", refuse)
     gc.enable()
+    # A build this large pauses the collector; a smaller one never does.
     with pytest.raises(MemoryError):
-        _canonical_values([1], [1])
+        _canonical_values(range(gc.get_threshold()[0]), repeat(1))
     assert gc.isenabled()
 
 
@@ -504,6 +505,39 @@ def test_bulk_builds_run_at_most_one_collection(collector_state):
             assert len(starts) <= 1, (name, starts)
     finally:
         gc.callbacks.remove(count)
+
+
+@pytest.mark.parametrize("collecting", [True, False], ids=["on", "off"])
+def test_builds_below_the_collector_threshold_never_pause_it(
+    collector_state, monkeypatch, collecting
+):
+    # Such a build sets off at most one collection, which a pause would only
+    # defer.
+    def refuse():
+        raise AssertionError("a 10-value build paused the collector")
+
+    (gc.enable if collecting else gc.disable)()
+    monkeypatch.setattr(gc, "disable", refuse)
+    assert len(_canonical_values(range(10), repeat(1))) == 10
+    assert gc.isenabled() is collecting
+
+
+@pytest.mark.parametrize("collecting", [True, False], ids=["on", "off"])
+def test_builds_at_the_collector_threshold_pause_it_and_leave_it_as_they_found_it(
+    collector_state, monkeypatch, collecting
+):
+    (gc.enable if collecting else gc.disable)()
+    paused = []
+
+    def disable(disable=gc.disable):
+        paused.append(gc.isenabled())
+        disable()
+
+    monkeypatch.setattr(gc, "disable", disable)
+    size = gc.get_threshold()[0]
+    assert len(_canonical_values(range(size), repeat(1))) == size
+    assert gc.isenabled() is collecting
+    assert paused == ([True] if collecting else [])
 
 
 def reference_str(value):
