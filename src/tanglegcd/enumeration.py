@@ -10,10 +10,13 @@ taken with a -1 remainder into a closed form, so its cost grows with the
 number of divisions, not with the partial quotients or with x0.  Nothing
 here consults the named variants, so both are independent oracles for them.
 
-Two walkers build traces: `_generate` walks the whole tree for
-`enumerate_all`, and `_witnesses` only the witnesses' subtree for
-`minimize`, reading each branch off the solved chains, so it divides no
-pair.  Each builds a leaf's trace from the division rows (a, b, q, eps, r)
+The closed form is written once, in `minimize`'s solve loop.  Two walkers
+build traces: `_generate` walks the whole tree for `enumerate_all`, and
+`_witnesses` only the witnesses' subtree for `minimize`.  By a threshold
+rule on each chain (see `minimize`), the +1 branch of a pair is always
+optimal and its -1 branch only at a tie that one comparison of two solved
+totals reads off, so that walk divides no pair and evaluates no closed
+form.  Each builds a leaf's trace from the division rows (a, b, q, eps, r)
 on the path from the root, as the runners build theirs, so no walk builds a
 step record: a trace builds its records on the first read of `.steps`, and
 the euclid counters read its rows.  The CLI's listing needs no trace, only
@@ -26,7 +29,9 @@ from __future__ import annotations
 from collections.abc import Iterator
 
 from ._record import Record
-from .euclid import Division, EuclidTrace, Variant, _trace, check_pair
+from .euclid import (
+    _CUSTOM, Division, EuclidTrace, _new, _set_rows, _set_steps, _set_variant, _trace, check_pair,
+)
 
 MAX_WITNESSES = 16
 
@@ -67,32 +72,9 @@ def _generate(x0: int, x1: int) -> Iterator[EuclidTrace]:
             path.append(division)
         q, r = divmod(a, b)
         if r == 0:
-            yield _trace((*path, (a, b, q, 1, 0)), Variant.CUSTOM)
+            yield _trace((*path, (a, b, q, 1, 0)), _CUSTOM)
             continue
         stack += None, (b, b - r, (a, b, q + 1, -1, b - r)), None, (b, r, (a, b, q, 1, r))
-
-
-# Values of a state: (min total, min divisions, trace count).
-Values = tuple[int, int, int]
-# A chain's values, flat: those of its state X, then those of its base W.
-Chain = tuple[int, int, int, int, int, int]
-
-# Chain (g, 0), g the last nonzero remainder: X is state (g, 0), where the
-# trace has ended, and the base (2g, g) ends at once with either sign.
-_LAST: Chain = (0, 1, 1, 3, 2, 2)
-
-
-def _closed(k: int, s: int, chain: Chain) -> Values:
-    # State (k*r + s, r) on the chain of (r, s); n is the number of
-    # quotient-1 divisions down to the base.  The chain's total never beats
-    # 1 + k + X.total: that is the theorem this certifies (the regular run's
-    # total is minimal), so it is computed here, not assumed.
-    n = k - (1 if s else 2)
-    total, base_total = 1 + k + chain[0], 3 * n + chain[3]
-    divisions, base_divisions = 1 + chain[1], n + chain[4]
-    return (total if total <= base_total else base_total,
-            divisions if divisions <= base_divisions else base_divisions,
-            n * chain[2] + chain[5])
 
 
 def minimize(x0: int, x1: int) -> EnumerationResult:
@@ -124,17 +106,43 @@ def minimize(x0: int, x1: int) -> EnumerationResult:
 
     Every state of a chain is read from the chain's (X, W).  A trace only
     reaches the chains (r, s) of consecutive regular remainders after x1,
-    and one table holds them by position, solved bottom up, each from the
-    one below it, from chain (g, 0), g the last nonzero remainder, whose X
-    is the end state.  So the certificate costs O(divisions) big-integer
+    and they are solved bottom up, each from the one below it, from chain
+    (g, 0), g the last nonzero remainder, whose X is the end state, (0, 1,
+    1), and whose base (2g, g) ends at once with either sign, (3, 2, 2).
+    The closed form is written once, in that loop; nothing evaluates it at
+    a single link.  So the certificate costs O(divisions) big-integer
     operations and holds O(divisions) entries: (10**5, 10**5 - 1) and
     (10**100, 10**100 - 1) are a single chain each.
 
     Witness policy: the first MAX_WITNESSES traces attaining the minimal
     step total, in the depth-first order enumerate_all uses, rebuilt by
-    taking only the steps from which the minimum stays reachable.  The walk
-    carries each pair's place on the chains, so it reads both branches of a
-    pair in O(1), with no division and no lookup by value.
+    taking only the steps from which the minimum stays reachable.  At pair
+    (a, b) with b = k*r + s on chain (r, s), the +1 child (b, r) costs
+    plus = k + X.total.  For k >= 2 the -1 child (b, b - r) divides with
+    quotient 1 into the state one link lower, so by the closed form at
+    k - 1 it costs
+
+        minus = 2 + min(k + X.total, 3(k - 1 - m0) + W.total)
+              = min(k + 2 + X.total, 3k - 1 - 3*m0 + W.total).
+
+    The first term is plus + 2, so the -1 child is strictly better iff
+    2k < theta and tied iff 2k = theta, where the threshold theta =
+    X.total - W.total + 1 + 3*m0 depends on the chain alone.  When s > 0,
+    m0 = 1, and the base's two branches give W.total = 2 + min(X.total, m),
+    with m = 1 + k' + (X of the chain below).total for r = k'*s + t.  X's
+    closed form is a min with that same m as its first term, so X.total <=
+    m, W.total = 2 + X.total and theta = 2 on every such chain: 2k > theta
+    at every k >= 2.  On the last chain (g, 0) no -1 child is
+    optimal either: at k = 2 it is the leaf (2g, g), at 3 against plus = 2,
+    and at k >= 3 it costs min(2, 2k - 4) more than plus.  At k = 1 the -1
+    child leaves the chain for pair (r + s, s), at m + 1 against
+    plus = 1 + X.total, so it ties iff X.total = m and is worse otherwise.
+    So the walk takes every +1 child, and a -1 child only at k = 1 when the
+    two solved integers X.total and m are equal, which the theorem says they
+    always are: a witness takes a -1 remainder only at a pair where least
+    absolute remainders take one (2r > b).  It reads both branches of a pair
+    in O(1), with no division, no lookup by value and no closed form at a
+    link.
     """
     check_pair(x0, x1)
     # The regular division of (x0, x1): remainders x0, x1, ..., g, 0, and
@@ -148,48 +156,63 @@ def minimize(x0: int, x1: int) -> EnumerationResult:
         quotients.append(q)
         a, b = b, r
     quotients.append(0)
-    # chains[i] is the chain of (r, s) = (remainders[i], remainders[i + 1])
-    # for i >= 1; chains[0] is never read.
-    # Its X, state (r, s) with r = k*s + t, lies on the chain below; its base
-    # (r + s, r) goes by +1 to pair (r + s, r), quotient 1 into state (r, s),
-    # and by -1 to pair (r + s, s), quotient k + 1 into state (s, t), the X
-    # of the chain below.
-    chains = [_LAST] * (len(remainders) - 1)
-    below = _LAST
+    # Chain i is that of (r, s) = (remainders[i], remainders[i + 1]), for
+    # i >= 1.  Its X, state (r, s) with r = k*s + t, lies on the chain below
+    # at link k, n = k - m0 links above that chain's base; m0 = 2 only on
+    # the last chain, where t = 0.  Its base (r + s, r) goes by +1 to pair
+    # (r + s, r), quotient 1 into state (r, s), and by -1 to pair (r + s, s),
+    # quotient k + 1 into state (s, t), the X of the chain below.  The x_
+    # and w_ names hold the values of X and W of the chain below, starting
+    # from the last chain (g, 0), until they are the new chain's.  totals[i]
+    # keeps chain i's X.total for the walk: 0 for chain (g, 0), the last
+    # entry; totals[0] is never read.
+    # X.total = min(m, 3n + W.total), m = 1 + k + (X of the chain
+    # below).total being the regular side.  3n + W.total never beats m:
+    # that is the theorem this certifies (the regular run's total is
+    # minimal), so it is computed here, not assumed.
+    totals = [0] * (len(remainders) - 1)
+    x_total, x_divisions, x_count, w_total, w_divisions, w_count = 0, 1, 1, 3, 2, 2
+    m0 = 2
     for i in range(len(remainders) - 3, 0, -1):
         k = quotients[i]
-        total, divisions, count = _closed(k, remainders[i + 2], below)
-        minus = k + 1 + below[0]
-        below = chains[i] = (
-            total, divisions, count,
-            2 + (total if total <= minus else minus),
-            1 + (divisions if divisions <= below[1] else below[1]),
-            count + below[2],
-        )
+        n = k - m0
+        m0 = 1
+        m = 1 + k + x_total
+        total = 3 * n + w_total
+        if m < total:
+            total = m
+        divisions = n + w_divisions
+        if 1 + x_divisions < divisions:
+            divisions = 1 + x_divisions
+        count = n * x_count + w_count
+        # The base's branches cost 1 + X.total and 1 + m, and X.total <= m.
+        w_total = 2 + total
+        w_divisions = 1 + (divisions if divisions <= x_divisions else x_divisions)
+        w_count = count + x_count
+        x_total = totals[i] = total
+        x_divisions, x_count = divisions, count
 
-    # Pair (x0, x1): q subtractions, then state (x1, r), the X of chain 1.
-    total, divisions, count = chains[1][:3]
+    # Pair (x0, x1): q subtractions, then state (x1, r), the X of chain 1,
+    # the last one solved (or of chain (g, 0), if x1 divides x0).
     return EnumerationResult(
-        pair=(x0, x1),
-        traces_examined=count,
-        min_total_steps=quotients[0] + total,
-        min_divisions=divisions,
-        witnesses_min_steps=_witnesses(remainders, quotients, chains),
+        (x0, x1), x_count, quotients[0] + x_total, x_divisions,
+        _witnesses(remainders, quotients, totals),
     )
 
 
 def _witnesses(
-    remainders: list[int], quotients: list[int], chains: list[Chain]
+    remainders: list[int], quotients: list[int], totals: list[int]
 ) -> tuple[EuclidTrace, ...]:
     # The first MAX_WITNESSES step-minimal traces, depth-first, +1 first.  A
     # pair (a, b) is entered with its quotient q, the position i of its
     # remainder r = remainders[i] and the link k of b = k*r + s on chain i,
     # s = remainders[i + 1], so the walk divides no pair.  Its +1 child
-    # (b, r) goes on to X in k subtractions; its -1 child goes one link
-    # lower, or at the base to pair (r + s, s) if k = 1 and to the leaf
-    # (2r, r) if k = 2, s = 0.  A pair with one optimal child enters it at
-    # once; at a tie the -1 child waits on the stack as (division, q, i, k,
-    # depth), depth the length of the shared path above it.
+    # (b, r) is always optimal (see `minimize`); its -1 child only at a
+    # chain's base (k = 1), where the child is pair (r + s, s), and only on
+    # a tie, read off the solved totals.  The walk enters the +1 child at
+    # once; a tied -1 child waits on the stack as (division, q, i, k, depth),
+    # depth the length of the shared path above it.  Each leaf's trace is
+    # built as `_trace` builds it, inline, which saves a call per witness.
     a, b, q, i, k = remainders[0], remainders[1], quotients[0], 2, quotients[1]
     path: list[Division] = []
     stack: list[tuple[Division, int, int, int, int]] = []
@@ -197,32 +220,19 @@ def _witnesses(
     while True:
         r = remainders[i]
         if r:
-            s = remainders[i + 1]
-            chain = chains[i]
-            plus = k + chain[0]
-            if k == 1:
-                minus = quotients[i] + 2 + chains[i + 1][0]
-            elif k == 2 and not s:
-                minus = 3
-            else:
-                minus = 2 + _closed(k - 1, s, chain)[0]
-            if minus <= plus:
-                if k == 1:
-                    child = (a, b, q + 1, -1, s), quotients[i] + 1, i + 2, quotients[i + 1]
-                elif k == 2 and not s:
-                    child = (a, b, q + 1, -1, r), 2, i + 1, 0
-                else:
-                    child = (a, b, q + 1, -1, b - r), 1, i, k - 1
-                if minus < plus:
-                    division, q, i, k = child
-                    path.append(division)
-                    a, b = b, division[4]
-                    continue
-                stack.append((*child, len(path)))
+            if k == 1 and totals[i] == quotients[i] + 1 + totals[i + 1]:
+                stack.append((
+                    (a, b, q + 1, -1, remainders[i + 1]),
+                    quotients[i] + 1, i + 2, quotients[i + 1], len(path),
+                ))
             path.append((a, b, q, 1, r))
             a, b, q, i, k = b, r, k, i + 1, quotients[i]
             continue
-        witnesses.append(_trace((*path, (a, b, q, 1, 0)), Variant.CUSTOM))
+        trace = _new(EuclidTrace)
+        _set_rows(trace, (*path, (a, b, q, 1, 0)))
+        _set_variant(trace, _CUSTOM)
+        _set_steps(trace, None)
+        witnesses.append(trace)
         if len(witnesses) == MAX_WITNESSES or not stack:
             return tuple(witnesses)
         division, q, i, k, depth = stack.pop()

@@ -29,10 +29,12 @@ The raw constructors of EuclidStep and EuclidTrace are checked doors: an
 inconsistent step, or steps that do not chain into one trace ending in
 remainder 0, raise ValueError under any interpreter flags, `-O` included, and
 unpickling goes through the same checks.  The runners here and the
-enumeration walk take each row straight from divmod, so every division is
-consistent and chained by construction; they build through the unchecked
-`_trace` and pay for no chain check.  `.steps` builds each record through
-the checked EuclidStep, so every step record has passed its check.
+enumeration walks take each row from divmod or from the regular division
+chain, so every division is consistent and chained by construction; they
+build through the unchecked `_trace`, or its body written out in
+`minimize`'s witness walk, and pay for no chain check.  `.steps` builds
+each record through the checked EuclidStep, so every step record has passed
+its check.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from __future__ import annotations
 from collections.abc import Callable, Iterator
 from enum import Enum
 from itertools import starmap
+from operator import countOf, itemgetter
 
 from ._record import Record, setters
 
@@ -50,6 +53,12 @@ class Variant(str, Enum):
     NEGATIVE = "Negative"
     CUSTOM = "Custom"
 
+
+# The members as module constants, for the code that reads one on every
+# call: on Python 3.11 a global read costs about 10 ns, `Variant.X` about 110.
+_REGULAR, _LEAST_ABSOLUTE, _NEGATIVE, _CUSTOM = (
+    Variant.REGULAR, Variant.LEAST_ABSOLUTE, Variant.NEGATIVE, Variant.CUSTOM
+)
 
 # Decides eps for the current pair (a, b); consulted only when b does not
 # divide a, and must be deterministic in (a, b).
@@ -107,6 +116,8 @@ class EuclidTrace(Record):
     _fields = ("steps", "variant")
 
     def __init__(self, steps: tuple[EuclidStep, ...], variant: Variant) -> None:
+        # A tuple of its own, so a list the caller changes later changes nothing here.
+        steps = tuple(steps)
         _set_steps(self, steps)
         _set_variant(self, variant)
         _set_rows(self, tuple((s.a, s.b, s.quotient, s.epsilon, s.remainder) for s in steps))
@@ -201,7 +212,7 @@ def _divisions(x0: int, x1: int, chooser: SignChooser) -> Iterator[Division]:
 
 
 def run_general(
-    x0: int, x1: int, chooser: SignChooser, *, variant: Variant = Variant.CUSTOM
+    x0: int, x1: int, chooser: SignChooser, *, variant: Variant = _CUSTOM
 ) -> EuclidTrace:
     """Run the division chain from (x0, x1) under a sign-choosing policy.
 
@@ -214,24 +225,24 @@ def run_general(
 
 def run_regular(x0: int, x1: int) -> EuclidTrace:
     """All remainders positive."""
-    return run_general(x0, x1, always_positive, variant=Variant.REGULAR)
+    return run_general(x0, x1, always_positive, variant=_REGULAR)
 
 
 def run_lar(x0: int, x1: int) -> EuclidTrace:
     """Least absolute remainders, ties resolved to the positive side."""
-    return run_general(x0, x1, least_absolute, variant=Variant.LEAST_ABSOLUTE)
+    return run_general(x0, x1, least_absolute, variant=_LEAST_ABSOLUTE)
 
 
 def run_negative(x0: int, x1: int) -> EuclidTrace:
     """All non-terminal remainders negative."""
-    return run_general(x0, x1, always_negative, variant=Variant.NEGATIVE)
+    return run_general(x0, x1, always_negative, variant=_NEGATIVE)
 
 
 # Sign chooser of each named variant; CUSTOM has none, its caller brings one.
 CHOOSERS = {
-    Variant.REGULAR: always_positive,
-    Variant.LEAST_ABSOLUTE: least_absolute,
-    Variant.NEGATIVE: always_negative,
+    _REGULAR: always_positive,
+    _LEAST_ABSOLUTE: least_absolute,
+    _NEGATIVE: always_negative,
 }
 
 
@@ -248,7 +259,7 @@ def _counts(x0: int, x1: int, variant: Variant) -> tuple[int, int]:
     """
     check_pair(x0, x1)
     divisions = subtractions = 0
-    if variant is not Variant.NEGATIVE:
+    if variant is not _NEGATIVE:
         for _, _, q, _, _ in _divisions(x0, x1, CHOOSERS[variant]):
             divisions += 1
             subtractions += q
@@ -276,9 +287,13 @@ def division_count(trace: EuclidTrace) -> int:
     return len(trace._rows)
 
 
+# Columns of a division row (a, b, q, eps, r).
+_quotient, _epsilon = itemgetter(2), itemgetter(3)
+
+
 def step_count(trace: EuclidTrace) -> StepCount:
     """Subtraction/swap accounting: sum of quotients plus equations minus one."""
-    subtractions = sum([q for _, _, q, _, _ in trace._rows])
+    subtractions = sum(map(_quotient, trace._rows))
     swaps = len(trace._rows) - 1
     return StepCount(subtractions, swaps, subtractions + swaps)
 
@@ -289,11 +304,11 @@ def goodman_zaring_defect(lar_trace: EuclidTrace) -> int:
     Equals the number of divisions saved relative to the regular run of the
     same pair.
     """
-    if lar_trace.variant is not Variant.LEAST_ABSOLUTE:
+    if lar_trace.variant is not _LEAST_ABSOLUTE:
         raise WrongVariantError(
-            f"expected a {Variant.LEAST_ABSOLUTE.value} trace, got {lar_trace.variant.value}"
+            f"expected a {_LEAST_ABSOLUTE.value} trace, got {lar_trace.variant.value}"
         )
-    return [eps for _, _, _, eps, _ in lar_trace._rows].count(-1)
+    return countOf(map(_epsilon, lar_trace._rows), -1)
 
 
 def trace_to_dict(trace: EuclidTrace) -> dict:

@@ -339,27 +339,43 @@ def test_minimize_matches_the_per_pair_recurrence_on_deep_pairs():
         assert minimize(x0, x1) == per_pair_minimize(x0, x1), (x0, x1)
 
 
-# Pairs whose witness walk meets each branch of the -1 child's cost: k = 1
-# (a chain's base), k = 2 with s = 0 (the leaf (2r, r)), and the closed form
-# one link lower, here at k = 3 with s = 0, where that link is the base W
-# itself (n = 0) and the 3n + W side ties with the regular one.  Higher up a
-# chain the 3n + W side costs more.
-WALK_BRANCH_PAIRS = {"k = 1": (21, 13), "k = 2, s = 0": (5, 2), "k = 3, s = 0": (4, 3)}
+# Pairs whose witness walk meets each kind of pair (a, b), b = k*r + s with
+# r = a mod b (see `minimize`).  At k = 1, a chain's base, the -1 child ties
+# with the +1 child, and (21, 13) has a witness that takes it.  At k >= 2 the
+# threshold rule compares 2k with the chain's theta, which is 2 on every
+# chain with s > 0, so 2k > theta and the +1 child alone is optimal: here at
+# k = 2 and k = 3.  On the last chain (s = 0) the -1 child at k = 2 is the
+# leaf (2r, r), and at k >= 3 it costs 2 more than the +1 child.
+WALK_BRANCH_PAIRS = {
+    "k = 1": (21, 13),
+    "k = 2, s > 0": (7, 5),
+    "k >= 3, s > 0": (9, 7),
+    "k = 2, s = 0": (5, 2),
+    "k >= 3, s = 0": (4, 3),
+}
 
 
 def walk_branches(result):
-    """The kinds of pair, as WALK_BRANCH_PAIRS names them, on the witnesses' paths."""
+    """The kinds of pair on the witnesses' paths, and each kind a -1 remainder was taken at."""
     kinds = set()
     for witness in result.witnesses_min_steps:
         for step in witness.steps[:-1]:
             k, s = divmod(step.b, step.a % step.b)
-            kinds.add("k = 1" if k == 1 else f"k = {k}, s = 0" if not s else "k >= 2, s > 0")
+            kind = "k = 1" if k == 1 else f"k {'= 2' if k == 2 else '>= 3'}, s {'>' if s else '='} 0"
+            kinds.add(kind if step.epsilon == 1 else f"-1 at {kind}")
     return kinds
 
 
 def test_the_branch_pairs_meet_the_branches_they_name():
     for name, pair in WALK_BRANCH_PAIRS.items():
         assert name in walk_branches(minimize(*pair)), name
+    assert "-1 at k = 1" in walk_branches(minimize(*WALK_BRANCH_PAIRS["k = 1"]))
+    # The threshold rule's other outcomes, 2k < theta and 2k = theta, never
+    # occur: no witness takes a -1 remainder at k >= 2.
+    for x0 in range(1, 121):
+        for x1 in range(1, x0 + 1):
+            taken = {kind for kind in walk_branches(minimize(x0, x1)) if kind.startswith("-1")}
+            assert taken <= {"-1 at k = 1"}, (x0, x1)
 
 
 # Partial quotients that mix 1, 2 and 3 with large values: up to 10**6 for
@@ -374,11 +390,54 @@ mixed_quotients = st.tuples(
 @settings(deadline=None)
 @given(mixed_quotients.map(continued_fraction))
 @example(WALK_BRANCH_PAIRS["k = 1"])
+@example(WALK_BRANCH_PAIRS["k = 2, s > 0"])
+@example(WALK_BRANCH_PAIRS["k >= 3, s > 0"])
 @example(WALK_BRANCH_PAIRS["k = 2, s = 0"])
-@example(WALK_BRANCH_PAIRS["k = 3, s = 0"])
+@example(WALK_BRANCH_PAIRS["k >= 3, s = 0"])
 @example(continued_fraction([10**6, 3, 1, 1, 2, 1000, 1, 3]))
 def test_minimize_matches_the_per_pair_recurrence_on_mixed_partial_quotients(pair):
     assert minimize(*pair) == per_pair_minimize(*pair)
+
+
+# Partial quotients of 1, 2 or 3 mixed with any up to 10**6, first and inner
+# ones alike: past the reach of `per_pair_minimize`, which visits every link
+# of every chain.
+large_quotients = st.lists(
+    st.one_of(st.sampled_from((1, 2, 3)), st.integers(1, 10**6)), min_size=1, max_size=12
+)
+
+
+@settings(deadline=None)
+@given(large_quotients.map(continued_fraction))
+@example(continued_fraction([5, 10**5, 3, 2]))
+@example(continued_fraction([1, 1, 10**6, 1, 1, 10**6, 1, 2]))
+def test_minimize_witnesses_are_distinct_minimal_traces_in_depth_first_order(pair):
+    # No oracle: each witness is checked on its own, and the list against
+    # enumerate_all's order.  The gate is generous: a walk that went down a
+    # chain link by link would take seconds on a quotient of 10**6; the call
+    # takes well under a millisecond.
+    start = time.perf_counter()
+    result = minimize(*pair)
+    elapsed = time.perf_counter() - start
+    witnesses = [witness._rows for witness in result.witnesses_min_steps]
+    regular = run_regular(*pair)
+    assert result.min_total_steps == step_count(regular).total
+    assert result.min_divisions == division_count(run_lar(*pair))
+    assert 1 <= len(witnesses) <= MAX_WITNESSES
+    assert witnesses[0] == regular._rows
+    assert len(set(witnesses)) == len(witnesses)
+    for witness in result.witnesses_min_steps:
+        steps = witness.steps
+        assert (steps[0].a, steps[0].b) == pair
+        assert EuclidTrace(steps, witness.variant) == witness
+        assert step_count(witness).total == result.min_total_steps
+    # Depth-first, +1 first: at the first row where two consecutive
+    # witnesses differ, they divide the same pair, the first with eps +1.
+    for first, second in zip(witnesses, witnesses[1:]):
+        j = next(j for j, (u, v) in enumerate(zip(first, second)) if u != v)
+        assert first[j][:2] == second[j][:2]
+        assert (first[j][3], second[j][3]) == (1, -1)
+    assert elapsed < 1
 
 
 def test_minimize_walks_the_witnesses_of_a_thousand_digit_fibonacci_pair():

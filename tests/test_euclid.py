@@ -429,6 +429,22 @@ def test_reading_steps_checks_each_row():
     assert trace._steps is None
 
 
+def test_a_trace_keeps_its_steps_when_the_caller_changes_its_list():
+    # The constructor keeps a tuple of the steps it is given, so a change to
+    # the caller's list afterwards reaches neither `.steps` nor the rows that
+    # equality, hash and the counters read, and the trace still pickles.
+    regular = run_regular(8, 5)
+    steps = list(regular.steps)
+    trace = EuclidTrace(steps, Variant.REGULAR)
+    steps.pop()
+    assert trace.steps == regular.steps and type(trace.steps) is tuple
+    assert trace == regular and hash(trace) == hash(regular)
+    assert counters(trace) == counters(regular)
+    assert division_count(trace) == len(trace.steps) == 4
+    unpickled = pickle.loads(pickle.dumps(trace))
+    assert unpickled == trace and unpickled.steps == trace.steps
+
+
 # run_lar(8, 5) pickled with protocol 2 at 3418dee, before steps and traces
 # were slotted: each state is a dict.
 DICT_STATE_PICKLE = (
