@@ -17,11 +17,11 @@ rule on each chain (see `minimize`), the +1 branch of a pair is always
 optimal and its -1 branch only at a tie that one comparison of two solved
 totals reads off, so that walk divides no pair and evaluates no closed
 form.  Each builds a leaf's trace from the division rows (a, b, q, eps, r)
-on the path from the root, as the runners build theirs, so no walk builds a
-step record: a trace builds its records on the first read of `.steps`, and
-the euclid counters read its rows.  The CLI's listing needs no trace, only
-its rows, and walks the tree in its own flat loop
-(`_trace_commands._trace_rows`).
+on the path from the root through `euclid._trace`, as the runners build
+theirs, so only `euclid` writes a trace's slots and no walk builds a step
+record: a trace builds its records on each read of `.steps`, and the euclid
+counters read its rows.  The CLI's listing needs no trace, only its rows,
+and walks the tree in its own flat loop (`_trace_commands._trace_rows`).
 """
 
 from __future__ import annotations
@@ -29,9 +29,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 
 from ._record import Record
-from .euclid import (
-    _CUSTOM, Division, EuclidTrace, _new, _set_rows, _set_steps, _set_variant, _trace, check_pair,
-)
+from .euclid import _CUSTOM, Division, EuclidTrace, _trace, check_pair
 
 MAX_WITNESSES = 16
 
@@ -211,8 +209,7 @@ def _witnesses(
     # chain's base (k = 1), where the child is pair (r + s, s), and only on
     # a tie, read off the solved totals.  The walk enters the +1 child at
     # once; a tied -1 child waits on the stack as (division, q, i, k, depth),
-    # depth the length of the shared path above it.  Each leaf's trace is
-    # built as `_trace` builds it, inline, which saves a call per witness.
+    # depth the length of the shared path above it.
     a, b, q, i, k = remainders[0], remainders[1], quotients[0], 2, quotients[1]
     path: list[Division] = []
     stack: list[tuple[Division, int, int, int, int]] = []
@@ -228,11 +225,7 @@ def _witnesses(
             path.append((a, b, q, 1, r))
             a, b, q, i, k = b, r, k, i + 1, quotients[i]
             continue
-        trace = _new(EuclidTrace)
-        _set_rows(trace, (*path, (a, b, q, 1, 0)))
-        _set_variant(trace, _CUSTOM)
-        _set_steps(trace, None)
-        witnesses.append(trace)
+        witnesses.append(_trace((*path, (a, b, q, 1, 0)), _CUSTOM))
         if len(witnesses) == MAX_WITNESSES or not stack:
             return tuple(witnesses)
         division, q, i, k, depth = stack.pop()

@@ -19,22 +19,21 @@ their traces; `_counts`, the CLI's `gcd` and `steps` and
 `tangles.plan_untangle` read it with no trace at all, so a chain costs
 memory for its rendering at most, not for its steps.
 
-A trace holds its division rows.  Its EuclidStep records are built on the
-first read of `.steps` and kept; the counters here (`gcd_of`,
-`division_count`, `step_count`, `goodman_zaring_defect`, `trace_to_dict`)
-and a trace's equality and hash read the rows, so counting a trace builds
-no record.
+A trace is its division rows and its variant, and only this module writes
+either.  Its EuclidStep records are built on every read of `.steps`; the
+counters here (`gcd_of`, `division_count`, `step_count`,
+`goodman_zaring_defect`, `trace_to_dict`) and a trace's equality and hash
+read the rows, so counting a trace builds no record.
 
 The raw constructors of EuclidStep and EuclidTrace are checked doors: an
 inconsistent step, or steps that do not chain into one trace ending in
-remainder 0, raise ValueError under any interpreter flags, `-O` included, and
-unpickling goes through the same checks.  The runners here and the
-enumeration walks take each row from divmod or from the regular division
-chain, so every division is consistent and chained by construction; they
-build through the unchecked `_trace`, or its body written out in
-`minimize`'s witness walk, and pay for no chain check.  `.steps` builds
-each record through the checked EuclidStep, so every step record has passed
-its check.
+remainder 0, raise ValueError, and a variant that is not a Variant member
+raises TypeError, under any interpreter flags, `-O` included; unpickling goes
+through the same checks.  The runners here and the enumeration walks take
+each row from divmod or from the regular division chain, so every division
+is consistent and chained by construction; they build through the unchecked
+`_trace` and pay for no chain check.  `.steps` builds each record through
+the checked EuclidStep, so every step record has passed its check.
 """
 
 from __future__ import annotations
@@ -106,33 +105,32 @@ class EuclidTrace(Record):
     """An ordered, chained list of steps ending in the zero remainder.
 
     It holds the steps as division rows, `_rows`, and builds their records
-    through the checked EuclidStep on the first read of `steps`, kept in
-    `_steps` (None until then).
+    through the checked EuclidStep on every read of `steps`, as
+    `UntanglePlan.moves` expands its stages on every read: read it once and
+    keep it.
     Equality and hash compare the rows and the variant; repr and pickle read
-    `steps`, so they are the same before and after that first read.
+    `steps`.
     """
 
-    __slots__ = ("_steps", "variant", "_rows")
+    __slots__ = ("variant", "_rows")
     _fields = ("steps", "variant")
 
     def __init__(self, steps: tuple[EuclidStep, ...], variant: Variant) -> None:
-        # A tuple of its own, so a list the caller changes later changes nothing here.
-        steps = tuple(steps)
-        _set_steps(self, steps)
+        if not isinstance(variant, Variant):
+            # The type, not the value: str() of a huge int can itself raise.
+            raise TypeError(f"variant must be a Variant member, not {type(variant).__name__}")
         _set_variant(self, variant)
-        _set_rows(self, tuple((s.a, s.b, s.quotient, s.epsilon, s.remainder) for s in steps))
-        if not steps or steps[-1].remainder != 0 or any(
-            (cur.a, cur.b) != (prev.b, prev.remainder) for prev, cur in zip(steps, steps[1:])
+        # Rows of its own, so a list the caller changes later changes nothing here.
+        rows = tuple((s.a, s.b, s.quotient, s.epsilon, s.remainder) for s in steps)
+        _set_rows(self, rows)
+        if not rows or rows[-1][4] != 0 or any(
+            cur[:2] != (prev[1], prev[4]) for prev, cur in zip(rows, rows[1:])
         ):
             raise ValueError("steps do not chain into one trace ending in remainder 0")
 
     @property
     def steps(self) -> tuple[EuclidStep, ...]:
-        steps = self._steps
-        if steps is None:
-            steps = tuple(starmap(EuclidStep, self._rows))
-            _set_steps(self, steps)
-        return steps
+        return tuple(starmap(EuclidStep, self._rows))
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
@@ -145,7 +143,7 @@ class EuclidTrace(Record):
 
 _new = object.__new__
 _set_a, _set_b, _set_quotient, _set_epsilon, _set_remainder = setters(EuclidStep)
-_set_steps, _set_variant, _set_rows = setters(EuclidTrace, "_steps", "variant", "_rows")
+_set_variant, _set_rows = setters(EuclidTrace, "variant", "_rows")
 
 
 def _trace(rows: tuple[Division, ...], variant: Variant) -> EuclidTrace:
@@ -153,7 +151,6 @@ def _trace(rows: tuple[Division, ...], variant: Variant) -> EuclidTrace:
     trace = _new(EuclidTrace)
     _set_rows(trace, rows)
     _set_variant(trace, variant)
-    _set_steps(trace, None)
     return trace
 
 
@@ -203,39 +200,16 @@ def _divisions(x0: int, x1: int, chooser: SignChooser) -> Iterator[Division]:
             yield a, b, q, 1, 0
             return
         eps = (1 if 2 * r <= b else -1) if lar else chooser(a, b)
-        if eps == -1:
-            q, r = q + 1, b - r
-        elif eps != 1:
+        # The row holds the int 1 or -1, whatever equal value the chooser
+        # returned (True, -1.0), so its JSON form is the schema's.
+        if eps == 1:
+            yield a, b, q, 1, r
+        elif eps == -1:
+            r = b - r
+            yield a, b, q + 1, -1, r
+        else:
             raise ValueError(f"sign chooser must return +1 or -1, got {eps!r}")
-        yield a, b, q, eps, r
         a, b = b, r
-
-
-def run_general(
-    x0: int, x1: int, chooser: SignChooser, *, variant: Variant = _CUSTOM
-) -> EuclidTrace:
-    """Run the division chain from (x0, x1) under a sign-choosing policy.
-
-    Requires x0 >= x1 >= 1.  Forced divisions (b divides a) bypass the
-    chooser and always close the trace with epsilon +1 and remainder 0.
-    """
-    check_pair(x0, x1)
-    return _trace(tuple(_divisions(x0, x1, chooser)), variant)
-
-
-def run_regular(x0: int, x1: int) -> EuclidTrace:
-    """All remainders positive."""
-    return run_general(x0, x1, always_positive, variant=_REGULAR)
-
-
-def run_lar(x0: int, x1: int) -> EuclidTrace:
-    """Least absolute remainders, ties resolved to the positive side."""
-    return run_general(x0, x1, least_absolute, variant=_LEAST_ABSOLUTE)
-
-
-def run_negative(x0: int, x1: int) -> EuclidTrace:
-    """All non-terminal remainders negative."""
-    return run_general(x0, x1, always_negative, variant=_NEGATIVE)
 
 
 # Sign chooser of each named variant; CUSTOM has none, its caller brings one.
@@ -244,6 +218,39 @@ CHOOSERS = {
     _LEAST_ABSOLUTE: least_absolute,
     _NEGATIVE: always_negative,
 }
+
+
+def run_general(x0: int, x1: int, chooser: SignChooser) -> EuclidTrace:
+    """Run the division chain from (x0, x1) under a sign-choosing policy.
+
+    Requires x0 >= x1 >= 1.  Forced divisions (b divides a) bypass the
+    chooser and always close the trace with epsilon +1 and remainder 0.
+    The trace's variant is CUSTOM, whatever the chooser: only the named
+    runners, which run their variant's own chooser, tag a named variant.
+    """
+    check_pair(x0, x1)
+    return _trace(tuple(_divisions(x0, x1, chooser)), _CUSTOM)
+
+
+def _run(x0: int, x1: int, variant: Variant) -> EuclidTrace:
+    """The named variant's trace of (x0, x1), run under its chooser in CHOOSERS."""
+    check_pair(x0, x1)
+    return _trace(tuple(_divisions(x0, x1, CHOOSERS[variant])), variant)
+
+
+def run_regular(x0: int, x1: int) -> EuclidTrace:
+    """All remainders positive."""
+    return _run(x0, x1, _REGULAR)
+
+
+def run_lar(x0: int, x1: int) -> EuclidTrace:
+    """Least absolute remainders, ties resolved to the positive side."""
+    return _run(x0, x1, _LEAST_ABSOLUTE)
+
+
+def run_negative(x0: int, x1: int) -> EuclidTrace:
+    """All non-terminal remainders negative."""
+    return _run(x0, x1, _NEGATIVE)
 
 
 def _counts(x0: int, x1: int, variant: Variant) -> tuple[int, int]:

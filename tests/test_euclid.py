@@ -12,6 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import tanglegcd
+from tanglegcd import euclid
 from tanglegcd.euclid import (
     EuclidStep,
     EuclidTrace,
@@ -85,6 +86,22 @@ def test_general_equal_inputs_forced():
 def test_general_rejects_bad_chooser_value():
     with pytest.raises(ValueError):
         run_general(3, 2, lambda a, b: 0)
+
+
+@pytest.mark.parametrize(
+    "sign, runner",
+    [(True, run_regular), (1.0, run_regular), (-1.0, run_negative)],
+    ids=["True", "1.0", "-1.0"],
+)
+def test_a_chooser_sign_equal_to_1_or_minus_1_is_stored_as_that_int(sign, runner):
+    # A chooser may return any value equal to +1 or -1; the rows hold the
+    # int, so the JSON trace writes "eps": 1, not true or -1.0.
+    for pair in [(8, 5), (807, 673)]:
+        trace = run_general(*pair, lambda a, b: sign)
+        rows = trace_to_dict(trace)["steps"]
+        assert {type(row["eps"]) for row in rows} == {int}
+        assert {type(step.epsilon) for step in trace.steps} == {int}
+        assert rows == trace_to_dict(runner(*pair))["steps"]
 
 
 def test_least_absolute_as_a_general_chooser_gives_the_rows_of_run_lar():
@@ -409,24 +426,35 @@ def test_a_trace_is_the_same_before_and_after_its_steps_are_read(pair):
             assert repr(other) == repr(read)
         # Pickling reads the steps: the bytes match those of a trace read before.
         assert pickle.dumps(runner(*pair), 2) == pickle.dumps(read, 2)
-        assert read.steps is steps
+        # Each read builds the records again, equal to the first read's.
+        assert read.steps == steps
 
 
-def test_counting_a_trace_builds_no_step_record():
+def test_counting_a_trace_builds_no_step_record(monkeypatch):
+    built = []
+
+    def counting_step(*row):
+        built.append(row)
+        return EuclidStep(*row)
+
+    monkeypatch.setattr(euclid, "EuclidStep", counting_step)
     for runner in RUNNERS.values():
         trace = runner(807, 673)
         counters(trace)
         assert trace == runner(807, 673) and hash(trace) == hash(runner(807, 673))
-        assert trace._steps is None
+    assert built == []
+    # The patch is the one `.steps` builds through: one record per row.
+    assert len(trace.steps) == division_count(trace)
+    assert built == [tuple(row.values()) for row in trace_to_dict(trace)["steps"]]
 
 
 def test_reading_steps_checks_each_row():
     # `_trace` checks nothing, but `.steps` builds through the checked door:
-    # 8 = 5*1 + 1*2 is not a division, so no record of it is built.
+    # 8 = 5*1 + 1*2 is not a division, so no record of it is built, on any read.
     trace = _trace(((8, 5, 1, 1, 2), (5, 2, 2, 1, 1), (2, 1, 2, 1, 0)), Variant.CUSTOM)
-    with pytest.raises(ValueError):
-        trace.steps
-    assert trace._steps is None
+    for _ in range(3):
+        with pytest.raises(ValueError):
+            trace.steps
 
 
 def test_a_trace_keeps_its_steps_when_the_caller_changes_its_list():
@@ -443,6 +471,21 @@ def test_a_trace_keeps_its_steps_when_the_caller_changes_its_list():
     assert division_count(trace) == len(trace.steps) == 4
     unpickled = pickle.loads(pickle.dumps(trace))
     assert unpickled == trace and unpickled.steps == trace.steps
+
+
+def test_a_trace_refuses_a_variant_that_is_not_a_variant_member():
+    # "Regular" equals Variant.REGULAR, but a trace holding it could not be
+    # written as JSON or counted by goodman_zaring_defect.  The message names
+    # the type and does not echo the value.
+    with pytest.raises(TypeError, match="str") as refusal:
+        EuclidTrace(run_regular(8, 5).steps, "Regular")
+    assert "Regular" not in str(refusal.value)
+    # A protocol-2 pickle of run_regular(8, 5) edited to hold the str.
+    data = pickle.dumps(run_regular(8, 5), 2)
+    member = b"ctanglegcd.euclid\nVariant\nq\rX\x07\x00\x00\x00Regularq\x0e\x85q\x0fR"
+    assert data.count(member) == 1
+    with pytest.raises(TypeError, match="str"):
+        pickle.loads(data.replace(member, b"X\x07\x00\x00\x00Regular"))
 
 
 # run_lar(8, 5) pickled with protocol 2 at 3418dee, before steps and traces

@@ -73,3 +73,17 @@ def test_only_the_checked_records_write_an_init_and_only_record_calls_exec():
                 execs.add(path.name)
     assert inits == {"ExtendedRational", "EuclidStep", "EuclidTrace"}
     assert execs == {"_record.py"}
+
+
+def test_only_euclid_writes_a_trace_s_slots():
+    # Every other module builds a trace through `euclid._trace` or the
+    # checked constructor, so only `euclid` knows which slots a trace has.
+    found = [
+        f"{path.name}:{node.lineno} {alias.name}"
+        for path in sorted(PACKAGE.glob("*.py")) if path.name != "euclid.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+        if isinstance(node, ast.ImportFrom) and node.module in ("euclid", "tanglegcd.euclid")
+        for alias in node.names
+        if alias.name == "_new" or alias.name.startswith("_set_")
+    ]
+    assert found == []
