@@ -27,13 +27,15 @@ read the rows, so counting a trace builds no record.
 
 The raw constructors of EuclidStep and EuclidTrace are checked doors: an
 inconsistent step, or steps that do not chain into one trace ending in
-remainder 0, raise ValueError, and a variant that is not a Variant member
-raises TypeError, under any interpreter flags, `-O` included; unpickling goes
-through the same checks.  The runners here and the enumeration walks take
-each row from divmod or from the regular division chain, so every division
-is consistent and chained by construction; they build through the unchecked
-`_trace` and pay for no chain check.  `.steps` builds each record through
-the checked EuclidStep, so every step record has passed its check.
+remainder 0, raise ValueError, and a step that is not an EuclidStep record
+or a variant that is not a Variant member raises TypeError, under any
+interpreter flags, `-O` included; unpickling goes through the same checks,
+so every row of a checked trace has passed EuclidStep's check.  The runners
+here and the enumeration walks take each row from divmod or from the
+regular division chain, so every division is consistent and chained by
+construction; they build through the unchecked `_trace` and pay for no
+chain check.  `.steps` builds each record through the checked EuclidStep,
+so every step record has passed its check.
 """
 
 from __future__ import annotations
@@ -120,8 +122,13 @@ class EuclidTrace(Record):
             # The type, not the value: str() of a huge int can itself raise.
             raise TypeError(f"variant must be a Variant member, not {type(variant).__name__}")
         _set_variant(self, variant)
+        steps = tuple(steps)
+        for step in steps:
+            if step.__class__ is not EuclidStep:
+                # Only a checked record's fields are known to be a division.
+                raise TypeError(f"steps must be EuclidStep records, not {type(step).__name__}")
         # Rows of its own, so a list the caller changes later changes nothing here.
-        rows = tuple((s.a, s.b, s.quotient, s.epsilon, s.remainder) for s in steps)
+        rows = tuple(map(EuclidStep._values, steps))
         _set_rows(self, rows)
         if not rows or rows[-1][4] != 0 or any(
             cur[:2] != (prev[1], prev[4]) for prev, cur in zip(rows, rows[1:])

@@ -16,20 +16,20 @@ pair), so they take the unchecked `_canonical` path and pay no gcd per value.
 `_canonical_values` is the same path in bulk, for the move kernels in
 `tangles`: one `starmap` of object.__new__ allocates the values and one
 `starmap` of each slot's setter over a `zip` fills them, so no pass builds
-an argument tuple per value.  A build of at least the collector's first
-threshold of values pauses the cyclic garbage collector's automatic runs
-for the allocating call alone: a value holds two ints and
-can never be in a cycle, and all the pause can defer is another thread's
-automatic collection, for about one switch interval.  `_value_strings`
-renders such pairs as their values print, without building the values and
-reusing the digits consecutive pairs share, for the CLI's streamed
-listings; past SHADOW_BITS bits, the same loop prints each new integer from
-an exact decimal shadow (see `_shadows`) by one linear operation and one
-linear str().
+an argument tuple per value.  Every build pauses the cyclic garbage
+collector's automatic runs for the allocating call alone: a value holds two
+ints and can never be in a cycle, and all the pause can defer is another
+thread's automatic collection, for about one switch interval.
+`_value_strings` renders such pairs as their values print, without building
+the values and reusing the digits consecutive pairs share, for the CLI's
+streamed listings; past SHADOW_BITS bits, the same loop prints each new
+integer from an exact decimal shadow (see `_shadows`) by one linear
+operation and one linear str().
 """
 
 from __future__ import annotations
 
+import gc
 from collections import deque
 from collections.abc import Iterable, Sequence
 from itertools import repeat, starmap
@@ -127,12 +127,10 @@ def _canonical_values(
 
     The cyclic garbage collector's automatic runs are paused for the one
     statement that allocates, and switched back on only if they were on.
-    A build of fewer values than the collector's first threshold
-    (`gc.get_threshold()[0]`) can set off at most one collection, which a
-    pause would only defer, so it is not paused.  Each new value counts toward the collector's thresholds, so under
-    Python 3.10 and 3.11 it ran 142 times on 100,001 values, about 40% of
-    the build, rescanning values that hold two ints and so can never be in
-    a cycle.  (From 3.12 it runs only between bytecodes, so once, after
+    Each new value counts toward the collector's thresholds, so under Python
+    3.10 and 3.11 it ran 142 times on 100,001 values, about 40% of the
+    build, rescanning values that hold two ints and so can never be in a
+    cycle.  (From 3.12 it runs only between bytecodes, so once, after
     the call.)  The statement is one C call that runs no Python code, and
     the passes that fill the slots allocate nothing the collector tracks,
     so reference counting frees the values as before.  What the pause can
@@ -141,10 +139,7 @@ def _canonical_values(
     back, within one switch interval (`sys.getswitchinterval()`) if it runs
     Python code.
     """
-    # Imported here: no cold CLI call builds values in bulk.
-    import gc
-
-    pause = len(numerators) >= gc.get_threshold()[0] and gc.isenabled()
+    pause = gc.isenabled()
     if pause:
         gc.disable()
     try:
@@ -162,22 +157,18 @@ def _value_strings(numerators: Sequence[int], denominators: Sequence[int]) -> li
 
     A pair reuses the digits it shares with the pair before, as a twist keeps
     the denominator and a rotation swaps |n| and d: int == is linear in the
-    digit count, str() quadratic.  Past SHADOW_BITS bits, each integer prints
-    from an exact decimal shadow: a twist, n = n0 + d or n0 - d, adds or
-    subtracts the denominator's shadow, a rotation swaps the shadows, the
-    sign following n, and any other pair is converted anew.  A sign is only
-    copied onto a nonzero shadow, so no -0 is printed.
+    digit count, str() quadratic.  Every list takes the one loop.  Past
+    SHADOW_BITS bits, each integer prints from an exact decimal shadow: a
+    twist, n = n0 + d or n0 - d, adds or subtracts the denominator's shadow,
+    a rotation swaps the shadows, the sign following n, and any other pair
+    is converted anew; at or below it, each integer is its own shadow.  A
+    sign is only copied onto a nonzero shadow, so no -0 is printed.
     """
     largest = max(max(denominators, default=0), max(numerators, default=0),
                   -min(numerators, default=0))
     context = shadow_context(largest.bit_length())
     if context is not None:
         add, subtract, shadow = context.add, context.subtract, context.create_decimal
-    elif max(denominators, default=0).bit_length() <= 64:
-        # No digits worth reusing: a twist changes the numerator, and a
-        # rotation turns a small denominator into the numerator.
-        return [str(n) if d == 1 else f"{n}/{d}" if d else "inf"
-                for n, d in zip(numerators, denominators)]
     # The pair before, its shadows, and their str()s n_text and d_text; below
     # SHADOW_BITS a new pair's integers stand in for its shadows.
     strings, n0, d0 = [], 0, -1

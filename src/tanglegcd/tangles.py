@@ -212,7 +212,12 @@ def plan_untangle(f: ExtendedRational, policy: Variant) -> UntanglePlan:
     the sign s of the value, so negative starts mirror positive ones.  Twisting
     s*a/b by q toward zero leaves s*eps*r/b, and rotating that gives sign
     -s*eps, so each later direction is the previous one times -eps.
+    A policy that is not a Variant member, such as the string "Negative",
+    raises TypeError; Variant.CUSTOM, which names no chooser, ValueError.
     """
+    if not isinstance(policy, Variant):
+        # The type, not the value: str() of a huge int can itself raise.
+        raise TypeError(f"policy must be a Variant member, not {type(policy).__name__}")
     chooser = CHOOSERS.get(policy)
     if chooser is None:
         raise ValueError(f"unsupported planning policy: {policy!r}")

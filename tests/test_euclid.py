@@ -6,6 +6,7 @@ import pickle
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given
@@ -486,6 +487,22 @@ def test_a_trace_refuses_a_variant_that_is_not_a_variant_member():
     assert data.count(member) == 1
     with pytest.raises(TypeError, match="str"):
         pickle.loads(data.replace(member, b"X\x07\x00\x00\x00Regular"))
+
+
+def test_a_trace_refuses_a_step_that_is_not_an_euclid_step():
+    # Each has a division's five fields but never passed EuclidStep's check:
+    # 8 = 5*1 + 0 would build, and step_count and trace_to_dict report it.
+    false_division = SimpleNamespace(a=8, b=5, quotient=1, epsilon=1, remainder=0)
+    with pytest.raises(TypeError, match="SimpleNamespace"):
+        EuclidTrace([false_division], Variant.CUSTOM)
+    # A namespace copy of a true step is refused too: only records are checked.
+    steps = list(run_regular(8, 5).steps)
+    assert steps[1] == EuclidStep(5, 3, 1, 1, 2)
+    steps[1] = SimpleNamespace(a=5, b=3, quotient=1, epsilon=1, remainder=2)
+    with pytest.raises(TypeError, match="SimpleNamespace"):
+        EuclidTrace(steps, Variant.REGULAR)
+    with pytest.raises(TypeError, match="tuple"):
+        EuclidTrace([(8, 5, 1, 1, 3), (5, 3, 1, 1, 2)], Variant.REGULAR)
 
 
 # run_lar(8, 5) pickled with protocol 2 at 3418dee, before steps and traces

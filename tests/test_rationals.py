@@ -337,7 +337,7 @@ big_fractions = st.tuples(st.integers(-10**30, 10**30), st.integers(1, 10**30)).
 @given(st.lists(st.one_of(big_fractions, fractions, st.just(INFINITY), st.just(ZERO)),
                 max_size=20))
 def test_value_strings_of_large_pairs_render_as_their_values_print(values):
-    # A denominator past 64 bits turns digit reuse on for the whole list.
+    # Pairs of integers past 64 bits, mixed with small ones.
     values = [normalize(-7, 10**25), *values]
     strings = _value_strings([v.numerator for v in values], [v.denominator for v in values])
     assert strings == [str(v) for v in values]
@@ -476,9 +476,8 @@ def test_canonical_values_switches_the_collector_back_on_when_allocation_fails(
 
     monkeypatch.setattr("tanglegcd.rationals._new", refuse)
     gc.enable()
-    # A build this large pauses the collector; a smaller one never does.
     with pytest.raises(MemoryError):
-        _canonical_values(range(gc.get_threshold()[0]), repeat(1))
+        _canonical_values(range(10), repeat(1))
     assert gc.isenabled()
 
 
@@ -508,25 +507,10 @@ def test_bulk_builds_run_at_most_one_collection(collector_state):
 
 
 @pytest.mark.parametrize("collecting", [True, False], ids=["on", "off"])
-def test_builds_below_the_collector_threshold_never_pause_it(
-    collector_state, monkeypatch, collecting
-):
-    # Such a build sets off at most one collection, which a pause would only
-    # defer.
-    def refuse():
-        raise AssertionError("a 10-value build paused the collector")
-
-    (gc.enable if collecting else gc.disable)()
-    monkeypatch.setattr(gc, "disable", refuse)
-    assert len(_canonical_values(range(10), repeat(1))) == 10
-    assert gc.isenabled() is collecting
-
-
-@pytest.mark.parametrize("collecting", [True, False], ids=["on", "off"])
 def test_builds_at_the_collector_threshold_pause_it_and_leave_it_as_they_found_it(
     collector_state, monkeypatch, collecting
 ):
-    (gc.enable if collecting else gc.disable)()
+    # Builds below the threshold too: every build takes the one path.
     paused = []
 
     def disable(disable=gc.disable):
@@ -534,10 +518,12 @@ def test_builds_at_the_collector_threshold_pause_it_and_leave_it_as_they_found_i
         disable()
 
     monkeypatch.setattr(gc, "disable", disable)
-    size = gc.get_threshold()[0]
-    assert len(_canonical_values(range(size), repeat(1))) == size
-    assert gc.isenabled() is collecting
-    assert paused == ([True] if collecting else [])
+    for size in (1, 10, gc.get_threshold()[0]):
+        (gc.enable if collecting else gc.disable)()
+        paused.clear()
+        assert len(_canonical_values(range(size), repeat(1))) == size
+        assert gc.isenabled() is collecting
+        assert paused == ([True] if collecting else []), size
 
 
 def reference_str(value):

@@ -75,6 +75,7 @@ SCRIPT_ARGUMENTS = {
     "step_survey.py": ["--max", "6"],
     "rotation_economy.py": ["--max", "6"],
     "move_distance.py": ["--radius", "8"],
+    "source_lines.py": [],
 }
 
 

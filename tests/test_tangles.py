@@ -458,6 +458,16 @@ def test_plan_rejects_custom_policy():
         plan_untangle(normalize(8, 5), Variant.CUSTOM)
 
 
+@pytest.mark.parametrize("policy", ["Negative", 3, None])
+def test_plan_refuses_a_policy_that_is_not_a_variant_member(policy):
+    # "Negative" equals Variant.NEGATIVE, so it would find that chooser, and
+    # the plan would hold the str.  The message names the type and does not
+    # echo the value.
+    with pytest.raises(TypeError, match=type(policy).__name__) as refusal:
+        plan_untangle(normalize(8, 5), policy)
+    assert "Negative" not in str(refusal.value)
+
+
 def test_verify_plan_reports_every_value():
     f = normalize(8, 5)
     report = verify_plan(f, plan_untangle(f, Variant.LEAST_ABSOLUTE))
