@@ -6,10 +6,11 @@ imports `enumeration`, and `gcd`'s rows alone `_shadows`.  `gcd` renders
 and counts each division as euclid's division loop yields it, printing each
 integer once: past SHADOW_BITS bits from its exact decimal shadow (see
 `_shadows`), and below it by one str().  `steps` counts every method's row
-without a trace, and writes its JSON rows without `json`; `enumerate`
-renders each trace row during its own flat walk of the trace tree
-(`_trace_rows`).  Rows are joined into written pieces of about _PIECE
-characters, so memory stays flat in the number of rows.
+without a trace, from `euclid._counts`' two passes, and writes its JSON
+rows without `json`; `enumerate` renders each trace row during its own flat
+walk of the trace tree (`_trace_rows`).  Rows are joined into written
+pieces of about _PIECE characters, so memory stays flat in the number of
+rows.
 """
 
 from __future__ import annotations
@@ -115,9 +116,9 @@ def cmd_gcd(args: SimpleNamespace) -> Result:
 
 def cmd_steps(args: SimpleNamespace) -> Result:
     a, b = _ordered_pair(args.a, args.b)
-    rows = []
+    counts, rows = _counts(a, b), []
     for name, value in _METHODS.items():
-        divisions, subtractions = _counts(a, b, Variant(value))
+        divisions, subtractions = counts[Variant(value)]
         rows.append({"method": name, "divisions": divisions, "subtractions": subtractions,
                      "swaps": divisions - 1, "total": subtractions + divisions - 1})
     if not args.json:

@@ -10,18 +10,20 @@ taken with a -1 remainder into a closed form, so its cost grows with the
 number of divisions, not with the partial quotients or with x0.  Nothing
 here consults the named variants, so both are independent oracles for them.
 
-The closed form is written once, in `minimize`'s solve loop.  Two walkers
-build traces: `_generate` walks the whole tree for `enumerate_all`, and
-`_witnesses` only the witnesses' subtree for `minimize`.  By a threshold
-rule on each chain (see `minimize`), the +1 branch of a pair is always
-optimal and its -1 branch only at a tie that one comparison of two solved
-totals reads off, so that walk divides no pair and evaluates no closed
-form.  Each builds a leaf's trace from the division rows (a, b, q, eps, r)
-on the path from the root through `euclid._trace`, as the runners build
-theirs, so only `euclid` writes a trace's slots and no walk builds a step
-record: a trace builds its records on each read of `.steps`, and the euclid
-counters read its rows.  The CLI's listing needs no trace, only its rows,
-and walks the tree in its own flat loop (`_trace_commands._trace_rows`).
+`minimize` reads the pair's regular chain, its remainders and quotients,
+from `euclid._regular`, as `euclid._counts` does.  The closed form is
+written once, in `minimize`'s solve loop.  Two walkers build traces:
+`_generate` walks the whole tree for `enumerate_all`, and `_witnesses` only
+the witnesses' subtree for `minimize`.  By a threshold rule on each chain
+(see `minimize`), the +1 branch of a pair is always optimal and its -1
+branch only at a tie that one comparison of two solved totals reads off, so
+that walk divides no pair and evaluates no closed form.  Each builds a
+leaf's trace from the division rows (a, b, q, eps, r) on the path from the
+root through `euclid._trace`, as the runners build theirs, so only `euclid`
+writes a trace's slots and no walk builds a step record: a trace builds its
+records on each read of `.steps`, and the euclid counters read its rows.
+The CLI's listing needs no trace, only its rows, and walks the tree in its
+own flat loop (`_trace_commands._trace_rows`).
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 
 from ._record import Record
-from .euclid import _CUSTOM, Division, EuclidTrace, _trace, check_pair
+from .euclid import _CUSTOM, Division, EuclidTrace, _regular, _trace, check_pair
 
 MAX_WITNESSES = 16
 
@@ -143,16 +145,8 @@ def minimize(x0: int, x1: int) -> EnumerationResult:
     link.
     """
     check_pair(x0, x1)
-    # The regular division of (x0, x1): remainders x0, x1, ..., g, 0, and
-    # quotients[i] = remainders[i] // remainders[i + 1], with a 0 for g,
-    # which is read only where a child ends the trace.
-    remainders, quotients = [x0, x1], []
-    a, b = x0, x1
-    while b:
-        q, r = divmod(a, b)
-        remainders.append(r)
-        quotients.append(q)
-        a, b = b, r
+    # quotients gains a 0 for g, read only where a child ends the trace.
+    remainders, quotients = _regular(x0, x1)
     quotients.append(0)
     # Chain i is that of (r, s) = (remainders[i], remainders[i + 1]), for
     # i >= 1.  Its X, state (r, s) with r = k*s + t, lies on the chain below

@@ -13,11 +13,14 @@ which yields the classic variants as fixed policies:
 Step accounting counts every subtraction (the quotients summed) plus every
 switch to the next working pair (equations minus one).
 
-One division loop, `_divisions`, yields each division of a chain as the
+Two loops divide a chain here.  `_divisions` yields each division as the
 chooser signs it, as a row (a, b, q, eps, r).  The runners keep its rows as
-their traces; `_counts`, the CLI's `gcd` and `steps` and
+their traces; the CLI's `gcd`, `_counts`' least-absolute count and
 `tangles.plan_untangle` read it with no trace at all, so a chain costs
-memory for its rendering at most, not for its steps.
+memory for its rendering at most, not for its steps.  `_regular` returns
+the regular chain's remainders and quotients as two lists: `_counts` reads
+the regular and negative counts off its quotients, and
+`enumeration.minimize` solves its certificate over both.
 
 A trace is its division rows and its variant, and only this module writes
 either.  Its EuclidStep records are built on every read of `.steps`; the
@@ -101,6 +104,8 @@ class EuclidStep(Record):
 
 # A division a = b*q + eps*r as the row (a, b, q, eps, r).
 Division = tuple[int, int, int, int, int]
+# Its columns q and eps.
+_quotient, _epsilon = itemgetter(2), itemgetter(3)
 
 
 class EuclidTrace(Record):
@@ -193,7 +198,7 @@ def check_pair(x0: int, x1: int) -> None:
 def _divisions(x0: int, x1: int, chooser: SignChooser) -> Iterator[Division]:
     """Each division (a, b, q, eps, r) of the chain from (x0, x1) under a sign chooser.
 
-    The package's one division loop; the caller checks the pair.  Forced
+    The package's one sign-choosing loop; the caller checks the pair.  Forced
     divisions (b divides a) bypass the chooser and close the chain with
     eps +1 and remainder 0.  `least_absolute` is not called: the loop signs
     its divisions from the remainder it holds, as that chooser would from
@@ -260,35 +265,50 @@ def run_negative(x0: int, x1: int) -> EuclidTrace:
     return _run(x0, x1, _NEGATIVE)
 
 
-def _counts(x0: int, x1: int, variant: Variant) -> tuple[int, int]:
-    """The divisions and subtractions of the named variant's trace of (x0, x1).
+def _regular(x0: int, x1: int) -> tuple[list[int], list[int]]:
+    """The regular division chain of (x0, x1) as (remainders, quotients).
 
-    No trace is built.  The negative trace is as long as the regular
-    quotients sum to, so it is counted in O(regular divisions).  With
-    q, r = divmod(a, b) and r > 0, its step from (a, b) reaches (b, b - r),
-    and from there each step has quotient 2 and lowers both terms by r
-    while the second stays above r: with k, s = divmod(b, r), that is k
-    divisions and q + 1 + 2(k - 1) subtractions in all, ending exactly if
-    s = 0 and at (r + s, s) otherwise.
+    remainders are x0, x1, ..., g, 0, g the gcd, and quotients[i] =
+    remainders[i] // remainders[i + 1]: the regular partial quotients of
+    x0/x1.  The caller checks the pair.  A loop of its own, not
+    `_divisions`' rows, because `minimize` reads it on every certificate and
+    the rows cost about twice as much per certify pair.
+    """
+    remainders, quotients = [x0, x1], []
+    a, b = x0, x1
+    while b:
+        q, r = divmod(a, b)
+        remainders.append(r)
+        quotients.append(q)
+        a, b = b, r
+    return remainders, quotients
+
+
+def _counts(x0: int, x1: int) -> dict[Variant, tuple[int, int]]:
+    """The divisions and subtractions of each named variant's trace of (x0, x1).
+
+    No trace is built.  The regular chain's quotients a0, ..., an give the
+    regular counts, their number and their sum, and the negative ones: the
+    negative trace's quotients are its minus continued fraction
+
+        a0 + 1, then a1 - 1 twos, a2 + 2, then a3 - 1 twos, a4 + 2, ...
+
+    with the last term lowered by one when it falls at an even index (a0
+    alone when n = 0), so that trace, as long as the regular quotients sum
+    to, is counted in O(n).  The least-absolute counts come from its own
+    division loop.
     """
     check_pair(x0, x1)
-    divisions = subtractions = 0
-    if variant is not _NEGATIVE:
-        for _, _, q, _, _ in _divisions(x0, x1, CHOOSERS[variant]):
-            divisions += 1
-            subtractions += q
-        return divisions, subtractions
-    a, b = x0, x1
-    while True:
-        q, r = divmod(a, b)
-        if r == 0:
-            return divisions + 1, subtractions + q
-        k, s = divmod(b, r)
-        divisions += k
-        subtractions += q + 2 * k - 1
-        if s == 0:
-            return divisions, subtractions
-        a, b = r + s, s
+    quotients = _regular(x0, x1)[1]
+    lar = list(map(_quotient, _divisions(x0, x1, least_absolute)))
+    even, odd = quotients[::2], quotients[1::2]
+    twos = sum(odd) - len(odd)
+    return {
+        _REGULAR: (len(quotients), sum(quotients)),
+        _LEAST_ABSOLUTE: (len(lar), sum(lar)),
+        _NEGATIVE: (len(even) + twos,
+                    sum(even) + 2 * len(even) - 1 + 2 * twos - len(quotients) % 2),
+    }
 
 
 def gcd_of(trace: EuclidTrace) -> int:
@@ -299,10 +319,6 @@ def gcd_of(trace: EuclidTrace) -> int:
 def division_count(trace: EuclidTrace) -> int:
     """Number of division equations in the trace."""
     return len(trace._rows)
-
-
-# Columns of a division row (a, b, q, eps, r).
-_quotient, _epsilon = itemgetter(2), itemgetter(3)
 
 
 def step_count(trace: EuclidTrace) -> StepCount:

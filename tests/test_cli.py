@@ -22,7 +22,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tanglegcd import _trace_commands, cli
+from tanglegcd import _trace_commands, cli, euclid
 from tanglegcd._shadows import SHADOW_BITS
 from tanglegcd.cli import main
 from tanglegcd.enumeration import EnumerationResult, enumerate_all, minimize
@@ -116,7 +116,7 @@ def test_gcd_prints_the_counts_of_the_library_sweep():
                 payload, _ = _trace_commands.cmd_gcd(
                     SimpleNamespace(a=a, b=b, method=method, json=True))
                 deque(payload["trace"], maxlen=0)
-                divisions, subtractions = _counts(a, b, variant)
+                divisions, subtractions = _counts(a, b)[variant]
                 written = ["".join(payload[key]) for key in
                            ("gcd", "divisions", "subtractions", "swaps", "total_steps")]
                 assert written == [
@@ -158,7 +158,7 @@ def test_step_rows_print_what_str_prints(pair):
     a, b = pair
     for variant, chooser in CHOOSERS.items():
         # A negative chain is as long as the regular quotients sum to.
-        if variant is Variant.NEGATIVE and _counts(a, b, variant)[0] > 20_000:
+        if variant is Variant.NEGATIVE and _counts(a, b)[variant][0] > 20_000:
             continue
         counts = {}
         rows = _trace_commands._step_rows(a, b, _divisions(a, b, chooser),
@@ -218,6 +218,21 @@ def test_steps_counts_a_billion_step_negative_trace_without_running_it(capsys):
     assert rows["negative"] == {"method": "negative", "divisions": 10**9,
                                 "subtractions": 2 * 10**9, "swaps": 10**9 - 1,
                                 "total": 3 * 10**9 - 1}
+
+
+@pytest.mark.parametrize("pair", [(807, 673), (2**996, 3**628)], ids=["807/673", "300 digits"])
+def test_steps_divides_the_pair_once_regularly_and_once_for_lar(capsys, monkeypatch, pair):
+    # The regular and negative rows read one regular chain; only the LAR
+    # row runs the division loop.
+    calls = {"_regular": [], "_divisions": []}
+    for name, calls_of in calls.items():
+        def counted(*args, _function=getattr(euclid, name), _calls=calls_of):
+            _calls.append(args[2:])
+            return _function(*args)
+        monkeypatch.setattr(euclid, name, counted)
+    code, out, _ = run_cli(capsys, "--json", "steps", *map(str, pair))
+    assert code == 0 and len(json.loads(out)["rows"]) == 3
+    assert calls == {"_regular": [()], "_divisions": [(euclid.least_absolute,)]}
 
 
 def test_steps_json_is_what_json_dumps_writes(capsys):

@@ -9,7 +9,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import tanglegcd
@@ -413,7 +413,7 @@ big_pairs = st.one_of(
 @given(big_pairs)
 def test_a_trace_is_the_same_before_and_after_its_steps_are_read(pair):
     # The negative trace is as long as the regular quotients sum to.
-    short = _counts(*pair, Variant.NEGATIVE)[0] <= 2000
+    short = _counts(*pair)[Variant.NEGATIVE][0] <= 2000
     for runner in (run_regular, run_lar, run_negative) if short else (run_regular, run_lar):
         read = runner(*pair)
         steps = read.steps
@@ -550,10 +550,10 @@ def test_counts_match_the_trace_up_to_300(variant):
     for x0 in range(1, 301):
         for x1 in range(1, x0 + 1):
             trace = RUNNERS[variant](x0, x1)
-            assert _counts(x0, x1, variant) == (
+            assert _counts(x0, x1)[variant] == (
                 division_count(trace), step_count(trace).subtractions), (x0, x1)
     with pytest.raises(InvalidInputError):
-        _counts(2, 3, variant)
+        _counts(2, 3)
 
 
 @pytest.mark.parametrize("variant", RUNNERS)
@@ -561,4 +561,45 @@ def test_counts_match_the_trace_up_to_300(variant):
     lambda t: (max(t), min(t))))
 def test_counts_match_the_trace(variant, pair):
     trace = RUNNERS[variant](*pair)
-    assert _counts(*pair, variant) == (division_count(trace), step_count(trace).subtractions)
+    assert _counts(*pair)[variant] == (division_count(trace), step_count(trace).subtractions)
+
+
+def negative_counts(x0, x1):
+    """Reference: the negative trace's divisions and subtractions, chain by chain.
+
+    With q, r = divmod(a, b) and r > 0, the negative step from (a, b)
+    reaches (b, b - r), and from there each step has quotient 2 and lowers
+    both terms by r while the second stays above r: with k, s = divmod(b, r),
+    that is k divisions and q + 1 + 2(k - 1) subtractions in all, ending
+    exactly if s = 0 and at (r + s, s) otherwise.
+    """
+    divisions = subtractions = 0
+    a, b = x0, x1
+    while True:
+        q, r = divmod(a, b)
+        if r == 0:
+            return divisions + 1, subtractions + q
+        k, s = divmod(b, r)
+        divisions += k
+        subtractions += q + 2 * k - 1
+        if s == 0:
+            return divisions, subtractions
+        a, b = r + s, s
+
+
+@given(st.one_of(
+    st.tuples(st.integers(1, 10**50), st.integers(1, 10**50)).map(lambda t: (max(t), min(t))),
+    # Partial quotients of any size up to 10**6, an odd or even number of them.
+    st.lists(st.integers(1, 10**6), min_size=1, max_size=12).map(folded),
+))
+@example((10**18 + 1, 10**18))
+@example((7, 7))
+def test_counts_match_the_division_loops_past_runnable_sizes(pair):
+    # The negative entry is read off the regular quotients; the chain-by-chain
+    # reference checks it where the trace is too long to run.
+    counts = _counts(*pair)
+    assert counts[Variant.NEGATIVE] == negative_counts(*pair)
+    for variant, runner in ((Variant.REGULAR, run_regular), (Variant.LEAST_ABSOLUTE, run_lar)):
+        trace = runner(*pair)
+        assert counts[variant] == (division_count(trace), step_count(trace).subtractions)
+    assert set(counts) == set(RUNNERS)

@@ -87,3 +87,20 @@ def test_only_euclid_writes_a_trace_s_slots():
         if alias.name == "_new" or alias.name.startswith("_set_")
     ]
     assert found == []
+
+
+def test_only_the_chain_loops_call_divmod():
+    # `_divisions` signs a chain's divisions and `_regular` keeps the regular
+    # chain's remainders and quotients, for every count and certificate; the
+    # two walks of the trace tree divide each node they visit.
+    found = {
+        f"{path.stem}.{function.name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for function in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+        if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(function)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id == "divmod"
+    }
+    assert found == {"euclid._divisions", "euclid._regular", "enumeration._generate",
+                     "_trace_commands._trace_rows"}
