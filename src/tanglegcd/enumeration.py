@@ -10,20 +10,21 @@ taken with a -1 remainder into a closed form, so its cost grows with the
 number of divisions, not with the partial quotients or with x0.  Nothing
 here consults the named variants, so both are independent oracles for them.
 
-`minimize` reads the pair's regular chain, its remainders and quotients,
-from `euclid._regular`, as `euclid._counts` does.  The closed form is
-written once, in `minimize`'s solve loop.  Two walkers build traces:
-`_generate` walks the whole tree for `enumerate_all`, and `_witnesses` only
-the witnesses' subtree for `minimize`.  By a threshold rule on each chain
-(see `minimize`), the +1 branch of a pair is always optimal and its -1
-branch only at a tie that one comparison of two solved totals reads off, so
-that walk divides no pair and evaluates no closed form.  Each builds a
-leaf's trace from the division rows (a, b, q, eps, r) on the path from the
-root through `euclid._trace`, as the runners build theirs, so only `euclid`
-writes a trace's slots and no walk builds a step record: a trace builds its
-records on each read of `.steps`, and the euclid counters read its rows.
-The CLI's listing needs no trace, only its rows, and walks the tree in its
-own flat loop (`_trace_commands._trace_rows`).
+`minimize` reads the pair's regular partial quotients from
+`euclid._regular`, as `euclid._counts` does; no remainder of the chain is
+kept, and the witness walk rebuilds each one its rows hold from the pair it
+divides.  The closed form is written once, in `minimize`'s solve loop.  Two
+walkers build traces: `_generate` walks the whole tree for `enumerate_all`,
+and `_witnesses` only the witnesses' subtree for `minimize`.  By a threshold
+rule on each chain (see `minimize`), the +1 branch of a pair is always
+optimal and its -1 branch only at a tie that one comparison of two solved
+totals reads off, so that walk divides no pair and evaluates no closed form.
+Each builds a leaf's trace from the division rows (a, b, q, eps, r) on the
+path from the root through `euclid._trace`, as the runners build theirs, so
+only `euclid` writes a trace's slots and no walk builds a step record: a
+trace builds its records on each read of `.steps`, and the euclid counters
+read its rows.  The CLI's listing needs no trace, only its rows, and walks
+the tree in its own flat loop (`_trace_commands._trace_rows`).
 """
 
 from __future__ import annotations
@@ -145,27 +146,26 @@ def minimize(x0: int, x1: int) -> EnumerationResult:
     link.
     """
     check_pair(x0, x1)
-    # quotients gains a 0 for g, read only where a child ends the trace.
-    remainders, quotients = _regular(x0, x1)
-    quotients.append(0)
-    # Chain i is that of (r, s) = (remainders[i], remainders[i + 1]), for
-    # i >= 1.  Its X, state (r, s) with r = k*s + t, lies on the chain below
-    # at link k, n = k - m0 links above that chain's base; m0 = 2 only on
-    # the last chain, where t = 0.  Its base (r + s, r) goes by +1 to pair
-    # (r + s, r), quotient 1 into state (r, s), and by -1 to pair (r + s, s),
-    # quotient k + 1 into state (s, t), the X of the chain below.  The x_
-    # and w_ names hold the values of X and W of the chain below, starting
-    # from the last chain (g, 0), until they are the new chain's.  totals[i]
-    # keeps chain i's X.total for the walk: 0 for chain (g, 0), the last
-    # entry; totals[0] is never read.
+    quotients = _regular(x0, x1)
+    # With x0, x1, ..., g, 0 the regular chain's remainders, none of them
+    # kept, chain i is that of (r, s), the remainders at positions i and
+    # i + 1, for i >= 1, and quotients[i] = r // s.  Its X, state (r, s)
+    # with r = k*s + t, lies on the chain below at link k, n = k - m0 links
+    # above that chain's base; m0 = 2 only on the last chain, where t = 0.
+    # Its base (r + s, r) goes by +1 to pair (r + s, r), quotient 1 into
+    # state (r, s), and by -1 to pair (r + s, s), quotient k + 1 into state
+    # (s, t), the X of the chain below.  The x_ and w_ names hold the values
+    # of X and W of the chain below, starting from the last chain (g, 0),
+    # until they are the new chain's.  totals[i] keeps chain i's X.total for
+    # the walk: 0 for chain (g, 0), the last entry; totals[0] is never read.
     # X.total = min(m, 3n + W.total), m = 1 + k + (X of the chain
     # below).total being the regular side.  3n + W.total never beats m:
     # that is the theorem this certifies (the regular run's total is
     # minimal), so it is computed here, not assumed.
-    totals = [0] * (len(remainders) - 1)
+    totals = [0] * (len(quotients) + 1)
     x_total, x_divisions, x_count, w_total, w_divisions, w_count = 0, 1, 1, 3, 2, 2
     m0 = 2
-    for i in range(len(remainders) - 3, 0, -1):
+    for i in range(len(quotients) - 1, 0, -1):
         k = quotients[i]
         n = k - m0
         m0 = 1
@@ -188,41 +188,44 @@ def minimize(x0: int, x1: int) -> EnumerationResult:
     # the last one solved (or of chain (g, 0), if x1 divides x0).
     return EnumerationResult(
         (x0, x1), x_count, quotients[0] + x_total, x_divisions,
-        _witnesses(remainders, quotients, totals),
+        _witnesses(x0, x1, quotients, totals),
     )
 
 
 def _witnesses(
-    remainders: list[int], quotients: list[int], totals: list[int]
+    x0: int, x1: int, quotients: list[int], totals: list[int]
 ) -> tuple[EuclidTrace, ...]:
     # The first MAX_WITNESSES step-minimal traces, depth-first, +1 first.  A
-    # pair (a, b) is entered with its quotient q, the position i of its
-    # remainder r = remainders[i] and the link k of b = k*r + s on chain i,
-    # s = remainders[i + 1], so the walk divides no pair.  Its +1 child
-    # (b, r) is always optimal (see `minimize`); its -1 child only at a
-    # chain's base (k = 1), where the child is pair (r + s, s), and only on
-    # a tie, read off the solved totals.  The walk enters the +1 child at
-    # once; a tied -1 child waits on the stack as (division, q, i, k, depth),
-    # depth the length of the shared path above it.
-    a, b, q, i, k = remainders[0], remainders[1], quotients[0], 2, quotients[1]
+    # pair (a, b) is entered with its quotient q and the position i of its
+    # remainder r in the regular chain, and rebuilds r = a - q*b, so the
+    # walk divides no pair.  With b = k*r + s on chain i, k =
+    # quotients[i - 1], its +1 child (b, r) is always optimal (see
+    # `minimize`); its -1 child only at a chain's base (k = 1), where the
+    # child is pair (r + s, s), s = b - r, and only on a tie, read off the
+    # solved totals.  The walk enters the +1 child at once; a tied -1 child
+    # waits on `ties` as (i, depth), depth the length of the path above its
+    # parent, whose +1 row path[depth] gives back (a, b, q, r).  Its
+    # remainder s is built when it is popped, not when it is pushed: a
+    # Fibonacci chain ties at every division, and at most MAX_WITNESSES - 1
+    # ties are popped.
+    a, b, q, i = x0, x1, quotients[0], 2
     path: list[Division] = []
-    stack: list[tuple[Division, int, int, int, int]] = []
+    ties: list[tuple[int, int]] = []
     witnesses: list[EuclidTrace] = []
     while True:
-        r = remainders[i]
+        r = a - q * b
         if r:
+            k = quotients[i - 1]
             if k == 1 and totals[i] == quotients[i] + 1 + totals[i + 1]:
-                stack.append((
-                    (a, b, q + 1, -1, remainders[i + 1]),
-                    quotients[i] + 1, i + 2, quotients[i + 1], len(path),
-                ))
+                ties.append((i, len(path)))
             path.append((a, b, q, 1, r))
-            a, b, q, i, k = b, r, k, i + 1, quotients[i]
+            a, b, q, i = b, r, k, i + 1
             continue
         witnesses.append(_trace((*path, (a, b, q, 1, 0)), _CUSTOM))
-        if len(witnesses) == MAX_WITNESSES or not stack:
+        if len(witnesses) == MAX_WITNESSES or not ties:
             return tuple(witnesses)
-        division, q, i, k, depth = stack.pop()
-        del path[depth:]
-        path.append(division)
-        a, b = division[1], division[4]
+        i, depth = ties.pop()
+        a, b, q, _, r = path[depth]
+        s = b - r
+        path[depth:] = [(a, b, q + 1, -1, s)]
+        a, b, q, i = b, s, quotients[i] + 1, i + 2

@@ -18,9 +18,10 @@ chooser signs it, as a row (a, b, q, eps, r).  The runners keep its rows as
 their traces; the CLI's `gcd`, `_counts`' least-absolute count and
 `tangles.plan_untangle` read it with no trace at all, so a chain costs
 memory for its rendering at most, not for its steps.  `_regular` returns
-the regular chain's remainders and quotients as two lists: `_counts` reads
-the regular and negative counts off its quotients, and
-`enumeration.minimize` solves its certificate over both.
+the regular chain's partial quotients, one list with no remainder: `_counts`
+reads the regular and negative counts off them, and `enumeration.minimize`
+solves its certificate over them and rebuilds each remainder its witnesses
+hold from the pair above it, so neither holds the chain's remainders.
 
 A trace is its division rows and its variant, and only this module writes
 either.  Its EuclidStep records are built on every read of `.steps`; the
@@ -30,15 +31,17 @@ read the rows, so counting a trace builds no record.
 
 The raw constructors of EuclidStep and EuclidTrace are checked doors: an
 inconsistent step, or steps that do not chain into one trace ending in
-remainder 0, raise ValueError, and a step that is not an EuclidStep record
-or a variant that is not a Variant member raises TypeError, under any
-interpreter flags, `-O` included; unpickling goes through the same checks,
-so every row of a checked trace has passed EuclidStep's check.  The runners
-here and the enumeration walks take each row from divmod or from the
-regular division chain, so every division is consistent and chained by
-construction; they build through the unchecked `_trace` and pay for no
-chain check.  `.steps` builds each record through the checked EuclidStep,
-so every step record has passed its check.
+remainder 0, raise ValueError, and a field whose type is not int (a bool or
+a float, say), a step that is not an EuclidStep record or a variant that is
+not a Variant member raises TypeError, under any interpreter flags, `-O`
+included; unpickling goes through the same checks, so every row of a
+checked trace has passed EuclidStep's check.  `check_pair`, the door of
+every runner, count and certificate, refuses a pair member whose type is
+not int the same way.  The runners here and the enumeration walks take
+each row from divmod or from the regular partial quotients, so every
+division is consistent and chained by construction; they build through the
+unchecked `_trace` and pay for no chain check.  `.steps` builds each record
+through the checked EuclidStep, so every step record has passed its check.
 """
 
 from __future__ import annotations
@@ -88,6 +91,10 @@ class EuclidStep(Record):
         _set_quotient(self, quotient)
         _set_epsilon(self, epsilon)
         _set_remainder(self, remainder)
+        for value in (a, b, quotient, epsilon, remainder):
+            if value.__class__ is not int:
+                # The type, not the value: str() of a huge int can itself raise.
+                raise TypeError(f"step fields must be int, not {type(value).__name__}")
         if not (
             epsilon in (1, -1)
             and quotient >= 1
@@ -189,7 +196,14 @@ def least_absolute(a: int, b: int) -> int:
 
 
 def check_pair(x0: int, x1: int) -> None:
-    """Refuse a pair outside x0 >= x1 >= 1 with InvalidInputError."""
+    """Refuse a pair outside x0 >= x1 >= 1 with InvalidInputError.
+
+    A member whose type is not int (a bool or a float, say) raises TypeError.
+    """
+    if x0.__class__ is not int or x1.__class__ is not int:
+        # The type, not the value: str() of a huge int can itself raise.
+        bad = x1 if x0.__class__ is int else x0
+        raise TypeError(f"x0 and x1 must be int, not {type(bad).__name__}")
     if x1 < 1 or x0 < x1:
         # No digits in the message: str() of a huge int can itself raise.
         raise InvalidInputError(f"need x0 >= x1 >= 1, got {'x1 < 1' if x1 < 1 else 'x0 < x1'}")
@@ -265,23 +279,22 @@ def run_negative(x0: int, x1: int) -> EuclidTrace:
     return _run(x0, x1, _NEGATIVE)
 
 
-def _regular(x0: int, x1: int) -> tuple[list[int], list[int]]:
-    """The regular division chain of (x0, x1) as (remainders, quotients).
+def _regular(x0: int, x1: int) -> list[int]:
+    """The regular partial quotients of x0/x1, one per division of its regular chain.
 
-    remainders are x0, x1, ..., g, 0, g the gcd, and quotients[i] =
-    remainders[i] // remainders[i + 1]: the regular partial quotients of
-    x0/x1.  The caller checks the pair.  A loop of its own, not
+    The chain's remainders are not kept: each is the last but one less its
+    quotient times the last, so a caller that needs one rebuilds it from
+    the pair it holds.  The caller checks the pair.  A loop of its own, not
     `_divisions`' rows, because `minimize` reads it on every certificate and
     the rows cost about twice as much per certify pair.
     """
-    remainders, quotients = [x0, x1], []
+    quotients = []
     a, b = x0, x1
     while b:
         q, r = divmod(a, b)
-        remainders.append(r)
         quotients.append(q)
         a, b = b, r
-    return remainders, quotients
+    return quotients
 
 
 def _counts(x0: int, x1: int) -> dict[Variant, tuple[int, int]]:
@@ -299,7 +312,7 @@ def _counts(x0: int, x1: int) -> dict[Variant, tuple[int, int]]:
     division loop.
     """
     check_pair(x0, x1)
-    quotients = _regular(x0, x1)[1]
+    quotients = _regular(x0, x1)
     lar = list(map(_quotient, _divisions(x0, x1, least_absolute)))
     even, odd = quotients[::2], quotients[1::2]
     twos = sum(odd) - len(odd)

@@ -8,8 +8,9 @@ equality checks trivial and values safe to share across threads.
 Python integers are arbitrary precision, so no overflow handling is needed
 anywhere in this module; arithmetic is exact by construction.
 
-The raw constructor is a checked door: a non-canonical pair raises ValueError
-under any interpreter flags, `-O` included.  Twists, rotations and negation
+The raw constructor is a checked door: a non-canonical pair raises ValueError,
+and a member whose type is not int (a bool or a float, say) TypeError, under
+any interpreter flags, `-O` included.  Twists, rotations and negation
 produce canonical pairs by construction (a twist keeps gcd, since
 gcd(n + k*d, d) = gcd(n, d); a rotation or negation only swaps or negates the
 pair), so they take the unchecked `_canonical` path and pay no gcd per value.
@@ -54,7 +55,8 @@ class ExtendedRational(Record):
     numerator, zero is (0, 1), and the single point at infinity is (1, 0).
     Construct values through :func:`normalize`; the raw constructor checks
     canonical form but does not repair it, and raises ValueError on any other
-    pair, also under `python -O`.  Unpickling goes through the same check.
+    pair, and TypeError on a member whose type is not int, also under
+    `python -O`.  Unpickling goes through the same checks.
     Values are slotted and carry no per-instance ``__dict__``.
     """
 
@@ -63,6 +65,10 @@ class ExtendedRational(Record):
     def __init__(self, numerator: int, denominator: int) -> None:
         _set_numerator(self, numerator)
         _set_denominator(self, denominator)
+        if numerator.__class__ is not int or denominator.__class__ is not int:
+            # The type, not the value: str() of a huge int can itself raise.
+            bad = denominator if numerator.__class__ is int else numerator
+            raise TypeError(f"numerator and denominator must be int, not {type(bad).__name__}")
         if denominator < 0 or (
             numerator != 1 if denominator == 0 else gcd(numerator, denominator) != 1
         ):
@@ -215,10 +221,14 @@ def normalize(numerator: int, denominator: int) -> ExtendedRational:
 
 def twist_value(f: ExtendedRational, direction: int) -> ExtendedRational:
     """Return f + direction, where direction is +1 or -1; infinity is fixed."""
-    if direction not in (1, -1):
-        raise ValueError(f"twist direction must be +1 or -1, got {direction!r}")
     # gcd(n + k*d, d) == gcd(n, d) == 1, so the result is already canonical.
-    return _canonical(f.numerator + direction * f.denominator, f.denominator)
+    # The sum or the difference is chosen by direction's value, so the pair
+    # stays int whatever equal value direction is (True, -1.0).
+    if direction == 1:
+        return _canonical(f.numerator + f.denominator, f.denominator)
+    if direction == -1:
+        return _canonical(f.numerator - f.denominator, f.denominator)
+    raise ValueError(f"twist direction must be +1 or -1, got {direction!r}")
 
 
 def _rotated(n: int, d: int) -> tuple[int, int]:

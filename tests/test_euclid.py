@@ -3,8 +3,10 @@ import json
 import math
 import os
 import pickle
+import struct
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -33,7 +35,7 @@ from tanglegcd.euclid import (
     step_count,
     trace_to_dict,
 )
-from tanglegcd.enumeration import minimize
+from tanglegcd.enumeration import enumerate_all, minimize
 
 
 pairs = st.tuples(st.integers(1, 400), st.integers(1, 400)).map(
@@ -503,6 +505,36 @@ def test_a_trace_refuses_a_step_that_is_not_an_euclid_step():
         EuclidTrace(steps, Variant.REGULAR)
     with pytest.raises(TypeError, match="tuple"):
         EuclidTrace([(8, 5, 1, 1, 3), (5, 3, 1, 1, 2)], Variant.REGULAR)
+
+
+@pytest.mark.parametrize("pair, name", [((8.5, 5), "float"), ((True, True), "bool"),
+                                        ((8, 5.0), "float"), ((3**400, Fraction(2)), "Fraction")])
+def test_the_pair_door_refuses_a_member_whose_type_is_not_int(pair, name):
+    # (8.5, 5) ran to float rows with gcd_of 0.5 and minimize counted 10.0
+    # traces; (True, True) wrote "a": true.  The message names the type and
+    # does not echo the value.
+    calls = [run_regular, run_lar, run_negative, _counts, minimize, enumerate_all,
+             lambda x0, x1: run_general(x0, x1, least_absolute)]
+    for call in calls:
+        with pytest.raises(TypeError, match=name) as refusal:
+            call(*pair)
+        assert not any(str(x) in str(refusal.value) for x in pair if x is not True)
+
+
+def test_the_step_door_refuses_a_field_whose_type_is_not_int():
+    # -1.0 and True equal -1 and 1, so these rows divide and chain, and the
+    # trace of them equalled run_lar(8, 5); its JSON wrote "eps": -1.0 and
+    # "eps": true.  Unpickling takes the same door.
+    for fields, name in [((8, 5, 2, -1.0, 2), "float"), ((5, 2, 2, True, 1), "bool"),
+                         ((8.0, 5, 1, 1, 3), "float"), ((2, 1, 2, 1, False), "bool")]:
+        with pytest.raises(TypeError, match=name):
+            EuclidStep(*fields)
+    data = pickle.dumps(run_lar(8, 5), 2)
+    first_epsilon = b"K\x08K\x05K\x02J\xff\xff\xff\xff"
+    assert data.count(first_epsilon) == 1
+    float_epsilon = first_epsilon[:-5] + b"G" + struct.pack(">d", -1.0)
+    with pytest.raises(TypeError, match="float"):
+        pickle.loads(data.replace(first_epsilon, float_epsilon))
 
 
 # run_lar(8, 5) pickled with protocol 2 at 3418dee, before steps and traces

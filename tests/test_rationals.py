@@ -99,6 +99,34 @@ def test_twist_rejects_other_directions():
         twist_value(ZERO, 2)
 
 
+@pytest.mark.parametrize("direction, numerator", [(1.0, 3), (-1.0, -1), (True, 3)],
+                         ids=["1.0", "-1.0", "True"])
+def test_a_twist_by_a_value_equal_to_1_or_minus_1_keeps_the_pair_int(direction, numerator):
+    # 1/2 + 1.0 was the pair (3.0, 2), printed 3.0/2; its rotation had a
+    # float denominator, and a plan of it float stage counts.
+    value = twist_value(normalize(1, 2), direction)
+    assert (value.numerator, value.denominator) == (numerator, 2)
+    assert str(value) == f"{numerator}/2"
+    assert {type(value.numerator), type(value.denominator)} == {int}
+    rotated = rotate_value(value)
+    assert {type(rotated.numerator), type(rotated.denominator)} == {int}
+    for policy in CHOOSERS:
+        counts = [stage.twist_count for stage in plan_untangle(value, policy).stages]
+        assert {type(count) for count in counts} == {int}
+
+
+@pytest.mark.parametrize("pair, name", [((True, 1), "bool"), ((1, True), "bool"),
+                                        ((0.5, 1), "float"), ((3, 2.0), "float")])
+def test_the_raw_constructor_refuses_a_member_whose_type_is_not_int(pair, name):
+    # ExtendedRational(True, 1) built and printed True.  The message names
+    # the type and does not echo the value; unpickling takes the same door.
+    with pytest.raises(TypeError, match=name) as refusal:
+        ExtendedRational(*pair)
+    assert str(pair[0]) not in str(refusal.value)
+    with pytest.raises(TypeError, match=name):
+        object.__new__(ExtendedRational).__setstate__(list(pair))
+
+
 def test_rotate_examples():
     assert rotate_value(normalize(8, 5)) == normalize(-5, 8)
     assert rotate_value(normalize(-2, 5)) == normalize(5, 2)

@@ -91,8 +91,9 @@ def test_only_euclid_writes_a_trace_s_slots():
 
 def test_only_the_chain_loops_call_divmod():
     # `_divisions` signs a chain's divisions and `_regular` keeps the regular
-    # chain's remainders and quotients, for every count and certificate; the
-    # two walks of the trace tree divide each node they visit.
+    # chain's partial quotients, for every count and certificate; the witness
+    # walk rebuilds each remainder from its pair, and the two walks of the
+    # whole trace tree divide each node they visit.
     found = {
         f"{path.stem}.{function.name}"
         for path in sorted(PACKAGE.glob("*.py"))
