@@ -231,6 +231,8 @@ def test_minimize_matches_a_fold_over_the_listing_for_every_pair_to_60():
 def test_trace_count_is_x1_over_the_gcd(pair):
     x0, x1 = pair
     assert minimize(x0, x1).traces_examined == x1 // math.gcd(x0, x1)
+    # `minimize` returns that formula; the oracle sums its C+ + C- recurrence.
+    assert per_pair_minimize(x0, x1).traces_examined == x1 // math.gcd(x0, x1)
 
 
 def test_minimize_certifies_a_pair_beyond_brute_force():
@@ -316,6 +318,14 @@ def test_minimize_matches_the_per_pair_recurrence_on_random_pairs_to_a_million()
     for _ in range(400):
         x0 = rng.randint(1, 10**6)
         x1 = rng.randint(1, x0)
+        assert minimize(x0, x1) == per_pair_minimize(x0, x1), (x0, x1)
+    # A planted common factor makes the gcd greater than 1, where the
+    # oracle's count, a recurrence, checks `minimize`'s x1/gcd.
+    for _ in range(100):
+        factor = rng.randint(2, 10**6)
+        x0 = rng.randint(1, 10**6)
+        x1 = rng.randint(1, x0)
+        x0, x1 = factor * x0, factor * x1
         assert minimize(x0, x1) == per_pair_minimize(x0, x1), (x0, x1)
 
 
