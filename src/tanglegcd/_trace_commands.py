@@ -7,10 +7,10 @@ and counts each division as euclid's division loop yields it, printing each
 integer once: past SHADOW_BITS bits from its exact decimal shadow (see
 `_shadows`), and below it by one str().  `steps` counts every method's row
 without a trace, from `euclid._counts`' two passes, and writes its JSON
-rows without `json`; `enumerate` renders each trace row during its own flat
-walk of the trace tree (`_trace_rows`).  Rows are joined into written
-pieces of about _PIECE characters, so memory stays flat in the number of
-rows.
+rows without `json`; `enumerate` hands its row renderer to `enumeration`'s
+listing walk (`_trace_rows`), which calls it once per trace.  Rows are
+joined into written pieces of about _PIECE characters, so memory stays flat
+in the number of rows.
 """
 
 from __future__ import annotations
@@ -132,40 +132,8 @@ def cmd_steps(args: SimpleNamespace) -> Result:
     return {"x0": a, "x1": b, "rows": iter(["[{" + "}, {".join(fields) + "}]"])}, 0
 
 
-def _trace_rows(a: int, b: int, separator: str, plus: str, minus: str,
-                row: Callable[[str, str, int, int], str]) -> Iterator[str]:
-    """One row per trace of (a, b), in enumerate_all's order, by a flat walk.
-
-    A row is row(quotients, epsilons, divisions, total), the two lists
-    rendered with `separator` and the signs `plus` and `minus`.  The walk
-    keeps its own stack of (a, b, quotient prefix, epsilon prefix,
-    subtractions, depth), each entry built from its parent's, so a node
-    costs one divmod and then one row or two pushes, with no record.  The
-    stack holds at most one pending sibling per level of the current path,
-    each with its own prefixes, which grow with its depth; so memory is
-    bounded by the square of the depth, and on staircase pairs, whose
-    +1 branch ends at once, by the depth.  The caller checks the pair first,
-    as `minimize` does.
-    """
-    plus_prefix, minus_prefix = plus + separator, minus + separator
-    stack = [(a, b, "", "", 0, 0)]
-    pop, push = stack.pop, stack.append
-    while stack:
-        a, b, quotients, epsilons, subtractions, depth = pop()
-        q, r = divmod(a, b)
-        if r == 0:
-            # The last division has remainder 0 and sign +1; swaps are depth.
-            yield row(f"{quotients}{q}", epsilons + plus, depth + 1, subtractions + q + depth)
-            continue
-        # The -1 branch first, so that the +1 branch is walked first.
-        depth += 1
-        push((b, b - r, f"{quotients}{q + 1}{separator}", epsilons + minus_prefix,
-              subtractions + q + 1, depth))
-        push((b, r, f"{quotients}{q}{separator}", epsilons + plus_prefix, subtractions + q, depth))
-
-
 def cmd_enumerate(args: SimpleNamespace) -> Result:
-    from .enumeration import minimize
+    from .enumeration import _trace_rows, minimize
 
     a, b = _ordered_pair(args.a, args.b)
     if a > args.limit:

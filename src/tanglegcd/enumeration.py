@@ -14,23 +14,30 @@ the named variants, so both are independent oracles for them.
 `minimize` reads the pair's regular partial quotients from
 `euclid._regular`, as `euclid._counts` does; no remainder of the chain is
 kept, and the witness walk rebuilds each one its rows hold from the pair it
-divides.  The closed form is written once, in `minimize`'s solve loop.  Two
-walkers build traces: `_generate` walks the whole tree for `enumerate_all`,
-and `_witnesses` only the witnesses' subtree for `minimize`.  The +1 branch
-of a pair is always optimal and its -1 branch only at a chain's base, on a
-tie that the solve loop flags as it compares the chain's two sides (see
-`minimize`), so that walk divides no pair and evaluates no closed form.
-Each builds a leaf's trace from the division rows (a, b, q, eps, r) on the
-path from the root through `euclid._trace`, as the runners build theirs, so
-only `euclid` writes a trace's slots and no walk builds a step record: a
-trace builds its records on each read of `.steps`, and the euclid counters
-read its rows.  The CLI's listing needs no trace, only its rows, and walks
-the tree in its own flat loop (`_trace_commands._trace_rows`).
+divides.  The closed form is written once, in `minimize`'s solve loop.
+
+Every walk of the trace tree lives here, depth-first with the +1 branch
+before the -1, and none recurses: staircase pairs such as (10000, 9999) are
+deeper than the recursion limit.  The two walks that build traces keep one
+path of division rows (a, b, q, eps, r) from the root.  They enter a pair's
++1 child at once, park its -1 child on a pending stack with the depth of the
+path above it, and, at a leaf, pop the latest parked child, truncate the
+path to that depth and enter it.  `_generate` walks the whole tree for
+`enumerate_all`, and `_witnesses` only the witnesses' subtree for
+`minimize`: the +1 branch of a pair is always optimal and its -1 branch only
+at a chain's base, where it always ties (see `minimize`), so that walk
+divides no pair and evaluates no closed form.  Each builds a leaf's trace
+from its path through `euclid._trace`, as the runners build theirs, so only
+`euclid` writes a trace's slots and no walk builds a step record: a trace
+builds its records on each read of `.steps`, and the euclid counters read
+its rows.  The CLI's `enumerate` listing needs no trace, only each trace's
+row, and `_trace_rows` walks the whole tree for it with rendered prefixes in
+place of a path.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from math import gcd
 
 from ._record import Record
@@ -64,28 +71,58 @@ def enumerate_all(x0: int, x1: int) -> Iterator[EuclidTrace]:
 
 
 def _generate(x0: int, x1: int) -> Iterator[EuclidTrace]:
-    # Explicit stack: entries are (a, b, division) and a None sentinel that
-    # pops the shared path when a subtree is done.  Recursion would overflow
-    # on staircase pairs such as (10000, 9999).  At a pair (a, b) entered by
-    # `division`, with q, r = divmod(a, b) and r > 0, the -1 child is pushed
-    # first, so that the +1 child is walked first.  At r == 0 the walk
-    # yields the trace of the divisions on the path from the root.  The root
-    # is entered by no division.
-    path: list[Division] = []
-    stack: list[tuple[int, int, Division | None] | None] = [(x0, x1, None)]
-    while stack:
-        entry = stack.pop()
-        if entry is None:
-            path.pop()
+    # At a pair (a, b), q, r = divmod(a, b), with r > 0 the walk parks the -1
+    # row (a, b, q + 1, -1, b - r) as (depth, row), depth the length of the
+    # path above it, and enters the +1 child (b, r).  At r == 0 it yields the
+    # trace of the path and its last division, then pops the latest parked
+    # row, puts it in place of the path from its depth down, and enters the
+    # pair it divides into, (b, b - r).
+    a, b, path, pending = x0, x1, [], []
+    while True:
+        q, r = divmod(a, b)
+        if r:
+            pending.append((len(path), (a, b, q + 1, -1, b - r)))
+            path.append((a, b, q, 1, r))
+            a, b = b, r
             continue
-        a, b, division = entry
-        if division is not None:
-            path.append(division)
+        yield _trace((*path, (a, b, q, 1, 0)), _CUSTOM)
+        if not pending:
+            return
+        depth, row = pending.pop()
+        path[depth:] = [row]
+        _, a, _, _, b = row
+
+
+def _trace_rows(a: int, b: int, separator: str, plus: str, minus: str,
+                row: Callable[[str, str, int, int], str]) -> Iterator[str]:
+    """One row per trace of (a, b), in enumerate_all's order, by a flat walk.
+
+    A row is row(quotients, epsilons, divisions, total), the two lists
+    rendered with `separator` and the signs `plus` and `minus`.  The walk
+    keeps its own stack of (a, b, quotient prefix, epsilon prefix,
+    subtractions, depth), each entry built from its parent's, so a node
+    costs one divmod and then one row or two pushes, with no record.  The
+    stack holds at most one pending sibling per level of the current path,
+    each with its own prefixes, which grow with its depth; so memory is
+    bounded by the square of the depth, and on staircase pairs, whose
+    +1 branch ends at once, by the depth.  The caller checks the pair first,
+    as `minimize` does.
+    """
+    plus_prefix, minus_prefix = plus + separator, minus + separator
+    stack = [(a, b, "", "", 0, 0)]
+    pop, push = stack.pop, stack.append
+    while stack:
+        a, b, quotients, epsilons, subtractions, depth = pop()
         q, r = divmod(a, b)
         if r == 0:
-            yield _trace((*path, (a, b, q, 1, 0)), _CUSTOM)
+            # The last division has remainder 0 and sign +1; swaps are depth.
+            yield row(f"{quotients}{q}", epsilons + plus, depth + 1, subtractions + q + depth)
             continue
-        stack += None, (b, b - r, (a, b, q + 1, -1, b - r)), None, (b, r, (a, b, q, 1, r))
+        # The -1 branch first, so that the +1 branch is walked first.
+        depth += 1
+        push((b, b - r, f"{quotients}{q + 1}{separator}", epsilons + minus_prefix,
+              subtractions + q + 1, depth))
+        push((b, r, f"{quotients}{q}{separator}", epsilons + plus_prefix, subtractions + q, depth))
 
 
 def minimize(x0: int, x1: int) -> EnumerationResult:
@@ -130,19 +167,19 @@ def minimize(x0: int, x1: int) -> EnumerationResult:
     O(divisions) big-integer operations and holds O(divisions) entries:
     (10**5, 10**5 - 1) and (10**100, 10**100 - 1) are a single chain each.
 
-    The loop also flags each chain as tied when its X, the state at link k
-    of the chain below, takes the regular side: when m = 1 + k + X'.total
+    Lemma: every chain's base ties.  That is, each chain's X, the state at
+    link k of the chain below, takes its regular side: m = 1 + k + X'.total
     is at most 3n + W'.total, X' and W' the values of the chain below, so
-    that X.total = m.  Every flag is true.  On a chain (r, s) with s > 0,
-    the base (r + s, r) goes by +1 to pair (r + s, r), quotient 1 into
-    state (r, s), and by -1 to pair (r + s, s), quotient k' + 1 for r =
-    k'*s + t into state (s, t), so W.total = 2 + min(X.total, m) with m the
-    regular side of X.  X.total <= m, so W.total = 2 + X.total, and at any
-    link k of the chain 3n + W.total - (1 + k + X.total) = 2k - 2 >= 0.  On
-    the last chain W.total = X.total = 0 and it is 2k - 4, where the
-    quotient above g is at least 2.  That is the theorem this certifies,
-    the regular run's total is minimal, and the loop still makes each
-    comparison, so it is computed here, not assumed.
+    X.total = m.  Proof: on a chain (r, s) with s > 0, the base (r + s, r)
+    goes by +1 to pair (r + s, r), quotient 1 into state (r, s), and by -1
+    to pair (r + s, s), quotient k' + 1 for r = k'*s + t into state (s, t),
+    so W.total = 2 + min(X.total, m) with m the regular side of X.  X.total
+    <= m, so W.total = 2 + X.total, and at any link k of the chain 3n +
+    W.total - (1 + k + X.total) = 2k - 2 >= 0.  On the last chain W.total =
+    X.total = 0 and it is 2k - 4, where the quotient above g is at least 2.
+    That is the theorem this certifies, the regular run's total is minimal.
+    The solve loop keeps no record of the tie and still compares both sides
+    of every chain, so the minimal total is computed here, not assumed.
 
     Witness policy: the first MAX_WITNESSES traces attaining the minimal
     step total, in the depth-first order enumerate_all uses, rebuilt by
@@ -158,9 +195,9 @@ def minimize(x0: int, x1: int) -> EnumerationResult:
     2 more than plus when W.total = 2 + X.total.  On the last chain it is 2
     more at k >= 3, and at k = 2 it is pair (2g, g) at one more subtraction.
     At k = 1 the -1 child leaves the chain for pair (r + s, s), at m + 1
-    against plus = 1 + X.total, so it ties iff the chain is flagged and is
-    worse otherwise.  So the walk takes every +1 child, and a -1 child only
-    at k = 1 on a flagged chain: a witness takes a -1 remainder only at a
+    against plus = 1 + X.total, and it ties, since X.total = m by the
+    lemma.  So the walk takes every +1 child, and a -1 child at every k = 1
+    link and nowhere else: a witness takes a -1 remainder only at a
     pair where least absolute remainders take one (2r > b).  It reads both
     branches of a pair in O(1), with no division, no lookup by value and no
     closed form at a link.
@@ -175,16 +212,12 @@ def minimize(x0: int, x1: int) -> EnumerationResult:
     # W of the chain below, starting from the last chain (g, 0), whose X and
     # base both take the end state's values, until they are the new
     # chain's; its base's total is 2 + X.total (see above).
-    # tied[i] is chain i's flag, for the walk; tied[0] is never read.
-    tied = [False] * len(quotients)
     x_total, x_divisions, w_total, w_divisions = 0, 1, 0, 1
-    for i in range(len(quotients) - 1, 0, -1):
-        k = quotients[i]
+    for k in quotients[:0:-1]:
         m = 1 + k + x_total
         total = 3 * k - 3 + w_total
-        if m <= total:
+        if m < total:
             total = m
-            tied[i] = True
         divisions = k - 1 + w_divisions
         if 1 + x_divisions < divisions:
             divisions = 1 + x_divisions
@@ -196,25 +229,23 @@ def minimize(x0: int, x1: int) -> EnumerationResult:
     # the last one solved (or of chain (g, 0), if x1 divides x0).
     return EnumerationResult(
         (x0, x1), x1 // gcd(x0, x1), quotients[0] + x_total, x_divisions,
-        _witnesses(x0, x1, quotients, tied),
+        _witnesses(x0, x1, quotients),
     )
 
 
-def _witnesses(
-    x0: int, x1: int, quotients: list[int], tied: list[bool]
-) -> tuple[EuclidTrace, ...]:
+def _witnesses(x0: int, x1: int, quotients: list[int]) -> tuple[EuclidTrace, ...]:
     # The first MAX_WITNESSES step-minimal traces, depth-first, +1 first.  A
     # pair (a, b) is entered with its quotient q and the position i of its
     # remainder r in the regular chain, and rebuilds r = a - q*b, so the
     # walk divides no pair.  With b = k*r + s on chain i, k =
     # quotients[i - 1], its +1 child (b, r) is always optimal (see
     # `minimize`); its -1 child only at a chain's base (k = 1), where the
-    # child is pair (r + s, s), s = b - r, and only if chain i is tied.  The
-    # walk enters the +1 child at once; a tied -1 child waits on `ties` as
-    # (i, depth), depth the length of the path above its parent, whose +1
-    # row path[depth] gives back (a, b, q, r).  Its remainder s is built
-    # when it is popped, not when it is pushed: a Fibonacci chain ties at
-    # every division, and at most MAX_WITNESSES - 1 ties are popped.
+    # child is pair (r + s, s), s = b - r, and always ties.  The walk enters
+    # the +1 child at once; a -1 child at k = 1 waits on `ties` as (i,
+    # depth), depth the length of the path above its parent, whose +1 row
+    # path[depth] gives back (a, b, q, r).  Its remainder s is built when it
+    # is popped, not when it is pushed: a Fibonacci chain ties at every
+    # division, and at most MAX_WITNESSES - 1 ties are popped.
     a, b, q, i = x0, x1, quotients[0], 2
     path: list[Division] = []
     ties: list[tuple[int, int]] = []
@@ -223,7 +254,7 @@ def _witnesses(
         r = a - q * b
         if r:
             k = quotients[i - 1]
-            if k == 1 and tied[i]:
+            if k == 1:
                 ties.append((i, len(path)))
             path.append((a, b, q, 1, r))
             a, b, q, i = b, r, k, i + 1

@@ -117,11 +117,15 @@ class UntanglePlan(Record):
         return tuple(self.iter_moves())
 
     def iter_moves(self) -> Iterator[Move]:
-        """The single moves, expanded lazily: one `repeat` per stage."""
+        """The single moves, expanded lazily: one `repeat` per stage.
+
+        Every stage is read before the first move, so a stage of sys.maxsize
+        twists or more is refused with `_twists`' ValueError at the call.
+        """
         rotation = (_ROTATE,)
         runs = [rotation] if _opens_with_rotation(self.start) else []
         for count, direction in self.stages:
-            runs += (repeat(_TWIST if direction > 0 else _UNTWIST, count), rotation)
+            runs += (repeat(_TWIST if direction > 0 else _UNTWIST, _twists(count)), rotation)
         # A rotation follows every stage but the last.
         return chain.from_iterable(runs[:-1] if self.stages else runs)
 
@@ -242,6 +246,18 @@ def replay(start: ExtendedRational, moves: Iterable[Move]) -> ReplayReport:
     return ReplayReport(_canonical_values(numerators, denominators))
 
 
+def _twists(count: int) -> int:
+    """A stage's twist count, 0 for a count of zero or less.
+
+    A run of twists has a C size for its length, so a count of sys.maxsize
+    or more is refused with a ValueError.
+    """
+    if count >= sys.maxsize:
+        # No digits in the message: str() of a huge int can itself raise.
+        raise ValueError("a plan stage has more twists than a replay can count")
+    return count if count > 0 else 0
+
+
 def _stage_runs(start: ExtendedRational, stages: tuple[Stage, ...]) -> Iterator[tuple]:
     """start's pair and the pairs a plan's moves reach from it, one run per stage.
 
@@ -250,11 +266,10 @@ def _stage_runs(start: ExtendedRational, stages: tuple[Stage, ...]) -> Iterator[
     the rotation before the stage reaches, then the stage's k twists, each
     adding s*d, s = +1 for a positive direction and -1 otherwise: its
     numerators are one `range` over `repeat(d, k + 1)`, or `repeat(n, k + 1)`
-    at infinity (d = 0).  A count of zero or less twists nothing, as in
-    `iter_moves`.  A plan that opens with a rotation yields its start alone
-    first.  So the loop is O(stages) and the runs expand in C.  A run's
-    length is a C size, so a stage of sys.maxsize twists or more is refused
-    with a ValueError when the walk reaches it.
+    at infinity (d = 0).  Its k is `_twists`' count, as in `iter_moves`, so
+    a stage of sys.maxsize twists or more is refused when the walk reaches
+    it.  A plan that opens with a rotation yields its start alone first.  So
+    the loop is O(stages) and the runs expand in C.
     """
     n, d = start.numerator, start.denominator
     rotate = _opens_with_rotation(start)
@@ -266,10 +281,7 @@ def _stage_runs(start: ExtendedRational, stages: tuple[Stage, ...]) -> Iterator[
             n, d = _rotated(n, d)
         # As in `iter_moves`, a rotation comes between a stage and the next.
         rotate = True
-        twists = count if count > 0 else 0
-        if twists >= sys.maxsize:
-            # No digits in the message: str() of a huge int can itself raise.
-            raise ValueError("a plan stage has more twists than a replay can count")
+        twists = _twists(count)
         step = d if direction > 0 else -d
         end = n + twists * step
         numerators = range(n, end + step, step) if d else repeat(n, twists + 1)

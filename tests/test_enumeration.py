@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from tanglegcd.enumeration import (
     EnumerationResult,
     MAX_WITNESSES,
+    _trace_rows,
     enumerate_all,
     minimize,
 )
@@ -504,3 +505,18 @@ def test_every_listed_trace_and_witness_passes_the_checked_constructor():
             for trace in [*enumerate_all(x0, x1), *minimize(x0, x1).witnesses_min_steps]:
                 checked = EuclidTrace(trace.steps, trace.variant)
                 assert (checked, hash(checked)) == (trace, hash(trace)), (x0, x1)
+
+
+@pytest.mark.parametrize("pair", [(987, 610), (1000, 999), (9999, 7001)], ids=str)
+def test_the_listing_walk_lists_every_trace_of_deep_pairs_in_order(pair):
+    # A Fibonacci pair, a staircase and the enumeration bound's pair: the
+    # listing walk's rows and enumerate_all's traces, two walks of the same
+    # tree, agree one by one, in the same depth-first order.
+    rows = _trace_rows(*pair, " ", "1", "-1", lambda *row: row)
+    for trace, (quotients, epsilons, divisions, total) in zip(
+            enumerate_all(*pair), rows, strict=True):
+        steps = trace.steps
+        assert quotients.split() == [str(step.quotient) for step in steps]
+        assert epsilons.split() == [str(step.epsilon) for step in steps]
+        assert divisions == division_count(trace) == len(steps)
+        assert total == step_count(trace).total

@@ -104,4 +104,4 @@ def test_only_the_chain_loops_call_divmod():
         and node.func.id == "divmod"
     }
     assert found == {"euclid._divisions", "euclid._regular", "enumeration._generate",
-                     "_trace_commands._trace_rows"}
+                     "enumeration._trace_rows"}

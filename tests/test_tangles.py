@@ -514,6 +514,17 @@ def test_verify_plan_refuses_a_stage_of_too_many_twists_without_digits(f, policy
         verify_plan(f, plan_untangle(f, policy))
 
 
+@pytest.mark.parametrize("f", TOO_MANY_TWISTS, ids=str)
+@pytest.mark.parametrize("policy", POLICIES)
+def test_iter_moves_refuses_a_stage_of_too_many_twists_without_digits(f, policy):
+    # The call alone must raise: `repeat` cannot take a count past a C size,
+    # and a lazy iterator over the sys.maxsize plan must never be consumed,
+    # nor `.moves` read, since that would build a tuple of 2**63 - 1 moves.
+    plan = plan_untangle(f, policy)
+    with pytest.raises(ValueError, match=r"^\D+$"):
+        plan.iter_moves()
+
+
 def test_a_stage_one_twist_short_of_the_limit_is_replayed_lazily():
     f = normalize(sys.maxsize - 1, 1)
     (numerators, denominators, n, d), = _stage_runs(f, plan_untangle(f, Variant.REGULAR).stages)
